@@ -461,22 +461,28 @@ def cmd_replay(args, argv) -> int:
     entries = read_manifest(args.manifest)
     if "argv" not in entries:
         raise DataError(f"{args.manifest}: manifest lacks an argv record")
-    recorded = json.loads(entries["argv"])
+    try:
+        recorded = json.loads(entries["argv"])
+    except json.JSONDecodeError:
+        raise DataError(f"{args.manifest}: argv record is not JSON")
+    if not (isinstance(recorded, list) and all(isinstance(a, str) for a in recorded)):
+        raise DataError(f"{args.manifest}: argv record is not a list of strings")
+    hashed = {}
+    for key, value in entries.items():
+        if not key.startswith("sha256."):
+            continue
+        name = key[len("sha256."):]
+        if f"output.{name}" not in entries:
+            raise DataError(f"{args.manifest}: {key} has no output.{name} entry")
+        hashed[name] = (Path(entries[f"output.{name}"]), value)
     if recorded and recorded[0] == "synth" and "--force" not in recorded:
         recorded.append("--force")
     print(f"replaying: {shlex.join(recorded)}")
     code = main(recorded)
     if code != EXIT_OK:
         return code
-    mismatches = []
-    for key, value in entries.items():
-        if not key.startswith("sha256."):
-            continue
-        name = key[len("sha256."):]
-        out_path = Path(entries[f"output.{name}"])
-        actual = _sha256_file(out_path)
-        if actual != value:
-            mismatches.append(name)
+    mismatches = [name for name, (out_path, value) in hashed.items()
+                  if _sha256_file(out_path) != value]
     if mismatches:
         print(f"replay mismatch for: {', '.join(mismatches)}", file=sys.stderr)
         return EXIT_DATA

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
 from .nets import (DiffNet, NetGrads, _backward_from_cache, _forward_cached,
-                   net_forward, sigmoid, softplus)
+                   net_forward, net_forward_rows, sigmoid, softplus)
 
 # Clamps that keep degenerate batches out of log/divide trouble.
 VAR_FLOOR = 1e-6
@@ -209,6 +209,15 @@ def infer_posterior(infer_net: DiffNet, kg_vec, bg_vec) -> PosteriorStats:
     edge_dim = (infer_net.out_dim - 2 * kg_dim) // 2
     raw = net_forward(infer_net, np.concatenate([bg_vec, kg_vec]))
     return _stats_from_raw(raw, kg_dim, edge_dim)
+
+
+def shift_mean_rows(infer_net: DiffNet, kg_rows: np.ndarray,
+                    bg_rows: np.ndarray) -> np.ndarray:
+    """Posterior shift means of a block of rows: the batched
+    ``infer_posterior(...).shift_mean``, through ``net_forward_rows``.
+    The caller checks that the net fits the row dimensions."""
+    raw = net_forward_rows(infer_net, np.hstack([bg_rows, kg_rows]))
+    return raw[:, :kg_rows.shape[1]]
 
 
 def reparametrize(stats: PosteriorStats, eps_shift, eps_logres) -> LatentSample:

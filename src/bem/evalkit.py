@@ -251,6 +251,18 @@ class RecallResult:
     skipped_triggers: int
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores, highest first and ties by index:
+    the first k of ``np.argsort(-scores, kind="stable")`` without sorting
+    every score. Only scores at or above the k-th largest are sorted."""
+    if k >= len(scores):
+        return np.argsort(-scores, kind="stable")
+    keys = -scores
+    kth = np.partition(keys, k - 1)[k - 1]
+    near = np.flatnonzero(keys <= kth)
+    return near[np.lexsort((near, keys[near]))][:k]
+
+
 def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
                triggers_by_user: dict[str, list[str]],
                truth_by_user: dict[str, set[str]],
@@ -268,6 +280,7 @@ def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
         raise ShapeError(f"query dim {query.dim} != candidate dim {candidates.dim}")
     cand_norms = np.linalg.norm(candidates.matrix, axis=1)
     unit = candidates.matrix / np.where(cand_norms > 0.0, cand_norms, 1.0)[:, None]
+    zero_cands = cand_norms == 0.0
     hits = retrieved = skipped = 0
     for user in sorted(triggers_by_user):
         truth = truth_by_user.get(user, set())
@@ -282,12 +295,11 @@ def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
                 skipped += 1
                 continue
             sims = unit @ (qvec / qnorm)
-            sims[cand_norms == 0.0] = -np.inf
+            sims[zero_cands] = -np.inf
             self_idx = candidates.id_index.get(trig)
             if self_idx is not None:
                 sims[self_idx] = -np.inf
-            order = np.argsort(-sims, kind="stable")
-            top = [i for i in order[:k] if np.isfinite(sims[i])]
+            top = [i for i in _top_k(sims, k) if np.isfinite(sims[i])]
             for idx in top:
                 retrieved += 1
                 if item_attrs.get(candidates.ids[idx]) in truth:

@@ -142,14 +142,24 @@ def load_truth(path) -> tuple[EmbeddingTable, dict[str, str]]:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if lineno == 1 and line.startswith("#dim="):
-                dim = int(line[len("#dim="):])
+                try:
+                    dim = int(line[len("#dim="):])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad #dim header {line!r}")
+                if dim < 1:
+                    raise DataError(f"{path}:{lineno}: non-positive #dim header")
                 continue
             parts = line.split("\t")
             if len(parts) < 3:
                 raise DataError(f"{path}:{lineno}: expected 'id<TAB>label<TAB>values'")
             eid, label = parts[0], parts[1]
-            vals = [float(v) for v in parts[2:]]
-            if dim is not None and len(vals) != dim:
+            try:
+                vals = [float(v) for v in parts[2:]]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparsable value in truth row")
+            if dim is None:
+                dim = len(vals)
+            elif len(vals) != dim:
                 raise DataError(f"{path}:{lineno}: ragged truth row")
             ids.append(eid)
             attrs[eid] = label

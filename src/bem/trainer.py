@@ -18,10 +18,11 @@ import numpy as np
 from .dataio import EmbeddingTable, normalize_rows
 from .elbo import (Edge, draw_pair_eps, edge_allows_self_pairs,
                    edge_output_dim, elbo_pair_accumulate_grads,
-                   estimate_prior, infer_posterior)
+                   estimate_prior, shift_mean_rows)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
                      TrainingError)
-from .nets import AdamState, DiffNet, NetGrads, adam_step, net_forward
+from .nets import (ROW_BLOCK, AdamState, DiffNet, NetGrads, adam_step,
+                   net_forward_rows)
 from .rng import named_rng
 
 
@@ -217,11 +218,16 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
         raise ShapeError(f"projection net emits dim {proj_net.out_dim}, bg table has {bg.dim}")
     if infer_net.in_dim != kg.dim + bg.dim:
         raise ShapeError("inference net input does not match the table dimensions")
-    kg_out = np.empty_like(kg.matrix)
-    bg_out = np.empty((len(kg), bg.dim))
-    for idx in range(len(kg)):
-        stats = infer_posterior(infer_net, kg.matrix[idx], bg.matrix[idx])
-        kg_out[idx] = kg.matrix[idx] + stats.shift_mean
-        bg_out[idx] = net_forward(proj_net, kg_out[idx])
+    n = len(kg)
+    kg_out = np.empty((n, kg.dim))
+    bg_out = np.empty((n, bg.dim))
+    # Blocks of ROW_BLOCK rows give each row the block position a
+    # whole-table net_forward_rows call would, and keep every intermediate
+    # at one block's size.
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        kg_out[rows] = kg.matrix[rows] + shift_mean_rows(
+            infer_net, kg.matrix[rows], bg.matrix[rows])
+        bg_out[rows] = net_forward_rows(proj_net, kg_out[rows])
     return (EmbeddingTable(ids=kg.ids, matrix=kg_out),
             EmbeddingTable(ids=kg.ids, matrix=bg_out))

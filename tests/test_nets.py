@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bem.errors import ShapeError, TrainingError
-from bem.nets import (AdamState, DiffNet, NetGrads, adam_step, net_backward,
-                      net_forward, net_forward_rows)
+from bem.nets import (ROW_BLOCK, AdamState, DiffNet, NetGrads, adam_step,
+                      net_backward, net_forward, net_forward_rows)
+
+# Largest allowed gap between a blocked row and its single-vector result for
+# order-one values: a few dozen ulps (2.8e-16 measured).
+ROWS_ATOL = 1e-14
 
 
 def straight_line_forward(net, x):
@@ -57,11 +61,20 @@ class TestForward:
             net_forward(net, [1.0, 2.0])
 
     def test_rows_helper_matches_single_vector_calls(self):
-        net = DiffNet.random(4, 5, 3, np.random.default_rng(2))
-        X = np.random.default_rng(3).normal(size=(6, 4))
+        # Blocked matrix products sum in another order than the per-vector
+        # calls, so the loop is an oracle within ROWS_ATOL, not bit for bit.
+        net = DiffNet.random(4, 50, 3, np.random.default_rng(2))
+        X = np.random.default_rng(3).normal(size=(2 * ROW_BLOCK + 3, 4))
         batched = net_forward_rows(net, X)
-        for i in range(6):
-            assert np.array_equal(batched[i], net_forward(net, X[i]))
+        for i in range(len(X)):
+            assert np.allclose(batched[i], net_forward(net, X[i]), rtol=0, atol=ROWS_ATOL)
+        assert np.array_equal(net_forward_rows(net, X), batched)
+
+    def test_rows_helper_ignores_input_memory_layout(self):
+        net = DiffNet.random(4, 50, 3, np.random.default_rng(2))
+        X = np.random.default_rng(3).normal(size=(ROW_BLOCK + 7, 4))
+        assert np.array_equal(net_forward_rows(net, np.asfortranarray(X)),
+                              net_forward_rows(net, X))
 
 
 class TestInit:

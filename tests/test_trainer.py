@@ -4,11 +4,14 @@ import pytest
 from bem.dataio import EmbeddingTable
 from bem.elbo import Edge, draw_pair_eps, edge_output_dim, elbo_pair_grads, estimate_prior
 from bem.errors import AlignmentError, ConfigError, ShapeError, TrainingError
-from bem.nets import DiffNet, net_forward
+from bem.nets import ROW_BLOCK, DiffNet, net_forward
 from bem.elbo import infer_posterior
 from bem.rng import named_rng
 from bem.synthgen import SynthSpec, generate
 from bem.trainer import TrainConfig, refine, sample_paired_batches, train
+
+# See test_nets: blocked rows against single-vector calls.
+ROWS_ATOL = 1e-14
 
 
 def tiny_tables(seed=0, n=6, d_w=2, d_z=3):
@@ -199,6 +202,17 @@ class TestTrain:
             assert np.all(np.isfinite(report.elbo_trace()))
 
 
+@pytest.fixture(scope="module")
+def prefix_case():
+    """A whole-table refine at desk dimensions and hidden width, with its inputs."""
+    truth = generate(SynthSpec(n_entities=5300, seed=3))
+    rng = np.random.default_rng(11)
+    kg, bg = truth.kg, truth.bg
+    proj = DiffNet.random(kg.dim, 500, bg.dim, rng)
+    infer = DiffNet.random(kg.dim + bg.dim, 500, 2 * kg.dim + 2 * bg.dim, rng)
+    return (kg, bg, proj, infer, *refine(kg, bg, proj, infer))
+
+
 class TestRefine:
     def test_zero_inference_net_returns_kg_unchanged(self):
         kg, bg = tiny_tables(seed=4)
@@ -216,10 +230,25 @@ class TestRefine:
         proj = DiffNet.random(kg.dim, 5, bg.dim, rng)
         infer = DiffNet.random(kg.dim + bg.dim, 5, 2 * kg.dim + 2 * d_g, rng)
         kg_r, bg_r = refine(kg, bg, proj, infer)
-        for eid in ("e0", "e3"):
+        # The per-row calls are an oracle within ROWS_ATOL (see test_nets);
+        # repeated refines agree bit for bit.
+        for eid in kg.ids:
             stats = infer_posterior(infer, kg.row(eid), bg.row(eid))
-            assert np.array_equal(kg_r.row(eid), kg.row(eid) + stats.shift_mean)
-            assert np.array_equal(bg_r.row(eid), net_forward(proj, kg_r.row(eid)))
+            assert np.allclose(kg_r.row(eid), kg.row(eid) + stats.shift_mean,
+                               rtol=0, atol=ROWS_ATOL)
+            assert np.allclose(bg_r.row(eid), net_forward(proj, kg_r.row(eid)),
+                               rtol=0, atol=ROWS_ATOL)
+        kg_again, bg_again = refine(kg, bg, proj, infer)
+        assert np.array_equal(kg_again.matrix, kg_r.matrix)
+        assert np.array_equal(bg_again.matrix, bg_r.matrix)
+
+    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2000, 5000])
+    def test_prefix_refines_to_whole_table_prefix_bit_for_bit(self, m, prefix_case):
+        kg, bg, proj, infer, kg_whole, bg_whole = prefix_case
+        rows = range(m)
+        kg_r, bg_r = refine(kg.subset(rows), bg.subset(rows), proj, infer)
+        assert np.array_equal(kg_r.matrix, kg_whole.matrix[:m])
+        assert np.array_equal(bg_r.matrix, bg_whole.matrix[:m])
 
     def test_inputs_not_mutated(self):
         kg, bg = tiny_tables(seed=7)
