@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .dataio import (align, load_labels, load_model, load_table,
                      normalize_rows, save_model, write_labels, write_table,
-                     _atomic_write_text)
+                     _atomic_write_text, _not_utf8)
 from .elbo import Edge
 from .errors import (BemError, ConfigError, DataError, EvalError,
                      NumericalError, ShapeError, TrainingError)
@@ -95,9 +95,16 @@ def write_manifest(target, command: str, argv: list[str], seed,
     return path
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def read_manifest(path) -> dict:
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if " = " not in line:
@@ -109,7 +116,7 @@ def read_manifest(path) -> dict:
 
 def read_config_file(path, allowed: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -420,6 +427,7 @@ def cmd_sweep(args, argv) -> int:
         if not args.truth:
             raise UsageError("--metric oracle-error needs --truth")
         truth_table, _ = load_truth(args.truth)
+        oracle_error(bg, truth_table)  # fail on missing truth rows before training
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -434,8 +442,7 @@ def cmd_sweep(args, argv) -> int:
             metric = float(np.mean(report.elbo_trace()[-window:]))
         elif args.metric == "oracle-error":
             _, bg_refined = refine(kg, bg, proj_net, infer_net)
-            diff = bg_refined.matrix - truth_table.matrix
-            metric = float(np.mean(diff ** 2))
+            metric = oracle_error(bg_refined, truth_table)
         else:
             raise UsageError(f"unknown metric {args.metric!r}")
         model_path = out_dir / f"model_{args.param}_{value}.bem"

@@ -3,7 +3,18 @@
 Embedding table format: UTF-8 text, one row per entity, fields separated by
 a single tab: the entity id, then d decimal floats (17 significant digits on
 write, so values round-trip exactly). An optional first line ``#dim=<d>``
-pins the dimension.
+pins the dimension. A truth file (``synthgen``) is the same format with a
+label column between the id and the values.
+
+Tables stream through one codec in both directions. The writer formats
+``CHUNK_ROWS`` rows at a time with one ``%.17g`` template per row (the same
+bytes as ``format(v, ".17g")`` per value) into ``<path>.tmp``, then renames
+it over the target. The reader checks each line's structure in Python, with
+line numbers, and hands each chunk's value fields to numpy's C parser; a
+chunk that parser rejects, or that holds a non-finite value, is parsed
+again field by field with ``float()``, so the accepted files, the values
+and the line-numbered errors are those of a plain per-field ``float()``
+loop.
 
 Label file: ``id<TAB>class1,class2,...`` with a non-empty class list.
 
@@ -17,6 +28,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,16 +41,45 @@ from .nets import DiffNet
 MODEL_MAGIC = b"BEM1"
 MODEL_VERSION = 1
 
+# Rows formatted or parsed at a time: bounds the text and Python objects
+# alive at once. Output bytes and parsed values do not depend on it.
+CHUNK_ROWS = 4096
 
-def _atomic_write_bytes(path, payload: bytes) -> None:
+# Separators that numpy's parser strips as whitespace but float() rejects;
+# a chunk holding one takes the float() path.
+_LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
+
+
+@contextmanager
+def _atomic_open(path):
+    """Binary handle on ``<path>.tmp``, renamed over ``path`` when the block
+    completes and removed when it raises, so the target is never partial."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a text file that does not decode, naming its first bad
+    line: a text reader decodes ahead of the line it returns."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
+    return DataError(f"{path}: not UTF-8 text")
 
 
 @dataclass(eq=False)
@@ -115,8 +156,128 @@ class LabelTable:
         return dict(zip(self.ids, self.label_sets))
 
 
-def _format_float(v: float) -> str:
-    return format(v, ".17g")
+def _write_rows(path, keys, matrix: np.ndarray) -> None:
+    """Write ``#dim=<d>``, then ``key<TAB>v1<TAB>...<TAB>vd`` per row.
+
+    ``keys`` holds one string per row: the id, or the id and its label
+    joined by a tab. Streamed in chunks of ``CHUNK_ROWS`` rows.
+    """
+    row_format = "%s\t" + "\t".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write(f"#dim={matrix.shape[1]}\n".encode("utf-8"))
+        for start in range(0, len(keys), CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            chunk = "".join([row_format % (key, *row) for key, row in
+                             zip(keys[start:stop], matrix[start:stop].tolist())])
+            fh.write(chunk.encode("utf-8"))
+
+
+def _parse_values(path, first_lineno: int, rests: list[str], dim: int) -> np.ndarray:
+    """Parse value fields, one line of ``dim`` tab-separated fields per row."""
+    # loadtxt skips empty lines (and warns when all are), so they go to float().
+    text = "\n".join(rests)
+    if "" not in rests and not any(c in text for c in _LOADTXT_ONLY):
+        try:
+            block = np.loadtxt(rests, delimiter="\t", comments=None,
+                               quotechar=None, ndmin=2)
+        except ValueError:
+            block = None
+        if (block is not None and block.shape == (len(rests), dim)
+                and np.isfinite(block).all()):
+            return block
+    rows = []
+    for lineno, rest in enumerate(rests, start=first_lineno):
+        vals = []
+        for field in rest.split("\t"):
+            try:
+                v = float(field)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: unparsable value {field!r}")
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{lineno}: non-finite value {field!r}")
+            vals.append(v)
+        rows.append(vals)
+    return np.array(rows, dtype=float)
+
+
+def _read_rows(path, label_column: bool = False):
+    """Parse a table (or, with ``label_column``, a truth file) line by line.
+
+    Returns ``(ids, labels, matrix)``; ``labels`` is empty without a label
+    column. Raises DataError with the offending line number for a bad
+    header, blank lines, empty or duplicate ids, ragged rows, unparsable or
+    non-finite values and non-UTF-8 text; ShapeError when the ``#dim=``
+    header disagrees with the rows. Of the structure and value errors, the
+    one on the earliest line is raised.
+    """
+    path = Path(path)
+    n_keys = 2 if label_column else 1
+    ids: list[str] = []
+    labels: list[str] = []
+    blocks: list[np.ndarray] = []
+    rests: list[str] = []
+    seen: dict[str, int] = {}
+    dim: int | None = None
+    header_dim: int | None = None
+    first = 0
+
+    def flush():
+        if rests:
+            blocks.append(_parse_values(path, first, rests, dim))
+            rests.clear()
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if lineno == 1 and line.startswith("#dim="):
+                    try:
+                        header_dim = int(line[len("#dim="):])
+                    except ValueError:
+                        raise DataError(f"{path}:{lineno}: bad #dim header {line!r}")
+                    if header_dim < 1:
+                        raise DataError(f"{path}:{lineno}: non-positive #dim header")
+                    continue
+                if line == "":
+                    raise DataError(f"{path}:{lineno}: blank line")
+                parts = line.split("\t", n_keys)
+                eid = parts[0]
+                if eid == "":
+                    raise DataError(f"{path}:{lineno}: empty entity id")
+                if eid in seen:
+                    raise DataError(
+                        f"{path}:{lineno}: duplicate id {eid!r} "
+                        f"(first seen on line {seen[eid]})")
+                seen[eid] = lineno
+                if len(parts) <= n_keys:
+                    raise DataError(f"{path}:{lineno}: row has no values")
+                rest = parts[n_keys]
+                width = rest.count("\t") + 1
+                if dim is None:
+                    dim = width
+                elif width != dim:
+                    raise DataError(
+                        f"{path}:{lineno}: ragged row, {width} values, expected {dim}")
+                if not rests:
+                    first = lineno
+                rests.append(rest)
+                ids.append(eid)
+                if label_column:
+                    labels.append(parts[1])
+                if len(rests) == CHUNK_ROWS:
+                    flush()
+    except UnicodeDecodeError:
+        flush()
+        raise _not_utf8(path) from None
+    except DataError:
+        flush()  # a value error on an earlier line comes first
+        raise
+    flush()
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    if header_dim is not None and header_dim != dim:
+        raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
+    return ids, labels, np.concatenate(blocks)
 
 
 def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
@@ -126,66 +287,14 @@ def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
     unparsable or non-finite values and duplicate ids; ShapeError when the
     dimension disagrees with ``expected_dim`` or the ``#dim=`` header.
     """
-    path = Path(path)
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    seen: dict[str, int] = {}
-    dim: int | None = None
-    header_dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and line.startswith("#dim="):
-                try:
-                    header_dim = int(line[len("#dim="):])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad #dim header {line!r}")
-                if header_dim < 1:
-                    raise DataError(f"{path}:{lineno}: non-positive #dim header")
-                continue
-            if line == "":
-                raise DataError(f"{path}:{lineno}: blank line")
-            parts = line.split("\t")
-            eid = parts[0]
-            if eid == "":
-                raise DataError(f"{path}:{lineno}: empty entity id")
-            if eid in seen:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate id {eid!r} "
-                    f"(first seen on line {seen[eid]})")
-            seen[eid] = lineno
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: row has no values")
-            if dim is None:
-                dim = len(parts) - 1
-            elif len(parts) - 1 != dim:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row, {len(parts) - 1} values, expected {dim}")
-            vals = []
-            for field in parts[1:]:
-                try:
-                    v = float(field)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: unparsable value {field!r}")
-                if not math.isfinite(v):
-                    raise DataError(f"{path}:{lineno}: non-finite value {field!r}")
-                vals.append(v)
-            ids.append(eid)
-            rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    if header_dim is not None and header_dim != dim:
-        raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
-    if expected_dim is not None and dim != expected_dim:
-        raise ShapeError(f"{path}: dimension {dim}, expected {expected_dim}")
-    return EmbeddingTable(ids=tuple(ids), matrix=np.array(rows, dtype=float))
+    ids, _, matrix = _read_rows(path)
+    if expected_dim is not None and matrix.shape[1] != expected_dim:
+        raise ShapeError(f"{path}: dimension {matrix.shape[1]}, expected {expected_dim}")
+    return EmbeddingTable(ids=tuple(ids), matrix=matrix)
 
 
 def write_table(table: EmbeddingTable, path) -> None:
-    lines = [f"#dim={table.dim}"]
-    for eid, row in zip(table.ids, table.matrix):
-        lines.append(eid + "\t" + "\t".join(_format_float(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, table.ids, table.matrix)
 
 
 def load_labels(path) -> LabelTable:
@@ -193,25 +302,28 @@ def load_labels(path) -> LabelTable:
     ids: list[str] = []
     label_sets: list[tuple[str, ...]] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line == "":
-                raise DataError(f"{path}:{lineno}: blank line")
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'id<TAB>labels'")
-            eid, labels = parts
-            if eid in seen:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate id {eid!r} "
-                    f"(first seen on line {seen[eid]})")
-            seen[eid] = lineno
-            classes = tuple(c for c in labels.split(",") if c != "")
-            if not classes:
-                raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
-            ids.append(eid)
-            label_sets.append(classes)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line == "":
+                    raise DataError(f"{path}:{lineno}: blank line")
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise DataError(f"{path}:{lineno}: expected 'id<TAB>labels'")
+                eid, labels = parts
+                if eid in seen:
+                    raise DataError(
+                        f"{path}:{lineno}: duplicate id {eid!r} "
+                        f"(first seen on line {seen[eid]})")
+                seen[eid] = lineno
+                classes = tuple(c for c in labels.split(",") if c != "")
+                if not classes:
+                    raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
+                ids.append(eid)
+                label_sets.append(classes)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not ids:
         raise DataError(f"{path}: no data rows")
     return LabelTable(ids=tuple(ids), label_sets=tuple(label_sets))
@@ -309,7 +421,8 @@ def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
             body.append(_pack_tensor(arr))
     payload = b"".join(body)
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    _atomic_write_bytes(path, payload)
+    with _atomic_open(path) as fh:
+        fh.write(payload)
 
 
 def load_model(path):

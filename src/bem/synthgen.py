@@ -16,11 +16,10 @@ scaling, which makes the clean table zero-mean with entry std
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import EmbeddingTable, LabelTable, _atomic_write_text, _format_float
+from .dataio import EmbeddingTable, LabelTable, _read_rows, _write_rows
 from .errors import ConfigError, DataError, ShapeError
 from .nets import DiffNet, net_forward_rows
 from .rng import named_rng
@@ -110,60 +109,46 @@ def generate(spec: SynthSpec) -> SynthTruth:
     )
 
 
-def oracle_error(refined_bg: EmbeddingTable, truth: SynthTruth) -> float:
-    """Mean squared entry-wise error against the clean projection."""
-    if refined_bg.dim != truth.clean_bg.dim:
+def oracle_error(refined_bg: EmbeddingTable,
+                 truth: SynthTruth | EmbeddingTable) -> float:
+    """Mean squared entry-wise error against the clean projection.
+
+    ``truth`` is the generator's SynthTruth or a clean table read back by
+    ``load_truth``. Rows are matched by id, so the truth may be in any
+    order and hold extra rows; a refined id without a truth row raises
+    DataError.
+    """
+    clean = truth.clean_bg if isinstance(truth, SynthTruth) else truth
+    if refined_bg.dim != clean.dim:
         raise ShapeError(
-            f"refined table has dim {refined_bg.dim}, truth has {truth.clean_bg.dim}")
-    if refined_bg.ids != truth.clean_bg.ids:
-        raise ShapeError("refined table ids do not match the truth ids")
-    diff = refined_bg.matrix - truth.clean_bg.matrix
+            f"refined table has dim {refined_bg.dim}, truth has {clean.dim}")
+    rows = clean.matrix
+    if refined_bg.ids != clean.ids:  # gather only when needed: a table-sized copy
+        index = clean.id_index
+        missing = [eid for eid in refined_bg.ids if eid not in index]
+        if missing:
+            raise DataError(f"{len(missing)} refined ids have no truth row "
+                            f"(e.g. {missing[:10]})")
+        rows = rows[[index[eid] for eid in refined_bg.ids]]
+    diff = refined_bg.matrix - rows
     return float(np.mean(diff ** 2))
 
 
 def write_truth(truth: SynthTruth, path) -> None:
-    """Sidecar with the clean BG table and the cluster label per entity."""
-    lines = [f"#dim={truth.clean_bg.dim}"]
-    for eid, row in zip(truth.clean_bg.ids, truth.clean_bg.matrix):
-        label = truth.labels.mapping[eid][0]
-        lines.append(eid + "\t" + label + "\t"
-                     + "\t".join(_format_float(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """Sidecar with the clean BG table and the cluster label per entity:
+    the table format with a label column after the id."""
+    keys = [f"{eid}\t{truth.labels.mapping[eid][0]}" for eid in truth.clean_bg.ids]
+    _write_rows(path, keys, truth.clean_bg.matrix)
 
 
 def load_truth(path) -> tuple[EmbeddingTable, dict[str, str]]:
-    """Read a truth sidecar back as (clean table, id -> cluster label)."""
-    path = Path(path)
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    attrs: dict[str, str] = {}
-    dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and line.startswith("#dim="):
-                try:
-                    dim = int(line[len("#dim="):])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad #dim header {line!r}")
-                if dim < 1:
-                    raise DataError(f"{path}:{lineno}: non-positive #dim header")
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise DataError(f"{path}:{lineno}: expected 'id<TAB>label<TAB>values'")
-            eid, label = parts[0], parts[1]
-            try:
-                vals = [float(v) for v in parts[2:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: unparsable value in truth row")
-            if dim is None:
-                dim = len(vals)
-            elif len(vals) != dim:
-                raise DataError(f"{path}:{lineno}: ragged truth row")
-            ids.append(eid)
-            attrs[eid] = label
-            rows.append(vals)
-    if not ids:
-        raise DataError(f"{path}: no data rows")
-    return EmbeddingTable(ids=tuple(ids), matrix=np.array(rows)), attrs
+    """Read a truth sidecar back as (clean table, id -> cluster label).
+
+    Raises DataError for every malformed file, a ``#dim=`` header that
+    disagrees with the rows included.
+    """
+    try:
+        ids, labels, matrix = _read_rows(path, label_column=True)
+    except ShapeError as exc:
+        raise DataError(str(exc)) from None
+    return EmbeddingTable(ids=tuple(ids), matrix=matrix), dict(zip(ids, labels))

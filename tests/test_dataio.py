@@ -1,10 +1,14 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bem.dataio import (AlignResult, EmbeddingTable, LabelTable, align,
-                        load_labels, load_model, load_table, normalize_rows,
-                        save_model, write_labels, write_table)
+from bem import dataio
+from bem.dataio import (CHUNK_ROWS, AlignResult, EmbeddingTable, LabelTable,
+                        align, load_labels, load_model, load_table,
+                        normalize_rows, save_model, write_labels, write_table)
 from bem.elbo import Edge, edge_output_dim
 from bem.errors import (AlignmentError, DataError, ModelFormatError,
                         ShapeError)
@@ -99,6 +103,173 @@ class TestRoundTrip:
         write_table(t, p)
         back = load_table(p)
         assert back.ids == t.ids and np.array_equal(back.matrix, t.matrix)
+
+
+def loop_load_table(path, expected_dim=None):
+    """Reference reader: one float() per field, the codec's accepted language."""
+    path = Path(path)
+    ids, rows, seen = [], [], {}
+    dim = header_dim = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if lineno == 1 and line.startswith("#dim="):
+                try:
+                    header_dim = int(line[len("#dim="):])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad #dim header {line!r}")
+                if header_dim < 1:
+                    raise DataError(f"{path}:{lineno}: non-positive #dim header")
+                continue
+            if line == "":
+                raise DataError(f"{path}:{lineno}: blank line")
+            parts = line.split("\t")
+            eid = parts[0]
+            if eid == "":
+                raise DataError(f"{path}:{lineno}: empty entity id")
+            if eid in seen:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate id {eid!r} "
+                    f"(first seen on line {seen[eid]})")
+            seen[eid] = lineno
+            if len(parts) < 2:
+                raise DataError(f"{path}:{lineno}: row has no values")
+            if dim is None:
+                dim = len(parts) - 1
+            elif len(parts) - 1 != dim:
+                raise DataError(
+                    f"{path}:{lineno}: ragged row, {len(parts) - 1} values, expected {dim}")
+            vals = []
+            for field in parts[1:]:
+                try:
+                    v = float(field)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: unparsable value {field!r}")
+                if not math.isfinite(v):
+                    raise DataError(f"{path}:{lineno}: non-finite value {field!r}")
+                vals.append(v)
+            ids.append(eid)
+            rows.append(vals)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if header_dim is not None and header_dim != dim:
+        raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
+    if expected_dim is not None and dim != expected_dim:
+        raise ShapeError(f"{path}: dimension {dim}, expected {expected_dim}")
+    return EmbeddingTable(ids=tuple(ids), matrix=np.array(rows, dtype=float))
+
+
+def loop_table_bytes(ids, matrix) -> bytes:
+    """Reference writer: one format(v, ".17g") per value."""
+    lines = [f"#dim={matrix.shape[1]}"]
+    for eid, row in zip(ids, matrix):
+        lines.append(eid + "\t" + "\t".join(format(v, ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def outcome(reader, path, expected_dim):
+    try:
+        t = reader(path, expected_dim)
+    except (DataError, ShapeError) as exc:
+        return type(exc), str(exc)
+    return t.ids, t.matrix.shape, t.matrix.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GOOD_FIELDS = st.one_of(
+    FINITE.map(lambda v: format(v, ".17g")),
+    FINITE.map(repr),
+    FINITE.map(lambda v: "%.3e" % v),
+    st.integers(-10**6, 10**6).map(str),
+)
+ODD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "+", "-", "\x0b", "\xa0", "\x1c", "\u2003"]),
+              GOOD_FIELDS,
+              st.sampled_from(["", " ", "\x0c", "\x1f", "\u3000"])).map("".join),
+    st.sampled_from(["1_0", "1_000.5", "_1", "inf", "-inf", "nan", "-NaN",
+                     "Infinity", "\u0661\u0662", "\uff11.5", "", " ", "x",
+                     "1e", "0x10", "1,5", "1 2", "\x00", "1d5", "1e999"]),
+    st.text(st.characters(codec="utf-8"), max_size=3),
+)
+
+
+@st.composite
+def table_texts(draw):
+    """Mostly well-formed table text with rare faults in every position."""
+    dim = draw(st.integers(1, 3))
+    text = draw(st.sampled_from(["", "", "", f"#dim={dim}\n", f"#dim={dim}\n",
+                                 "#dim=2\n", "#dim= 3\n", "#dim=0\n", "#dim=x\n"]))
+    n_rows = draw(st.integers(0, 14))
+    rare = st.integers(0, 24).map(lambda r: r == 0)
+    lines = []
+    for i in range(n_rows):
+        eid = draw(st.sampled_from(["", "e0", "#dim=1"])) if draw(rare) else f"e{i}"
+        width = draw(st.integers(0, 4)) if draw(rare) else dim
+        fields = [draw(ODD_FIELDS if draw(rare) else GOOD_FIELDS) for _ in range(width)]
+        lines.append("" if draw(rare) else "\t".join([eid, *fields]))
+    text += "\n".join(lines)
+    return text + ("\n" if lines and not draw(rare) else "")
+
+
+class TestStreamedCodec:
+    @settings(max_examples=400, deadline=None)
+    @given(text=table_texts(), chunk=st.sampled_from([1, 2, 3, 5, CHUNK_ROWS]),
+           expected_dim=st.sampled_from([None, 1, 2]))
+    def test_reader_matches_per_field_loop(self, tmp_path_factory, text, chunk,
+                                           expected_dim):
+        path = tmp_path_factory.mktemp("rd") / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        want = outcome(loop_load_table, path, expected_dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "CHUNK_ROWS", chunk)
+            got = outcome(load_table, path, expected_dim)
+        assert got == want
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11", " +1.5\u2003",
+                                       "\x1c1", "1\x1f", "nan", "-inf", "", "1e999"])
+    def test_float_language_is_kept(self, tmp_path, field):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"e0\t2.5\ne1\t{field}\ne2\t0.5\n", encoding="utf-8")
+        assert outcome(load_table, path, None) == outcome(loop_load_table, path, None)
+
+    def test_earliest_error_wins_across_chunks(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        rows = [f"e{i}\t{i}.5" for i in range(3 * CHUNK_ROWS)]
+        rows[CHUNK_ROWS + 7] = f"e{CHUNK_ROWS + 7}\tbad"
+        rows[CHUNK_ROWS + 9] = "e0\t1.0"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf":{CHUNK_ROWS + 8}: unparsable"):
+            load_table(path)
+
+    @pytest.mark.parametrize("n_rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_writer_bytes_match_per_value_format(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        mat = rng.normal(size=(n_rows, 5)) * 10.0 ** rng.integers(-30, 30, size=(n_rows, 5))
+        specials = [-0.0, 5e-324, 1e22, 1e-300, -1.7976931348623157e308]
+        for r in {0, CHUNK_ROWS - 2, n_rows - 2, n_rows - 1}:
+            mat[r] = np.roll(specials, r)
+        ids = [f"e{i}" for i in range(n_rows)]
+        path = tmp_path / "t.tsv"
+        write_table(table_of(ids, mat), path)
+        assert path.read_bytes() == loop_table_bytes(ids, mat)
+        assert np.array_equal(load_table(path).matrix, mat)
+
+    def test_failed_write_keeps_old_target(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"old contents\n")
+        ids = [f"e{i}" for i in range(CHUNK_ROWS + 2)]
+        ids[-1] = "\ud800"  # cannot be encoded: fails in the second chunk
+        with pytest.raises(UnicodeEncodeError):
+            write_table(table_of(ids, np.zeros((len(ids), 2))), path)
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+    @pytest.mark.parametrize("reader", [load_table, load_labels])
+    def test_non_utf8_is_a_data_error_naming_the_line(self, tmp_path, reader):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"e1\t1.0\ne2\t\xe9\n")
+        with pytest.raises(DataError, match=":2: not UTF-8"):
+            reader(path)
 
 
 class TestLabels:
