@@ -14,7 +14,7 @@ from .errors import (AlignmentError, BemError, ConfigError, DataError,
                      EvalError, ModelFormatError, NumericalError, ShapeError,
                      TrainingError)
 from .evalkit import (ClassifierModel, EvalSplit, Histogram, RecallResult,
-                      classify_accuracy, cluster_ratio, cluster_ratio_detail,
+                      classify_accuracy, cluster_ratio_detail,
                       concat_tables, hit_recall, make_split, random_project,
                       similarity_histogram, train_classifier)
 from .nets import (AdamState, DiffNet, NetGrads, adam_step, net_backward,

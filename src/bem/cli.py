@@ -1,5 +1,8 @@
 """Command-line front end: synthesize, train, refine, evaluate, sweep, replay.
 
+Training flags (and ``--config`` keys) and ``synth`` flags come from the
+``TrainConfig`` and ``SynthSpec`` fields, with their types and defaults.
+
 Exit codes: 0 success, 2 usage, 3 data/validation, 4 numerical failure.
 Every file-writing command drops a ``key = value`` manifest alongside its
 outputs recording the exact argv, the effective configuration and the
@@ -10,6 +13,7 @@ per-step wall-clock) are excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import shlex
@@ -21,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import (align, load_labels, load_model, load_table,
-                     normalize_rows, save_model, write_labels, write_table,
+from .dataio import (EmbeddingTable, align, load_labels, load_model,
+                     load_table, save_model, write_labels, write_table,
                      _atomic_write_text, _not_utf8)
 from .elbo import Edge
 from .errors import (BemError, ConfigError, DataError, EvalError,
@@ -39,20 +43,19 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-EDGE_NAMES = {"translation": Edge.TRANSLATION, "inner": Edge.INNER_PRODUCT,
-              "identity": Edge.IDENTITY}
-
-TRAIN_DEFAULTS = {
-    "nB": 500, "epochs": 20.0, "lambda1": 1.0, "lambda2": 1.0,
-    "lr": 0.001, "nh": 500, "bootstrap": 30, "n_iter": 1,
-    "seed": 0, "normalize": True, "align": "intersect",
+# Training flag and config-file key -> TrainConfig field; the field's default
+# gives the type and the default.
+TRAIN_KEYS = {
+    "nB": "n_batch", "epochs": "epochs", "lambda1": "lambda1",
+    "lambda2": "lambda2", "lr": "learning_rate", "nh": "hidden_dim",
+    "bootstrap": "n_bootstrap", "n_iter": "n_iter", "seed": "seed",
 }
+TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+SWEEP_PARAMS = ["lambda1", "lambda2", "lr", "nB", "nh", "epochs"]
+ALIGN_POLICIES = ("strict", "intersect")
 
-SWEEP_PARAMS = {
-    "lambda1": ("lambda1", float), "lambda2": ("lambda2", float),
-    "lr": ("learning_rate", float), "nB": ("n_batch", int),
-    "nh": ("hidden_dim", int), "epochs": ("epochs", float),
-}
+# synth flags named differently from their SynthSpec fields.
+SYNTH_FLAGS = {"n_entities": "n", "n_clusters": "clusters", "jitter_scale": "jitter"}
 
 
 class UsageError(Exception):
@@ -139,55 +142,45 @@ def _parse_bool(text: str) -> bool:
 
 
 def resolve_train_options(args) -> tuple[TrainConfig, str]:
-    """Merge flags over config-file values over built-in defaults."""
+    """Merge flags over config-file values over the TrainConfig defaults."""
     file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        allowed = set(TRAIN_DEFAULTS) | {"mode", "edge"}
+    if args.config:
+        allowed = {*TRAIN_KEYS, "normalize", "mode", "edge", "align"}
         file_values = read_config_file(args.config, allowed)
 
-    def pick(key, cast):
-        flag = getattr(args, key.replace("-", "_"), None)
+    def pick(key, parse=str, default=None):
+        """The flag, else the parsed config-file value, else ``default``."""
+        flag = getattr(args, key)
         if flag is not None:
             return flag
-        if key in file_values:
-            try:
-                return cast(file_values[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad config value for {key}: {exc}")
-        return TRAIN_DEFAULTS[key]
+        return parse(file_values[key]) if key in file_values else default
 
-    mode = args.mode if args.mode is not None else file_values.get("mode", "p")
+    mode = pick("mode", default="p")
     if mode not in ("p", "i"):
         raise UsageError(f"unknown mode {mode!r}")
-    edge_name = args.edge if args.edge is not None else file_values.get("edge")
-    if mode == "i":
-        if edge_name is not None and edge_name != "identity":
-            raise UsageError("--mode i fixes the identity edge; drop --edge or use identity")
-        edge = Edge.IDENTITY
-    else:
-        edge = EDGE_NAMES[edge_name] if edge_name is not None else Edge.TRANSLATION
-
-    normalize = args.normalize
-    if normalize is None:
-        raw = file_values.get("normalize")
-        normalize = TRAIN_DEFAULTS["normalize"] if raw is None else _parse_bool(raw)
-
-    cfg = TrainConfig(
-        n_batch=int(pick("nB", int)),
-        epochs=float(pick("epochs", float)),
-        lambda1=float(pick("lambda1", float)),
-        lambda2=float(pick("lambda2", float)),
-        learning_rate=float(pick("lr", float)),
-        hidden_dim=int(pick("nh", int)),
-        n_bootstrap=int(pick("bootstrap", int)),
-        n_iter=int(pick("n_iter", int)),
-        seed=int(pick("seed", int)),
-        edge=edge,
-        normalize_inputs=normalize,
-    )
+    edge_name = pick("edge", default=Edge.IDENTITY.value if mode == "i" else None)
+    if mode == "i" and edge_name != Edge.IDENTITY.value:
+        raise UsageError("--mode i fixes the identity edge; drop --edge or use identity")
+    values = {}
+    if edge_name is not None:
+        try:
+            values["edge"] = Edge(edge_name)
+        except ValueError:
+            raise UsageError(f"unknown edge {edge_name!r}") from None
+    normalize = pick("normalize", _parse_bool)
+    if normalize is not None:
+        values["normalize_inputs"] = normalize
+    for key, name in TRAIN_KEYS.items():
+        try:
+            value = pick(key, type(TRAIN_FIELDS[name].default))
+        except ValueError as exc:
+            raise ConfigError(f"bad config value for {key}: {exc}")
+        if value is not None:
+            values[name] = value
+    cfg = TrainConfig(**values)
     cfg.validate()
-    align_policy = pick("align", str)
-    if align_policy not in ("strict", "intersect"):
+    align_policy = pick("align", default="intersect")
+    if align_policy not in ALIGN_POLICIES:
         raise UsageError(f"unknown alignment policy {align_policy!r}")
     return cfg, align_policy
 
@@ -223,11 +216,8 @@ def cmd_synth(args, argv) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and not args.force:
         raise DataError(f"output directory {out_dir} exists; pass --force to overwrite")
-    spec = SynthSpec(n_entities=args.n, kg_dim=args.kg_dim, bg_dim=args.bg_dim,
-                     n_clusters=args.clusters, delta_scale=args.delta_scale,
-                     noise_scale=args.noise_scale, true_hidden=args.true_hidden,
-                     jitter_scale=args.jitter, signal_std=args.signal_std,
-                     seed=args.seed)
+    spec = SynthSpec(**{f.name: getattr(args, f.name)
+                        for f in dataclasses.fields(SynthSpec)})
     truth = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -280,12 +270,12 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_refine(args, argv) -> int:
+    """Write refined tables in the model's input space: unit rows when it was
+    trained with normalization."""
     t0 = time.perf_counter()
     proj_net, infer_net, cfg = load_model(args.model)
     kg, bg = _load_aligned(args.kg, args.bg, "intersect")
-    if cfg.normalize_inputs:
-        kg = normalize_rows(kg)
-        bg = normalize_rows(bg)
+    kg, bg, _ = cfg.model_inputs(kg, bg)
     try:
         kg_refined, bg_refined = refine(kg, bg, proj_net, infer_net)
     except ShapeError as exc:
@@ -414,7 +404,8 @@ def cmd_sweep(args, argv) -> int:
     t0 = time.perf_counter()
     if len(args.values) < 2:
         raise UsageError("sweep needs at least 2 values")
-    field, cast = SWEEP_PARAMS[args.param]
+    field = TRAIN_KEYS[args.param]
+    cast = type(TRAIN_FIELDS[field].default)
     values = []
     for v in args.values:
         if cast is int and not float(v).is_integer():
@@ -422,29 +413,29 @@ def cmd_sweep(args, argv) -> int:
         values.append(cast(v))
     base_cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
-    truth_table = None
     if args.metric == "oracle-error":
         if not args.truth:
             raise UsageError("--metric oracle-error needs --truth")
         truth_table, _ = load_truth(args.truth)
         oracle_error(bg, truth_table)  # fail on missing truth rows before training
+        # Normalization is not a sweep parameter: one preparation serves all runs.
+        kg_in, bg_in, bg_norms = base_cfg.model_inputs(kg, bg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     model_paths = []
     for value in values:
-        cfg = TrainConfig.from_dict(base_cfg.to_dict())
-        setattr(cfg, field, value)
+        cfg = dataclasses.replace(base_cfg, **{field: value})
         cfg.validate()
         proj_net, infer_net, report = train(kg, bg, cfg)
         if args.metric == "elbo":
             window = min(50, report.n_steps)
             metric = float(np.mean(report.elbo_trace()[-window:]))
-        elif args.metric == "oracle-error":
-            _, bg_refined = refine(kg, bg, proj_net, infer_net)
-            metric = oracle_error(bg_refined, truth_table)
         else:
-            raise UsageError(f"unknown metric {args.metric!r}")
+            # Scored in input scale: the refined BG rows times the input row norms.
+            _, bg_refined = refine(kg_in, bg_in, proj_net, infer_net)
+            rescaled = EmbeddingTable(ids=bg_refined.ids, matrix=bg_refined.matrix * bg_norms)
+            metric = oracle_error(rescaled, truth_table)
         model_path = out_dir / f"model_{args.param}_{value}.bem"
         save_model(proj_net, infer_net, cfg, model_path)
         model_paths.append(model_path)
@@ -502,20 +493,14 @@ def _add_train_flags(sub, with_out: bool = True):
     sub.add_argument("--bg", required=True, help="BG embedding table (observed side)")
     sub.add_argument("--mode", choices=("p", "i"), default=None,
                      help="p: pairwise edges (default); i: per-node independence")
-    sub.add_argument("--edge", choices=tuple(EDGE_NAMES), default=None)
-    sub.add_argument("--nB", dest="nB", type=int, default=None, help="batch size")
-    sub.add_argument("--epochs", type=float, default=None)
-    sub.add_argument("--lambda1", type=float, default=None)
-    sub.add_argument("--lambda2", type=float, default=None)
-    sub.add_argument("--lr", type=float, default=None, help="learning rate")
-    sub.add_argument("--nh", dest="nh", type=int, default=None, help="hidden width")
-    sub.add_argument("--bootstrap", type=int, default=None,
-                     help="bootstrap replicates for the prior estimate")
-    sub.add_argument("--n-iter", dest="n_iter", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--edge", choices=[e.value for e in Edge], default=None)
+    for key, name in TRAIN_KEYS.items():
+        default = TRAIN_FIELDS[name].default
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                         default=None, help=f"{name}, default {default}")
     sub.add_argument("--normalize", dest="normalize", action="store_true", default=None)
     sub.add_argument("--no-normalize", dest="normalize", action="store_false")
-    sub.add_argument("--align", choices=("strict", "intersect"), default=None)
+    sub.add_argument("--align", choices=ALIGN_POLICIES, default=None)
     sub.add_argument("--config", default=None, help="key = value config file")
     if with_out:
         sub.add_argument("--out", required=True, help="model output path")
@@ -531,16 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic dataset with known truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=2000, help="entity count")
-    p.add_argument("--kg-dim", type=int, default=16)
-    p.add_argument("--bg-dim", type=int, default=32)
-    p.add_argument("--clusters", type=int, default=10)
-    p.add_argument("--delta-scale", type=float, default=0.1)
-    p.add_argument("--noise-scale", type=float, default=0.3)
-    p.add_argument("--true-hidden", type=int, default=24)
-    p.add_argument("--jitter", type=float, default=0.1)
-    p.add_argument("--signal-std", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(SynthSpec):
+        flag = SYNTH_FLAGS.get(f.name, f.name).replace("_", "-")
+        p.add_argument("--" + flag, dest=f.name, type=type(f.default), default=f.default,
+                       help="default %(default)s")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
@@ -548,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = subs.add_parser("refine", help="emit refined tables from a trained model")
+    p = subs.add_parser("refine", help="emit refined tables from a trained model, "
+                        "as unit rows when it was trained with normalization")
     p.add_argument("--kg", required=True)
     p.add_argument("--bg", required=True)
     p.add_argument("--model", required=True)
@@ -578,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("sweep", help="train once per value of one parameter")
-    p.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMS))
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True, nargs="+", type=float)
     p.add_argument("--metric", choices=("elbo", "oracle-error"), default="elbo")
     p.add_argument("--truth", default=None, help="truth sidecar for oracle-error")

@@ -123,11 +123,15 @@ class EmbeddingTable:
                               matrix=self.matrix[indices])
 
 
+def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows divided by their L2 norms (zero-norm rows kept), and the norms."""
+    norms = np.linalg.norm(matrix, axis=1)
+    return matrix / np.where(norms > 0.0, norms, 1.0)[:, None], norms
+
+
 def normalize_rows(table: EmbeddingTable) -> EmbeddingTable:
     """L2-normalize each row; all-zero rows are left as they are."""
-    norms = np.linalg.norm(table.matrix, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return EmbeddingTable(ids=table.ids, matrix=table.matrix / safe)
+    return EmbeddingTable(ids=table.ids, matrix=unit_rows(table.matrix)[0])
 
 
 @dataclass(eq=False)
@@ -334,6 +338,17 @@ def write_labels(labels: LabelTable, path) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _id_set_difference(kg_ids, bg_ids) -> str:
+    """``"N only in kg (e.g. [...]), M only in bg (e.g. [...])"``, listing up
+    to 10 sorted ids per side; empty when both hold the same ids."""
+    kg_set, bg_set = set(kg_ids), set(bg_ids)
+    only_kg, only_bg = sorted(kg_set - bg_set), sorted(bg_set - kg_set)
+    if not (only_kg or only_bg):
+        return ""
+    return (f"{len(only_kg)} only in kg (e.g. {only_kg[:10]}), "
+            f"{len(only_bg)} only in bg (e.g. {only_bg[:10]})")
+
+
 @dataclass
 class AlignResult:
     kept: int
@@ -350,14 +365,9 @@ def align(kg: EmbeddingTable, bg: EmbeddingTable,
     """
     if policy not in ("strict", "intersect"):
         raise AlignmentError(f"unknown alignment policy {policy!r}")
-    kg_set = set(kg.ids)
     bg_set = set(bg.ids)
-    if policy == "strict" and kg_set != bg_set:
-        only_kg = sorted(kg_set - bg_set)[:10]
-        only_bg = sorted(bg_set - kg_set)[:10]
-        raise AlignmentError(
-            f"id sets differ: {len(kg_set - bg_set)} only in kg "
-            f"(e.g. {only_kg}), {len(bg_set - kg_set)} only in bg (e.g. {only_bg})")
+    if policy == "strict" and (difference := _id_set_difference(kg.ids, bg.ids)):
+        raise AlignmentError(f"id sets differ: {difference}")
     common = [eid for eid in kg.ids if eid in bg_set]
     if not common:
         raise AlignmentError("tables share no entity ids")

@@ -221,7 +221,8 @@ def shift_mean_rows(infer_net: DiffNet, kg_rows: np.ndarray,
 
 
 def reparametrize(stats: PosteriorStats, eps_shift, eps_logres) -> LatentSample:
-    """shift = mean + std*eps; variance share = exp(log mean + log std*eps)."""
+    """shift = mean + std*eps; variance share = exp(log mean + log std*eps),
+    a NumericalError when that overflows."""
     eps_shift = np.asarray(eps_shift, dtype=float)
     eps_logres = np.asarray(eps_logres, dtype=float)
     if eps_shift.shape != stats.shift_mean.shape:
@@ -229,7 +230,11 @@ def reparametrize(stats: PosteriorStats, eps_shift, eps_logres) -> LatentSample:
     if eps_logres.shape != stats.log_resvar_mean.shape:
         raise ShapeError("log-share noise has wrong shape")
     shift = stats.shift_mean + stats.shift_std * eps_shift
-    res_var = np.exp(stats.log_resvar_mean + stats.log_resvar_std * eps_logres)
+    with np.errstate(over="raise"):
+        try:
+            res_var = np.exp(stats.log_resvar_mean + stats.log_resvar_std * eps_logres)
+        except FloatingPointError:
+            raise NumericalError("variance share overflows") from None
     return LatentSample(shift=shift, res_var=res_var)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingTable, LabelTable, align
+from .dataio import EmbeddingTable, LabelTable, align, unit_rows
 from .errors import ConfigError, EvalError, ShapeError
 from .rng import named_rng
 
@@ -239,10 +239,6 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
                               min_between=min_between, n_classes=len(classes))
 
 
-def cluster_ratio(table: EmbeddingTable, labels: LabelTable) -> float:
-    return cluster_ratio_detail(table, labels).ratio
-
-
 @dataclass
 class RecallResult:
     recall: float
@@ -278,8 +274,7 @@ def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
         raise ConfigError("k must be at least 1")
     if query.dim != candidates.dim:
         raise ShapeError(f"query dim {query.dim} != candidate dim {candidates.dim}")
-    cand_norms = np.linalg.norm(candidates.matrix, axis=1)
-    unit = candidates.matrix / np.where(cand_norms > 0.0, cand_norms, 1.0)[:, None]
+    unit, cand_norms = unit_rows(candidates.matrix)
     zero_cands = cand_norms == 0.0
     hits = retrieved = skipped = 0
     for user in sorted(triggers_by_user):

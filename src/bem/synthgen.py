@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingTable, LabelTable, _read_rows, _write_rows
+from .dataio import (EmbeddingTable, LabelTable, _read_rows, _write_rows,
+                     unit_rows)
 from .errors import ConfigError, DataError, ShapeError
 from .nets import DiffNet, net_forward_rows
 from .rng import named_rng
@@ -64,21 +65,16 @@ class SynthTruth:
     true_net: DiffNet
 
 
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    return mat / np.where(norms > 0.0, norms, 1.0)
-
-
 def generate(spec: SynthSpec) -> SynthTruth:
     """Sample one dataset; deterministic given the spec."""
     spec.validate()
     rng = named_rng(spec.seed, "synth")
     n, k = spec.n_entities, spec.n_clusters
 
-    centers = _unit_rows(rng.standard_normal((k, spec.kg_dim)))
+    centers, _ = unit_rows(rng.standard_normal((k, spec.kg_dim)))
     labels = rng.permutation(np.arange(n) % k)
-    kg_mat = _unit_rows(centers[labels]
-                        + spec.jitter_scale * rng.standard_normal((n, spec.kg_dim)))
+    kg_mat, _ = unit_rows(centers[labels]
+                          + spec.jitter_scale * rng.standard_normal((n, spec.kg_dim)))
     shift = spec.delta_scale * rng.standard_normal((n, spec.kg_dim))
 
     true_net = DiffNet.random(spec.kg_dim, spec.true_hidden, spec.bg_dim, rng)

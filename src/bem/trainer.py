@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .dataio import EmbeddingTable, normalize_rows
+from .dataio import EmbeddingTable, _id_set_difference, normalize_rows
 from .elbo import (Edge, draw_pair_eps, edge_allows_self_pairs,
                    edge_output_dim, elbo_pair_accumulate_grads,
                    estimate_prior, shift_mean_rows)
@@ -28,7 +28,8 @@ from .rng import named_rng
 
 @dataclass
 class TrainConfig:
-    """All tunables of the training loop."""
+    """All tunables of the training loop. Under the translation edge the
+    projection net's output bias ``b2`` cancels: its gradient is exactly 0."""
 
     n_batch: int = 500
     epochs: float = 20.0
@@ -60,6 +61,16 @@ class TrainConfig:
 
     def n_steps(self, n_entities: int) -> int:
         return max(1, math.ceil(self.epochs * n_entities / self.n_batch))
+
+    def model_inputs(self, kg: EmbeddingTable, bg: EmbeddingTable
+                     ) -> tuple[EmbeddingTable, EmbeddingTable, np.ndarray | float]:
+        """The tables as the nets see them and the factor that takes refined
+        BG rows back to input scale: unit rows and the (n, 1) BG row norms
+        with ``normalize_inputs``, else the tables themselves and 1.0."""
+        if not self.normalize_inputs:
+            return kg, bg, 1.0
+        return (normalize_rows(kg), normalize_rows(bg),
+                np.linalg.norm(bg.matrix, axis=1, keepdims=True))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -122,13 +133,8 @@ def sample_paired_batches(n_entities: int, n_batch: int, rng: np.random.Generato
 def _check_aligned(kg: EmbeddingTable, bg: EmbeddingTable) -> None:
     if kg.ids == bg.ids:
         return
-    kg_set, bg_set = set(kg.ids), set(bg.ids)
-    only_kg = sorted(kg_set - bg_set)[:10]
-    only_bg = sorted(bg_set - kg_set)[:10]
-    if only_kg or only_bg:
-        raise AlignmentError(
-            f"tables are not aligned: {len(kg_set - bg_set)} ids only in kg "
-            f"(e.g. {only_kg}), {len(bg_set - kg_set)} only in bg (e.g. {only_bg})")
+    if difference := _id_set_difference(kg.ids, bg.ids):
+        raise AlignmentError(f"tables are not aligned: {difference}")
     raise AlignmentError("tables hold the same ids in different orders; align first")
 
 
@@ -146,9 +152,7 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
     _check_aligned(kg, bg)
     n = len(kg)
     cfg.validate(n)
-    if cfg.normalize_inputs:
-        kg = normalize_rows(kg)
-        bg = normalize_rows(bg)
+    kg, bg, _ = cfg.model_inputs(kg, bg)
     W = kg.matrix
     Z = bg.matrix
     kg_dim, bg_dim = kg.dim, bg.dim
@@ -209,7 +213,9 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
     """Posterior-mean refinement of both tables; no sampling, inputs untouched.
 
     Each KG row moves by its inferred shift mean; the refined BG row is the
-    deterministic projection of the shifted KG row.
+    deterministic projection of the shifted KG row. The tables are taken as
+    the nets see them (``TrainConfig.model_inputs``), and the refined tables
+    are in that space.
     """
     _check_aligned(kg, bg)
     if proj_net.in_dim != kg.dim:

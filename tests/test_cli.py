@@ -1,6 +1,16 @@
+import re
+
+import numpy as np
 import pytest
 
-from bem.cli import EXIT_DATA, EXIT_OK, main
+from bem import cli
+from bem.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, build_parser,
+                     main, resolve_train_options)
+from bem.dataio import EmbeddingTable, load_table
+from bem.elbo import Edge, edge_output_dim
+from bem.nets import DiffNet
+from bem.synthgen import load_truth, oracle_error
+from bem.trainer import StepRecord, TrainReport
 
 
 def synth_manifest(tmp_path):
@@ -80,6 +90,25 @@ class TestSweepOracleError:
         assert code == EXIT_OK
         assert load_sweep(straight) == load_sweep(flipped)
 
+    def test_metric_is_the_refine_output_in_input_scale(self, tmp_path):
+        # The nets see unit rows; the metric multiplies the refined BG rows by
+        # the input BG row norms before comparing with the truth.
+        self.truth_lines(tmp_path)
+        data = tmp_path / "synth"
+        code, out = self.sweep(tmp_path, data / "truth.tsv", "sweep")
+        assert code == EXIT_OK
+        norms = np.linalg.norm(load_table(data / "bg.tsv").matrix, axis=1, keepdims=True)
+        truth, _ = load_truth(data / "truth.tsv")
+        for row in load_sweep(out).splitlines()[1:]:
+            _, value, _, metric, _ = row.split("\t")
+            refined = tmp_path / f"refined_{value}"
+            assert main(["refine", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                         "--model", str(out / f"model_lr_{value}.bem"),
+                         "--out", str(refined)]) == EXIT_OK
+            bg_refined = load_table(refined / "bg_refined.tsv")
+            rescaled = EmbeddingTable(ids=bg_refined.ids, matrix=bg_refined.matrix * norms)
+            assert float(metric) == oracle_error(rescaled, truth)
+
     def test_missing_truth_rows_exit_with_data_code(self, tmp_path, capsys):
         header, rows = self.truth_lines(tmp_path)
         partial = tmp_path / "truth_partial.tsv"
@@ -92,3 +121,184 @@ class TestSweepOracleError:
 
 def load_sweep(out_dir):
     return (out_dir / "sweep.tsv").read_text(encoding="utf-8")
+
+
+# Flag / config key -> (TrainConfig field, default, config-file value, flag value).
+TRAIN_KEYS = {
+    "nB": ("n_batch", 500, 7, 9),
+    "epochs": ("epochs", 20.0, 2.5, 3.0),
+    "lambda1": ("lambda1", 1.0, 0.5, 0.25),
+    "lambda2": ("lambda2", 1.0, 2.0, 4.0),
+    "lr": ("learning_rate", 0.001, 0.01, 0.02),
+    "nh": ("hidden_dim", 500, 8, 6),
+    "bootstrap": ("n_bootstrap", 30, 5, 4),
+    "n_iter": ("n_iter", 1, 2, 3),
+    "seed": ("seed", 0, 11, 12),
+}
+
+
+def resolve(tmp_path, flags=(), config=None):
+    argv = ["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem", *flags]
+    if config is not None:
+        path = tmp_path / "train.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    return resolve_train_options(build_parser().parse_args(argv))
+
+
+class TestTrainOptionPrecedence:
+    """Flags beat the config file, which beats the built-in defaults."""
+
+    @pytest.mark.parametrize("key", sorted(TRAIN_KEYS))
+    def test_train_key(self, tmp_path, key):
+        field, default, in_file, in_flag = TRAIN_KEYS[key]
+        flag = "--" + key.replace("_", "-")
+        cases = [((), None, default), ((), f"{key} = {in_file}\n", in_file),
+                 ((flag, str(in_flag)), f"{key} = {in_file}\n", in_flag)]
+        for flags, config, expected in cases:
+            value = getattr(resolve(tmp_path, flags, config)[0], field)
+            assert value == expected and type(value) is type(default)
+
+    @pytest.mark.parametrize("flags, config, expected", [
+        ((), None, True),
+        ((), "normalize = false\n", False),
+        (("--normalize",), "normalize = off\n", True),
+        (("--no-normalize",), "normalize = yes\n", False),
+    ], ids=["default", "config", "flag-on", "flag-off"])
+    def test_normalize(self, tmp_path, flags, config, expected):
+        assert resolve(tmp_path, flags, config)[0].normalize_inputs is expected
+
+    @pytest.mark.parametrize("flags, config, expected", [
+        ((), None, Edge.TRANSLATION),
+        ((), "edge = inner\n", Edge.INNER_PRODUCT),
+        ((), "mode = i\n", Edge.IDENTITY),
+        (("--edge", "identity"), "edge = inner\n", Edge.IDENTITY),
+        (("--mode", "p"), "mode = i\nedge = inner\n", Edge.INNER_PRODUCT),
+        (("--mode", "i"), "edge = identity\n", Edge.IDENTITY),
+    ], ids=["default", "config-edge", "config-mode", "flag-edge", "flag-mode", "mode-i"])
+    def test_mode_and_edge(self, tmp_path, flags, config, expected):
+        assert resolve(tmp_path, flags, config)[0].edge is expected
+
+    @pytest.mark.parametrize("flags, config, expected", [
+        ((), None, "intersect"),
+        ((), "align = strict\n", "strict"),
+        (("--align", "intersect"), "align = strict\n", "intersect"),
+    ], ids=["default", "config", "flag"])
+    def test_align(self, tmp_path, flags, config, expected):
+        assert resolve(tmp_path, flags, config)[1] == expected
+
+    @pytest.mark.parametrize("flags, config", [
+        ((), "mode = x\n"),
+        ((), "align = sideways\n"),
+        (("--mode", "i"), "edge = inner\n"),
+    ], ids=["mode", "align", "mode-i-edge"])
+    def test_bad_choices_are_usage_errors(self, tmp_path, flags, config):
+        with pytest.raises(UsageError):
+            resolve(tmp_path, flags, config)
+
+    def test_unknown_edge_in_config_exits_with_usage_code(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("edge = bogus\n", encoding="utf-8")
+        assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                     "--config", str(config)]) == EXIT_USAGE
+        assert "unknown edge 'bogus'" in capsys.readouterr().err
+
+
+def fake_train(kg, bg, cfg):
+    """Nets of the right shapes without training: manifests record the config."""
+    rng = np.random.default_rng(0)
+    edge_dim = edge_output_dim(cfg.edge, bg.dim)
+    proj = DiffNet.random(kg.dim, 2, bg.dim, rng)
+    infer = DiffNet.random(kg.dim + bg.dim, 2, 2 * kg.dim + 2 * edge_dim, rng)
+    return proj, infer, TrainReport(records=[StepRecord(1, 0.0, 0.0, 0.0, 0.0)])
+
+
+def cfg_lines(manifest):
+    return [line for line in manifest.read_text(encoding="utf-8").splitlines()
+            if line.startswith("cfg.")]
+
+
+class TestManifestConfig:
+    def test_train_defaults(self, tmp_path, monkeypatch):
+        data = synth_manifest(tmp_path).parent
+        monkeypatch.setattr(cli, "train", fake_train)
+        out = tmp_path / "m.bem"
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--out", str(out)]) == EXIT_OK
+        assert cfg_lines(tmp_path / "m.bem.manifest.txt") == [
+            "cfg.edge = translation", "cfg.epochs = 20.0", "cfg.hidden_dim = 500",
+            "cfg.lambda1 = 1.0", "cfg.lambda2 = 1.0", "cfg.learning_rate = 0.001",
+            "cfg.n_batch = 500", "cfg.n_bootstrap = 30", "cfg.n_iter = 1",
+            "cfg.normalize_inputs = True", "cfg.seed = 0"]
+
+    def test_train_flags_and_config(self, tmp_path, monkeypatch):
+        data = synth_manifest(tmp_path).parent
+        config = tmp_path / "train.cfg"
+        config.write_text("lr = 0.5\nnh = 7\nnormalize = no\nedge = inner\n",
+                          encoding="utf-8")
+        monkeypatch.setattr(cli, "train", fake_train)
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--out", str(tmp_path / "m.bem"), "--config", str(config),
+                     "--nB", "12", "--epochs", "3", "--lambda1", "2", "--lambda2", "0.5",
+                     "--nh", "9", "--bootstrap", "4", "--n-iter", "2",
+                     "--seed", "8"]) == EXIT_OK
+        assert cfg_lines(tmp_path / "m.bem.manifest.txt") == [
+            "cfg.edge = inner", "cfg.epochs = 3.0", "cfg.hidden_dim = 9",
+            "cfg.lambda1 = 2.0", "cfg.lambda2 = 0.5", "cfg.learning_rate = 0.5",
+            "cfg.n_batch = 12", "cfg.n_bootstrap = 4", "cfg.n_iter = 2",
+            "cfg.normalize_inputs = False", "cfg.seed = 8"]
+
+    def test_synth_defaults(self, tmp_path):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out)]) == EXIT_OK
+        assert cfg_lines(out / "manifest.txt") == [
+            "cfg.bg_dim = 32", "cfg.delta_scale = 0.1", "cfg.jitter_scale = 0.1",
+            "cfg.kg_dim = 16", "cfg.n_clusters = 10", "cfg.n_entities = 2000",
+            "cfg.noise_scale = 0.3", "cfg.seed = 0", "cfg.signal_std = 0.4",
+            "cfg.true_hidden = 24"]
+
+    def test_synth_flags(self, tmp_path):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--n", "40", "--kg-dim", "3",
+                     "--bg-dim", "5", "--clusters", "4", "--delta-scale", "1",
+                     "--noise-scale", "0.2", "--true-hidden", "6", "--jitter", "0.3",
+                     "--signal-std", "2", "--seed", "9"]) == EXIT_OK
+        assert cfg_lines(out / "manifest.txt") == [
+            "cfg.bg_dim = 5", "cfg.delta_scale = 1.0", "cfg.jitter_scale = 0.3",
+            "cfg.kg_dim = 3", "cfg.n_clusters = 4", "cfg.n_entities = 40",
+            "cfg.noise_scale = 0.2", "cfg.seed = 9", "cfg.signal_std = 2.0",
+            "cfg.true_hidden = 6"]
+
+
+TRAIN_FLAGS = ["--kg", "--bg", "--mode", "--edge", "--nB", "--epochs", "--lambda1",
+               "--lambda2", "--lr", "--nh", "--bootstrap", "--n-iter", "--seed",
+               "--normalize", "--no-normalize", "--align", "--config"]
+TRAIN_CHOICES = ["p,i", "strict,intersect", "translation,inner,identity"]
+
+
+class TestHelp:
+    """Each --help lists the same flags, in order, and the same choices."""
+
+    @pytest.mark.parametrize("command, flags, choices", [
+        ("", ["--version", "--help"], ["synth,train,refine,eval,sweep,replay"]),
+        ("synth", ["--out", "--n", "--kg-dim", "--bg-dim", "--clusters", "--delta-scale",
+                   "--noise-scale", "--true-hidden", "--jitter", "--signal-std", "--seed",
+                   "--force", "--help"], []),
+        ("train", TRAIN_FLAGS + ["--out", "--log", "--help"], TRAIN_CHOICES),
+        ("refine", ["--kg", "--bg", "--model", "--out", "--help"], []),
+        ("eval", ["--table", "--table2", "--labels", "--task", "--seed", "--out",
+                  "--train-frac", "--splits", "--reg", "--epochs", "--lr", "--project-dim",
+                  "--n-proj", "--n-pairs", "--bins", "--k", "--n-users", "--help"],
+         ["classify,histogram,cluster-ratio,recall"]),
+        ("sweep", ["--param", "--values", "--metric", "--truth"] + TRAIN_FLAGS
+         + ["--out", "--help"],
+         ["elbo,oracle-error", "lambda1,lambda2,lr,nB,nh,epochs"] + TRAIN_CHOICES),
+        ("replay", ["--help"], []),
+    ], ids=["bem", "synth", "train", "refine", "eval", "sweep", "replay"])
+    def test_flags_and_choices(self, capsys, monkeypatch, command, flags, choices):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"] if command else ["--help"]) == EXIT_OK
+        text = capsys.readouterr().out
+        listed = list(dict.fromkeys(re.findall(r"--[A-Za-z][\w-]*", text)))
+        assert listed == flags
+        assert sorted(set(re.findall(r"\{([^}]*)\}", text))) == sorted(choices)

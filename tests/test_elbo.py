@@ -7,7 +7,7 @@ from bem.elbo import (BatchPrior, Edge, PosteriorStats, STD_FLOOR, VAR_FLOOR,
                       draw_pair_eps, edge_apply, edge_output_dim, elbo_pair,
                       elbo_pair_grads, estimate_prior, infer_posterior,
                       kl_penalty, reconstruction_term, reparametrize)
-from bem.errors import ConfigError, ShapeError
+from bem.errors import ConfigError, NumericalError, ShapeError
 from bem.nets import DiffNet, net_forward
 
 EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
@@ -216,6 +216,14 @@ class TestReparametrize:
         for _ in range(100):
             s = reparametrize(stats, rng.standard_normal(2), rng.standard_normal(3))
             assert np.all(s.res_var > 0)
+
+    def test_overflowing_variance_share_raises(self):
+        stats = PosteriorStats(shift_mean=np.zeros(1), shift_std=np.ones(1),
+                               log_resvar_mean=np.array([0.0, 700.0]),
+                               log_resvar_std=np.ones(2))
+        assert np.isfinite(reparametrize(stats, np.zeros(1), np.zeros(2)).res_var).all()
+        with pytest.raises(NumericalError, match="variance share"):
+            reparametrize(stats, np.zeros(1), np.array([0.0, 10.0]))
 
 
 class TestReconstructionTerm:

@@ -198,8 +198,10 @@ class TestTrain:
         for edge in (Edge.IDENTITY, Edge.TRANSLATION, Edge.INNER_PRODUCT):
             cfg = TrainConfig(n_batch=5, epochs=2.0, hidden_dim=5, seed=2,
                               edge=edge, normalize_inputs=False)
-            _, _, report = train(kg, bg, cfg)
+            proj, _, report = train(kg, bg, cfg)
             assert np.all(np.isfinite(report.elbo_trace()))
+            # b2 cancels in proj_i - proj_j: zero gradient, so it stays at 0.
+            assert bool(np.any(proj.b2)) == (edge is not Edge.TRANSLATION)
 
 
 @pytest.fixture(scope="module")
