@@ -5,11 +5,11 @@ __version__ = "0.2.0"
 from .dataio import (AlignResult, EmbeddingTable, LabelTable, align,
                      load_labels, load_model, load_table, normalize_rows,
                      save_model, write_labels, write_table)
-from .elbo import (BatchPrior, Edge, ElboParts, LatentSample, PairEps,
-                   PosteriorStats, draw_pair_eps, edge_apply,
-                   edge_output_dim, elbo_pair, elbo_pair_grads,
-                   estimate_prior, infer_posterior, kl_penalty,
-                   reconstruction_term, reparametrize)
+from .elbo import (BatchPrior, Edge, ElboParts, LatentSample, PosteriorStats,
+                   edge_apply, edge_output_dim, elbo_pair,
+                   elbo_pair_accumulate_grads, estimate_prior,
+                   infer_posterior, kl_penalty, reconstruction_term,
+                   reparametrize)
 from .errors import (AlignmentError, BemError, ConfigError, DataError,
                      EvalError, ModelFormatError, NumericalError, ShapeError,
                      TrainingError)

@@ -8,13 +8,13 @@ label column between the id and the values.
 
 Tables stream through one codec in both directions. The writer formats
 ``CHUNK_ROWS`` rows at a time with one ``%.17g`` template per row (the same
-bytes as ``format(v, ".17g")`` per value) into ``<path>.tmp``, then renames
-it over the target. The reader checks each line's structure in Python, with
-line numbers, and hands each chunk's value fields to numpy's C parser; a
-chunk that parser rejects, or that holds a non-finite value, is parsed
-again field by field with ``float()``, so the accepted files, the values
-and the line-numbered errors are those of a plain per-field ``float()``
-loop.
+bytes as ``format(v, ".17g")`` per value) into a temp file beside the
+target, then renames it over the target. The reader checks each line's
+structure in Python, with line numbers, and hands each chunk's value
+fields to numpy's C parser; a chunk that parser rejects, or that holds a
+non-finite value, is parsed again field by field with ``float()``, so the
+accepted files, the values and the line-numbered errors are those of a
+plain per-field ``float()`` loop.
 
 Label file: ``id<TAB>class1,class2,...`` with a non-empty class list.
 
@@ -23,6 +23,7 @@ tensors, trailing CRC32 over everything before it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -49,15 +50,26 @@ CHUNK_ROWS = 4096
 # a chunk holding one takes the float() path.
 _LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
+# Numbers this process's temp files.
+_tmp_serial = itertools.count()
+
 
 @contextmanager
 def _atomic_open(path):
-    """Binary handle on ``<path>.tmp``, renamed over ``path`` when the block
-    completes and removed when it raises, so the target is never partial."""
+    """Binary handle on a new ``<path>.<pid>-<serial>.tmp``, renamed over
+    ``path`` when the block completes and removed when it raises, so the
+    target is never partial. The temp file is created exclusively: no
+    existing file is truncated, and no two writers share one."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    for serial in _tmp_serial:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{serial}.tmp")
+        try:
+            fh = open(tmp, "xb")
+            break
+        except FileExistsError:  # a stale or foreign file: try the next name
+            pass
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -84,14 +96,21 @@ def _not_utf8(path) -> DataError:
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """Aligned matrix of per-entity vectors. Immutable after construction."""
+    """Aligned matrix of per-entity vectors. Immutable after construction.
+
+    A read-only float64 ndarray that owns its data is kept as it is; any
+    other matrix is copied.
+    """
 
     ids: tuple[str, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
         self.ids = tuple(str(i) for i in self.ids)
-        mat = np.array(self.matrix, dtype=float, copy=True)
+        mat = self.matrix
+        if not (type(mat) is np.ndarray and mat.dtype == np.float64
+                and mat.flags.owndata and not mat.flags.writeable):
+            mat = np.array(mat, dtype=float, copy=True)
         if mat.ndim != 2:
             raise ShapeError(f"embedding matrix must be 2-D, got shape {mat.shape}")
         if len(self.ids) != mat.shape[0]:
@@ -281,7 +300,9 @@ def _read_rows(path, label_column: bool = False):
         raise DataError(f"{path}: no data rows")
     if header_dim is not None and header_dim != dim:
         raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
-    return ids, labels, np.concatenate(blocks)
+    matrix = np.concatenate(blocks)
+    matrix.flags.writeable = False  # the table takes it without a copy
+    return ids, labels, matrix
 
 
 def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
@@ -403,7 +424,7 @@ class _Reader:
     def tensor(self) -> np.ndarray:
         ndim = struct.unpack("<B", self.take(1))[0]
         shape = tuple(struct.unpack("<I", self.take(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps past 2**63
         data = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape)
         return data.astype(float)
 

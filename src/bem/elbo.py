@@ -102,25 +102,6 @@ class LatentSample:
     res_var: np.ndarray
 
 
-@dataclass(eq=False)
-class PairEps:
-    """Standard-normal draws for one entity pair, in a fixed draw order."""
-
-    shift_i: np.ndarray
-    logres_i: np.ndarray
-    shift_j: np.ndarray
-    logres_j: np.ndarray
-
-
-def draw_pair_eps(rng: np.random.Generator, kg_dim: int, edge_dim: int) -> PairEps:
-    return PairEps(
-        shift_i=rng.standard_normal(kg_dim),
-        logres_i=rng.standard_normal(edge_dim),
-        shift_j=rng.standard_normal(kg_dim),
-        logres_j=rng.standard_normal(edge_dim),
-    )
-
-
 def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, n_boot: int,
                    rng: np.random.Generator, lambda1: float = 1.0,
                    lambda2: float = 1.0) -> tuple[BatchPrior, BatchPrior]:
@@ -246,6 +227,12 @@ def reconstruction_term(edge: Edge, bg_i, bg_j, proj_i, proj_j,
     total_var = res_var_i + res_var_j, summed over coordinates. Equals the
     diagonal-Gaussian log-density up to +(d/2) log(2 pi).
     """
+    return _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j)[0]
+
+
+def _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j):
+    """``reconstruction_term`` with the residual and the total variance
+    behind it, which the gradient reuses."""
     res_var_i = np.asarray(res_var_i, dtype=float)
     res_var_j = np.asarray(res_var_j, dtype=float)
     total_var = res_var_i + res_var_j
@@ -254,7 +241,8 @@ def reconstruction_term(edge: Edge, bg_i, bg_j, proj_i, proj_j,
     resid = edge_apply(edge, bg_i, bg_j) - edge_apply(edge, proj_i, proj_j)
     if resid.shape != total_var.shape:
         raise ShapeError("variance shares must have the edge output dimension")
-    return float(-np.sum(0.5 * np.log(total_var) + resid ** 2 / (2.0 * total_var)))
+    recon = float(-np.sum(0.5 * np.log(total_var) + resid ** 2 / (2.0 * total_var)))
+    return recon, resid, total_var
 
 
 def kl_penalty(stats: PosteriorStats, prior: BatchPrior) -> float:
@@ -296,127 +284,120 @@ class ElboParts:
     proj_j: np.ndarray
 
 
-class _NodeCache:
-    __slots__ = ("kg", "bg", "infer_in", "infer_pre", "infer_hid", "raw",
-                 "r_shift", "r_log", "stats", "sample", "proj_in",
-                 "proj_pre", "proj_hid", "proj", "prior", "eps_shift",
-                 "eps_logres")
+@dataclass(eq=False)
+class _Node:
+    """One node's forward pass as its backward pass reads it. The caches
+    are each net's (input, hidden pre-activation, hidden activation)."""
+
+    prior: BatchPrior
+    eps: np.ndarray
+    raw: np.ndarray
+    stats: PosteriorStats
+    sample: LatentSample
+    proj: np.ndarray
+    infer_cache: tuple
+    proj_cache: tuple
 
 
-def _node_forward(proj_net, infer_net, kg_vec, bg_vec, prior, eps_shift,
-                  eps_logres, kg_dim, edge_dim) -> _NodeCache:
-    c = _NodeCache()
-    c.kg = np.asarray(kg_vec, dtype=float)
-    c.bg = np.asarray(bg_vec, dtype=float)
-    c.prior = prior
-    c.eps_shift = np.asarray(eps_shift, dtype=float)
-    c.eps_logres = np.asarray(eps_logres, dtype=float)
-    c.infer_in = np.concatenate([c.bg, c.kg])
-    if c.infer_in.shape[0] != infer_net.in_dim:
-        raise ShapeError("inference net input dimension mismatch")
-    c.raw, c.infer_pre, c.infer_hid = _forward_cached(infer_net, c.infer_in)
-    _, c.r_shift, _, c.r_log = _split_raw(c.raw, kg_dim, edge_dim)
-    c.stats = _stats_from_raw(c.raw, kg_dim, edge_dim)
-    c.sample = reparametrize(c.stats, c.eps_shift, c.eps_logres)
-    c.proj_in = c.kg + c.sample.shift
-    c.proj, c.proj_pre, c.proj_hid = _forward_cached(proj_net, c.proj_in)
-    return c
-
-
-def _pair_forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j,
-                  prior_i, prior_j, eps: PairEps):
+def _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j, prior_i,
+             prior_j, eps):
+    """One pair's ELBO parts, and the tape ``_backward`` reads: the
+    residual, the total variance and both nodes."""
     kg_dim = proj_net.in_dim
     edge_dim = edge_output_dim(edge, proj_net.out_dim)
     if infer_net.out_dim != 2 * kg_dim + 2 * edge_dim:
         raise ShapeError("inference net output does not match kg/edge dimensions")
-    ci = _node_forward(proj_net, infer_net, kg_i, bg_i, prior_i,
-                       eps.shift_i, eps.logres_i, kg_dim, edge_dim)
-    cj = _node_forward(proj_net, infer_net, kg_j, bg_j, prior_j,
-                       eps.shift_j, eps.logres_j, kg_dim, edge_dim)
-    recon = reconstruction_term(edge, ci.bg, cj.bg, ci.proj, cj.proj,
-                                ci.sample.res_var, cj.sample.res_var)
-    kl_i = kl_penalty(ci.stats, prior_i)
-    kl_j = kl_penalty(cj.stats, prior_j)
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != (infer_net.out_dim,):
+        raise ShapeError(f"pair noise has shape {eps.shape}, "
+                         f"expected ({infer_net.out_dim},)")
+    nodes = []
+    for kg_vec, bg_vec, prior, node_eps in (
+            (kg_i, bg_i, prior_i, eps[:kg_dim + edge_dim]),
+            (kg_j, bg_j, prior_j, eps[kg_dim + edge_dim:])):
+        kg_vec = np.asarray(kg_vec, dtype=float)
+        infer_in = np.concatenate([np.asarray(bg_vec, dtype=float), kg_vec])
+        if infer_in.shape[0] != infer_net.in_dim:
+            raise ShapeError("inference net input dimension mismatch")
+        raw, pre, hid = _forward_cached(infer_net, infer_in)
+        stats = _stats_from_raw(raw, kg_dim, edge_dim)
+        sample = reparametrize(stats, node_eps[:kg_dim], node_eps[kg_dim:])
+        proj_in = kg_vec + sample.shift
+        proj, proj_pre, proj_hid = _forward_cached(proj_net, proj_in)
+        nodes.append(_Node(prior, node_eps, raw, stats, sample, proj,
+                           (infer_in, pre, hid), (proj_in, proj_pre, proj_hid)))
+    ni, nj = nodes
+    recon, resid, total_var = _reconstruction(edge, bg_i, bg_j, ni.proj, nj.proj,
+                                              ni.sample.res_var, nj.sample.res_var)
+    kl_i = kl_penalty(ni.stats, prior_i)
+    kl_j = kl_penalty(nj.stats, prior_j)
     parts = ElboParts(elbo=recon - kl_i - kl_j, recon=recon, kl_i=kl_i, kl_j=kl_j,
-                      stats_i=ci.stats, stats_j=cj.stats,
-                      sample_i=ci.sample, sample_j=cj.sample,
-                      proj_i=ci.proj, proj_j=cj.proj)
-    return parts, ci, cj
+                      stats_i=ni.stats, stats_j=nj.stats,
+                      sample_i=ni.sample, sample_j=nj.sample,
+                      proj_i=ni.proj, proj_j=nj.proj)
+    return parts, (resid, total_var, ni, nj)
+
+
+def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
+    """Add the taped pair's ELBO gradients into the accumulators, node i
+    first."""
+    resid, total_var, ni, nj = tape
+    d_total_var = -0.5 / total_var + resid ** 2 / (2.0 * total_var ** 2)
+    d_gnu = resid / total_var  # d ELBO / d edge(proj_i, proj_j)
+    if edge is Edge.TRANSLATION:
+        d_projs = (d_gnu, -d_gnu)
+    elif edge is Edge.INNER_PRODUCT:
+        d_projs = (d_gnu[0] * nj.proj, d_gnu[0] * ni.proj)
+    else:
+        half = ni.proj.shape[0]
+        d_projs = (d_gnu[:half], d_gnu[half:])
+    kg_dim = proj_net.in_dim
+    for node, d_proj in zip((ni, nj), d_projs):
+        # Through the projection net down to the sampled shift.
+        _, d_shift = _backward_from_cache(proj_net, *node.proj_cache, d_proj, acc_proj)
+        # Through the reparametrizations, plus the KL's own gradient.
+        d_logres = d_total_var * node.sample.res_var
+        prior, stats = node.prior, node.stats
+        eps_shift, eps_logres = node.eps[:kg_dim], node.eps[kg_dim:]
+        v = prior.lambda1 * prior.shift_var
+        u = prior.lambda2 * prior.log_resvar_var
+        d_m_shift = d_shift - (stats.shift_mean - prior.shift_mean) / v
+        d_s_shift = d_shift * eps_shift - (stats.shift_std / v - 1.0 / stats.shift_std)
+        d_m_log = d_logres - (stats.log_resvar_mean - prior.log_resvar_mean) / u
+        d_s_log = d_logres * eps_logres - (stats.log_resvar_std / u
+                                           - 1.0 / stats.log_resvar_std)
+        _, r_shift, _, r_log = _split_raw(node.raw, kg_dim, total_var.shape[0])
+        upstream = np.concatenate([
+            d_m_shift,
+            d_s_shift * sigmoid(r_shift),
+            d_m_log,
+            d_s_log * sigmoid(r_log),
+        ])
+        _backward_from_cache(infer_net, *node.infer_cache, upstream, acc_infer)
 
 
 def elbo_pair(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
               kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
-              prior_j: BatchPrior, eps: PairEps) -> ElboParts:
-    """Single-draw lower bound for one pair: reconstruction minus both KLs."""
-    parts, _, _ = _pair_forward(proj_net, infer_net, edge, kg_i, bg_i,
-                                kg_j, bg_j, prior_i, prior_j, eps)
-    return parts
+              prior_j: BatchPrior, eps) -> ElboParts:
+    """Single-draw lower bound for one pair: reconstruction minus both KLs.
 
-
-def _node_backward(proj_net, infer_net, edge, c: _NodeCache, d_proj,
-                   d_total_var, acc_proj: NetGrads, acc_infer: NetGrads):
-    # Through the projection net down to the sampled shift.
-    _, d_shift = _backward_from_cache(proj_net, c.proj_in, c.proj_pre,
-                                      c.proj_hid, d_proj, acc_proj)
-    # Through the reparametrizations.
-    d_logres = d_total_var * c.sample.res_var
-    prior = c.prior
-    v = prior.lambda1 * prior.shift_var
-    u = prior.lambda2 * prior.log_resvar_var
-    stats = c.stats
-    d_m_shift = d_shift - (stats.shift_mean - prior.shift_mean) / v
-    d_s_shift = d_shift * c.eps_shift - (stats.shift_std / v - 1.0 / stats.shift_std)
-    d_m_log = d_logres - (stats.log_resvar_mean - prior.log_resvar_mean) / u
-    d_s_log = d_logres * c.eps_logres - (stats.log_resvar_std / u - 1.0 / stats.log_resvar_std)
-    upstream = np.concatenate([
-        d_m_shift,
-        d_s_shift * sigmoid(c.r_shift),
-        d_m_log,
-        d_s_log * sigmoid(c.r_log),
-    ])
-    _backward_from_cache(infer_net, c.infer_in, c.infer_pre, c.infer_hid,
-                         upstream, acc_infer)
+    ``eps`` is the pair's standard-normal noise, 2*kg_dim + 2*edge_dim
+    values in the order shift_i, logres_i, shift_j, logres_j.
+    """
+    return _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j,
+                    prior_i, prior_j, eps)[0]
 
 
 def elbo_pair_accumulate_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
                                kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
-                               prior_j: BatchPrior, eps: PairEps,
+                               prior_j: BatchPrior, eps,
                                acc_proj: NetGrads, acc_infer: NetGrads) -> ElboParts:
-    """Add this pair's ELBO gradients into the accumulators; return the parts.
+    """``elbo_pair``, adding the pair's ELBO gradients into the accumulators.
 
     Gradients are of the ELBO itself (ascent direction) with the noise draws
     held fixed, pathwise through the reparametrization.
     """
-    parts, ci, cj = _pair_forward(proj_net, infer_net, edge, kg_i, bg_i,
-                                  kg_j, bg_j, prior_i, prior_j, eps)
-    total_var = ci.sample.res_var + cj.sample.res_var
-    gz = edge_apply(edge, ci.bg, cj.bg)
-    gnu = edge_apply(edge, ci.proj, cj.proj)
-    resid = gz - gnu
-    d_resid = -resid / total_var
-    d_total_var = -0.5 / total_var + resid ** 2 / (2.0 * total_var ** 2)
-    d_gnu = -d_resid
-    if edge is Edge.TRANSLATION:
-        d_proj_i, d_proj_j = d_gnu, -d_gnu
-    elif edge is Edge.INNER_PRODUCT:
-        d_proj_i, d_proj_j = d_gnu[0] * cj.proj, d_gnu[0] * ci.proj
-    else:
-        half = ci.proj.shape[0]
-        d_proj_i, d_proj_j = d_gnu[:half], d_gnu[half:]
-    _node_backward(proj_net, infer_net, edge, ci, d_proj_i, d_total_var,
-                   acc_proj, acc_infer)
-    _node_backward(proj_net, infer_net, edge, cj, d_proj_j, d_total_var,
-                   acc_proj, acc_infer)
+    parts, tape = _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j,
+                           prior_i, prior_j, eps)
+    _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer)
     return parts
-
-
-def elbo_pair_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
-                    kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
-                    prior_j: BatchPrior, eps: PairEps):
-    """ELBO value plus its gradients w.r.t. both nets' parameters."""
-    acc_proj = NetGrads.zeros_like(proj_net)
-    acc_infer = NetGrads.zeros_like(infer_net)
-    parts = elbo_pair_accumulate_grads(proj_net, infer_net, edge, kg_i, bg_i,
-                                       kg_j, bg_j, prior_i, prior_j, eps,
-                                       acc_proj, acc_infer)
-    return parts, acc_proj, acc_infer

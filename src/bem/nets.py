@@ -168,19 +168,12 @@ def _forward_cached(net: DiffNet, x: np.ndarray):
 
 
 def _backward_from_cache(net: DiffNet, x: np.ndarray, pre: np.ndarray,
-                         hid: np.ndarray, upstream: np.ndarray,
-                         acc: NetGrads | None = None):
-    """Backward pass given cached activations.
-
-    Accumulates into ``acc`` when provided, else allocates fresh grads.
-    The relu subgradient at exactly 0 is 0.
-    """
+                         hid: np.ndarray, upstream: np.ndarray, acc: NetGrads):
+    """Backward pass given cached activations, accumulated into ``acc``.
+    Returns ``(acc, d_input)``. The relu subgradient at exactly 0 is 0."""
     dh = net.W2.T @ upstream
     dpre = dh * (pre > 0)
     dx = net.W1.T @ dpre
-    if acc is None:
-        return NetGrads(np.outer(dpre, x), dpre.copy(),
-                        np.outer(upstream, hid), upstream.copy()), dx
     acc.W1 += np.outer(dpre, x)
     acc.b1 += dpre
     acc.W2 += np.outer(upstream, hid)
@@ -193,7 +186,7 @@ def net_backward(net: DiffNet, x, upstream) -> tuple[NetGrads, np.ndarray]:
     x = _check_vec(x, net.in_dim, "input")
     upstream = _check_vec(upstream, net.out_dim, "upstream gradient")
     _, pre, hid = _forward_cached(net, x)
-    return _backward_from_cache(net, x, pre, hid, upstream)
+    return _backward_from_cache(net, x, pre, hid, upstream, NetGrads.zeros_like(net))
 
 
 @dataclass(eq=False)

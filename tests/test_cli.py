@@ -1,4 +1,6 @@
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -37,6 +39,23 @@ class TestReplay:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"argv = {argv}\n", encoding="utf-8")
         assert main(["replay", str(manifest)]) == EXIT_DATA
+
+
+class TestModelInput:
+    def test_tensor_dims_past_int64_exit_with_data_code(self, tmp_path, capsys):
+        # A valid CRC over a tensor header of (2**32 - 1) x (2**32 - 1) values.
+        data = synth_manifest(tmp_path).parent
+        model = tmp_path / "m.bem"
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", "--epochs", "0.2",
+                     "--out", str(model)]) == EXIT_OK
+        payload = model.read_bytes()[:-4]
+        hlen = struct.unpack("<I", payload[8:12])[0]
+        payload = payload[:12 + hlen] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1)
+        model.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        assert main(["refine", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--model", str(model), "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert "model file ends prematurely" in capsys.readouterr().err
 
 
 class TestNonUtf8Input:

@@ -1,4 +1,7 @@
 import math
+import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,51 @@ class TestLoadTable:
         t = load_table(p)
         with pytest.raises(ValueError):
             t.matrix[0, 0] = 5.0
+
+
+class TestTableMatrix:
+    IDS = ("a", "b", "c")
+
+    def test_frozen_owning_array_is_shared(self):
+        mat = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        mat.flags.writeable = False
+        assert EmbeddingTable(ids=self.IDS, matrix=mat).matrix is mat
+
+    def test_writeable_array_is_copied_and_frozen(self):
+        mat = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        t = EmbeddingTable(ids=self.IDS, matrix=mat)
+        assert not np.shares_memory(t.matrix, mat)
+        assert not t.matrix.flags.writeable
+        mat[0, 0] = 9.0
+        assert t.matrix[0, 0] == 0.0
+
+    def test_frozen_view_is_copied(self):
+        base = np.arange(8, dtype=float).reshape(4, 2)
+        view = base[:3]
+        view.flags.writeable = False
+        t = EmbeddingTable(ids=self.IDS, matrix=view)
+        assert not np.shares_memory(t.matrix, base)
+        base[0, 0] = 9.0
+        assert t.matrix[0, 0] == 0.0
+
+    def test_frozen_array_is_still_validated(self):
+        mat = np.array([[1.0, np.nan]])
+        mat.flags.writeable = False
+        with pytest.raises(DataError, match="non-finite"):
+            EmbeddingTable(ids=("a",), matrix=mat)
+
+    def test_loaded_matrix_is_not_copied_again(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.tsv"
+        p.write_text("e1\t1.0\t2.0\n")
+        parsed = []
+        read_rows = dataio._read_rows
+
+        def capture(*args, **kwargs):
+            parsed.append(read_rows(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(dataio, "_read_rows", capture)
+        assert load_table(p).matrix is parsed[0][2]
 
 
 class TestRoundTrip:
@@ -264,6 +312,38 @@ class TestStreamedCodec:
         assert path.read_bytes() == b"old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
 
+    def test_existing_tmp_file_survives_a_write(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        (tmp_path / "t.tsv.tmp").write_bytes(b"user data\n")
+        write_table(table_of(["e1"], [[1.0]]), path)
+        assert (tmp_path / "t.tsv.tmp").read_bytes() == b"user data\n"
+        assert load_table(path).matrix.tolist() == [[1.0]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv", "t.tsv.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        with pytest.raises(RuntimeError):
+            with dataio._atomic_open(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writers_to_one_target_use_separate_temp_files(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        with dataio._atomic_open(path) as first, dataio._atomic_open(path) as second:
+            assert first.name != second.name
+            first.write(b"first\n")
+            second.write(b"second\n")
+        assert path.read_bytes() == b"first\n"  # the outer block completes last
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+    def test_written_file_has_the_default_mode(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        path = tmp_path / "t.tsv"
+        write_table(table_of(["e1"], [[1.0]]), path)
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+
     @pytest.mark.parametrize("reader", [load_table, load_labels])
     def test_non_utf8_is_a_data_error_naming_the_line(self, tmp_path, reader):
         path = tmp_path / "t.tsv"
@@ -360,6 +440,16 @@ def make_model(seed=0, edge=Edge.TRANSLATION, d_w=3, d_z=4, hidden=6):
     return proj, infer, cfg
 
 
+def write_huge_tensor_model(path):
+    """A model file with a valid CRC whose first tensor claims
+    (2**32 - 1) x (2**32 - 1) values: more than 2**63 in all."""
+    save_model(*make_model(), path)
+    payload = path.read_bytes()[:-4]
+    hlen = struct.unpack("<I", payload[8:12])[0]
+    payload = payload[:12 + hlen] + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1)
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
 class TestModelFile:
     def test_round_trip_is_bit_identical(self, tmp_path):
         proj, infer, cfg = make_model(seed=5)
@@ -429,6 +519,12 @@ class TestModelFile:
         payload += struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
         p.write_bytes(bytes(payload))
         with pytest.raises(ModelFormatError):
+            load_model(p)
+
+    def test_tensor_dims_past_int64_are_a_format_error(self, tmp_path):
+        p = tmp_path / "m.bem"
+        write_huge_tensor_model(p)
+        with pytest.raises(ModelFormatError, match="ends prematurely"):
             load_model(p)
 
     @pytest.mark.parametrize("edge", (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bem.dataio import EmbeddingTable
-from bem.errors import ConfigError, EvalError
-from bem.evalkit import _top_k, hit_recall
+from bem.dataio import EmbeddingTable, LabelTable
+from bem.errors import ConfigError, EvalError, ShapeError
+from bem.evalkit import (_top_k, cluster_ratio_detail, concat_tables, hit_recall,
+                         random_project, similarity_histogram)
 
 
 def argsort_hit_recall(query, candidates, triggers_by_user, truth_by_user,
@@ -109,3 +110,95 @@ class TestHitRecall:
         table = EmbeddingTable(ids=("a", "b"), matrix=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ConfigError):
             hit_recall(table, table, {"u": ["a"]}, {}, {}, k=0)
+
+
+class TestSimilarityHistogram:
+    def test_mass_sums_to_one(self):
+        rng = np.random.default_rng(0)
+        table = EmbeddingTable(ids=tuple(f"i{j}" for j in range(20)),
+                               matrix=rng.normal(size=(20, 3)))
+        hist = similarity_histogram(table, n_pairs=500, bins=10,
+                                    rng=np.random.default_rng(1))
+        assert hist.mass.sum() == pytest.approx(1.0)
+        assert (hist.n_used, hist.n_skipped) == (500, 0)
+        assert len(hist.edges) == 11
+
+    def test_zero_norm_rows_are_skipped(self):
+        # Every kept pair is {a, b}: |cos| = 1/sqrt(2), in bin [0.7, 0.8).
+        table = EmbeddingTable(ids=("a", "b", "z"),
+                               matrix=[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        hist = similarity_histogram(table, n_pairs=300, bins=10,
+                                    rng=np.random.default_rng(2))
+        assert hist.n_skipped > 0
+        assert hist.n_used + hist.n_skipped == 300
+        assert hist.mass[7] == 1.0
+        assert hist.mass.sum() == 1.0
+
+    def test_every_pair_skipped_raises(self):
+        table = EmbeddingTable(ids=("a", "y", "z"),
+                               matrix=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(EvalError):
+            similarity_histogram(table, n_pairs=50, bins=5,
+                                 rng=np.random.default_rng(3))
+
+
+class TestClusterRatio:
+    def test_hand_computed_ratio(self):
+        # Class A: (0,0), (2,0) and the multi-label e (1,0), listed under A
+        # first; mean distance to centroid (1,0) is 2/3. Class B: (10,0),
+        # (10,4); mean distance to centroid (10,2) is 2. The closest
+        # cross-class pair is (2,0)-(10,0), 8 apart.
+        ids = ("a1", "a2", "e", "b1", "b2")
+        table = EmbeddingTable(ids=ids, matrix=[[0.0, 0.0], [2.0, 0.0], [1.0, 0.0],
+                                                [10.0, 0.0], [10.0, 4.0]])
+        labels = LabelTable(ids=ids, label_sets=(("A",), ("A",), ("A", "B"),
+                                                 ("B",), ("B",)))
+        detail = cluster_ratio_detail(table, labels)
+        assert detail.max_within == pytest.approx(2.0)
+        assert detail.min_between == pytest.approx(8.0)
+        assert detail.ratio == pytest.approx(0.25)
+        assert detail.n_classes == 2
+
+    def test_zero_gap_gives_infinite_ratio_with_warning(self):
+        ids = ("a1", "a2", "b1", "b2")
+        table = EmbeddingTable(ids=ids, matrix=[[0.0, 0.0], [1.0, 0.0],
+                                                [1.0, 0.0], [5.0, 5.0]])
+        labels = LabelTable(ids=ids, label_sets=(("A",), ("A",), ("B",), ("B",)))
+        with pytest.warns(UserWarning, match="between-class distance is zero"):
+            detail = cluster_ratio_detail(table, labels)
+        assert detail.min_between == 0.0
+        assert detail.ratio == np.inf
+
+
+class TestRandomProject:
+    def test_matrix_hook_is_applied(self):
+        table = EmbeddingTable(ids=("a", "b"), matrix=[[1.0, 2.0, 3.0],
+                                                       [0.0, -1.0, 4.0]])
+        proj = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0]])
+        out = random_project(table, 2, np.random.default_rng(0), matrix=proj)
+        assert out.ids == ("a", "b")
+        assert np.array_equal(out.matrix, [[4.0, 1.0], [4.0, -6.0]])
+
+    def test_matrix_hook_shape_is_checked(self):
+        table = EmbeddingTable(ids=("a",), matrix=[[1.0, 2.0, 3.0]])
+        with pytest.raises(ShapeError):
+            random_project(table, 2, np.random.default_rng(0), matrix=np.ones((2, 3)))
+
+    def test_gaussian_projection_has_the_target_dim(self):
+        table = EmbeddingTable(ids=("a", "b"), matrix=np.eye(2, 5))
+        out = random_project(table, 3, np.random.default_rng(0))
+        assert out.matrix.shape == (2, 3)
+        with pytest.raises(ConfigError):
+            random_project(table, 0, np.random.default_rng(0))
+
+
+class TestConcatTables:
+    def test_shared_ids_in_first_table_order(self):
+        first = EmbeddingTable(ids=("a", "b", "c", "d"),
+                               matrix=[[1.0], [2.0], [3.0], [4.0]])
+        second = EmbeddingTable(ids=("d", "x", "b", "a"),
+                                matrix=[[40.0, 0.4], [0.0, 0.0], [20.0, 0.2], [10.0, 0.1]])
+        out = concat_tables(first, second)
+        assert out.ids == ("a", "b", "d")
+        assert np.array_equal(out.matrix, [[1.0, 10.0, 0.1], [2.0, 20.0, 0.2],
+                                           [4.0, 40.0, 0.4]])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bem.dataio import EmbeddingTable
-from bem.elbo import Edge, draw_pair_eps, edge_output_dim, elbo_pair_grads, estimate_prior
+from bem.elbo import Edge, edge_output_dim, elbo_pair_accumulate_grads, estimate_prior
 from bem.errors import AlignmentError, ConfigError, ShapeError, TrainingError
-from bem.nets import ROW_BLOCK, DiffNet, net_forward
+from bem.nets import ROW_BLOCK, DiffNet, NetGrads, net_forward
 from bem.elbo import infer_posterior
 from bem.rng import named_rng
 from bem.synthgen import SynthSpec, generate
@@ -112,15 +112,16 @@ class TestTrain:
         prior_a, prior_b = estimate_prior(
             kg.matrix[a], kg.matrix[b], bg.matrix[a], bg.matrix[b],
             cfg.edge, cfg.n_bootstrap, rng, cfg.lambda1, cfg.lambda2)
-        eps_list = [draw_pair_eps(rng, d_w, d_g) for _ in range(n_batch)]
+        noise = rng.standard_normal((n_batch, 2 * d_w + 2 * d_g))
         sums = {}
         elbo_sum = 0.0
         for m in range(n_batch):
-            parts, gp, gi = elbo_pair_grads(
+            gp, gi = NetGrads.zeros_like(proj_ref), NetGrads.zeros_like(infer_ref)
+            parts = elbo_pair_accumulate_grads(
                 proj_ref, infer_ref, cfg.edge,
                 kg.matrix[a[m]], bg.matrix[a[m]],
                 kg.matrix[b[m]], bg.matrix[b[m]],
-                prior_a, prior_b, eps_list[m])
+                prior_a, prior_b, noise[m], gp, gi)
             elbo_sum += parts.elbo
             for key, val in {**gp.param_dict("proj."),
                              **gi.param_dict("infer.")}.items():
