@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .dataio import (EmbeddingTable, align, load_labels, load_model,
                      load_table, save_model, write_labels, write_table,
-                     _atomic_write_text, _not_utf8)
+                     _atomic_write_text, _lines)
 from .elbo import Edge
 from .errors import (BemError, ConfigError, DataError, EvalError,
                      NumericalError, ShapeError, TrainingError)
@@ -98,37 +98,28 @@ def write_manifest(target, command: str, argv: list[str], seed,
     return path
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+def _key_values(path, sep: str, error):
+    """Yield ``(lineno, key, value)`` per line that is neither blank nor a
+    ``#`` comment, split at its first ``sep``; ``error`` names a line without."""
+    for lineno, line in _lines(path):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if sep not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split(sep, 1)
+        yield lineno, key.strip(), value
 
 
 def read_manifest(path) -> dict:
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if " = " not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split(" = ", 1)
-        entries[key.strip()] = value
-    return entries
+    return {key: value for _, key, value in _key_values(path, " = ", DataError)}
 
 
 def read_config_file(path, allowed: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+    for lineno, key, value in _key_values(path, "=", ConfigError):
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        values[key] = value.strip()
     return values
 
 
@@ -375,6 +366,10 @@ def _eval_recall(args, table):
 
 def cmd_eval(args, argv) -> int:
     t0 = time.perf_counter()
+    if args.task != "histogram" and args.labels is None:
+        raise UsageError(f"--task {args.task} needs --labels")
+    if args.splits < 1 or args.n_proj < 1:
+        raise UsageError("--splits and --n-proj must be positive")
     table = load_table(args.table)
     if args.table2:
         table = concat_tables(table, load_table(args.table2))
@@ -465,6 +460,8 @@ def cmd_replay(args, argv) -> int:
         raise DataError(f"{args.manifest}: argv record is not JSON")
     if not (isinstance(recorded, list) and all(isinstance(a, str) for a in recorded)):
         raise DataError(f"{args.manifest}: argv record is not a list of strings")
+    if recorded[:1] == ["replay"]:
+        raise DataError(f"{args.manifest}: argv record is itself a replay")
     hashed = {}
     for key, value in entries.items():
         if not key.startswith("sha256."):

@@ -16,7 +16,13 @@ non-finite value, is parsed again field by field with ``float()``, so the
 accepted files, the values and the line-numbered errors are those of a
 plain per-field ``float()`` loop.
 
-Label file: ``id<TAB>class1,class2,...`` with a non-empty class list.
+Label file: ``id<TAB>class1,class2,...`` with a non-empty id and a
+non-empty class list.
+
+Every text reader (tables, truth and label files; ``cli`` manifests and
+config files) reads UTF-8 lines with universal newlines: a line ends at
+``\n``, ``\r\n`` or ``\r`` and nowhere else. Every error names its 1-based
+line, an undecodable line's included.
 
 Model file: length-prefixed binary, magic ``BEM1``, little-endian float64
 tensors, trailing CRC32 over everything before it.
@@ -82,16 +88,42 @@ def _atomic_write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _not_utf8(path) -> DataError:
-    """The error for a text file that does not decode, naming its first bad
-    line: a text reader decodes ahead of the line it returns."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
-    return DataError(f"{path}: not UTF-8 text")
+def _lines(path):
+    """Yield ``(lineno, line)`` per line of a UTF-8 text file, without its
+    newline; DataError names the first line that does not decode (the
+    surrogateescape handler defers a decode error to the line that holds it)."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+            yield lineno, line.rstrip("\n")
+
+
+def _keyed_rows(path, lines, n_keys: int, missing: str):
+    """Yield ``(lineno, parts)`` per line, split at its first ``n_keys`` tabs.
+    DataError names a blank line, an empty or duplicate id, a line with nothing
+    after its keys (the text ``missing``), and a file without lines."""
+    seen: dict[str, int] = {}
+    for lineno, line in lines:
+        if line == "":
+            raise DataError(f"{path}:{lineno}: blank line")
+        parts = line.split("\t", n_keys)
+        eid = parts[0]
+        if eid == "":
+            raise DataError(f"{path}:{lineno}: empty entity id")
+        if eid in seen:
+            raise DataError(
+                f"{path}:{lineno}: duplicate id {eid!r} "
+                f"(first seen on line {seen[eid]})")
+        seen[eid] = lineno
+        if len(parts) <= n_keys:
+            raise DataError(f"{path}:{lineno}: {missing}")
+        yield lineno, parts
+    if not seen:
+        raise DataError(f"{path}: no data rows")
 
 
 @dataclass(eq=False)
@@ -138,8 +170,9 @@ class EmbeddingTable:
 
     def subset(self, indices) -> "EmbeddingTable":
         indices = list(indices)
-        return EmbeddingTable(ids=tuple(self.ids[i] for i in indices),
-                              matrix=self.matrix[indices])
+        matrix = self.matrix[indices]  # a fresh array: handed over frozen, not copied
+        matrix.flags.writeable = False
+        return EmbeddingTable(ids=tuple(self.ids[i] for i in indices), matrix=matrix)
 
 
 def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,80 +260,63 @@ def _read_rows(path, label_column: bool = False):
     """Parse a table (or, with ``label_column``, a truth file) line by line.
 
     Returns ``(ids, labels, matrix)``; ``labels`` is empty without a label
-    column. Raises DataError with the offending line number for a bad
-    header, blank lines, empty or duplicate ids, ragged rows, unparsable or
-    non-finite values and non-UTF-8 text; ShapeError when the ``#dim=``
-    header disagrees with the rows. Of the structure and value errors, the
-    one on the earliest line is raised.
+    column. Besides the ``_lines`` and ``_keyed_rows`` errors, raises
+    DataError naming the line of a bad header, a ragged row or an unparsable
+    or non-finite value (the earliest line's error wins), and ShapeError when
+    the ``#dim=`` header disagrees with the rows.
     """
     path = Path(path)
     n_keys = 2 if label_column else 1
     ids: list[str] = []
     labels: list[str] = []
-    blocks: list[np.ndarray] = []
     rests: list[str] = []
-    seen: dict[str, int] = {}
+    matrix = np.empty((0, 0))  # grows geometrically; no parsed chunk outlives its copy
     dim: int | None = None
     header_dim: int | None = None
     first = 0
 
-    def flush():
+    def flush():  # rows before the chunk in ``rests`` are in ``matrix``
         if rests:
-            blocks.append(_parse_values(path, first, rests, dim))
+            block = _parse_values(path, first, rests, dim)
+            if len(ids) > len(matrix):
+                matrix.resize((2 * len(matrix) + len(block), dim), refcheck=False)
+            matrix[len(ids) - len(block):len(ids)] = block
             rests.clear()
 
+    lines = _lines(path)
+    head = next(lines, None)
+    if head and head[1].startswith("#dim="):
+        try:
+            header_dim = int(head[1][len("#dim="):])
+        except ValueError:
+            raise DataError(f"{path}:1: bad #dim header {head[1]!r}")
+        if header_dim < 1:
+            raise DataError(f"{path}:1: non-positive #dim header")
+    elif head:
+        lines = itertools.chain([head], lines)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if lineno == 1 and line.startswith("#dim="):
-                    try:
-                        header_dim = int(line[len("#dim="):])
-                    except ValueError:
-                        raise DataError(f"{path}:{lineno}: bad #dim header {line!r}")
-                    if header_dim < 1:
-                        raise DataError(f"{path}:{lineno}: non-positive #dim header")
-                    continue
-                if line == "":
-                    raise DataError(f"{path}:{lineno}: blank line")
-                parts = line.split("\t", n_keys)
-                eid = parts[0]
-                if eid == "":
-                    raise DataError(f"{path}:{lineno}: empty entity id")
-                if eid in seen:
-                    raise DataError(
-                        f"{path}:{lineno}: duplicate id {eid!r} "
-                        f"(first seen on line {seen[eid]})")
-                seen[eid] = lineno
-                if len(parts) <= n_keys:
-                    raise DataError(f"{path}:{lineno}: row has no values")
-                rest = parts[n_keys]
-                width = rest.count("\t") + 1
-                if dim is None:
-                    dim = width
-                elif width != dim:
-                    raise DataError(
-                        f"{path}:{lineno}: ragged row, {width} values, expected {dim}")
-                if not rests:
-                    first = lineno
-                rests.append(rest)
-                ids.append(eid)
-                if label_column:
-                    labels.append(parts[1])
-                if len(rests) == CHUNK_ROWS:
-                    flush()
-    except UnicodeDecodeError:
-        flush()
-        raise _not_utf8(path) from None
+        for lineno, parts in _keyed_rows(path, lines, n_keys, "row has no values"):
+            rest = parts[n_keys]
+            width = rest.count("\t") + 1
+            dim = dim or width
+            if width != dim:
+                raise DataError(
+                    f"{path}:{lineno}: ragged row, {width} values, expected {dim}")
+            if not rests:
+                first = lineno
+            rests.append(rest)
+            ids.append(parts[0])
+            if label_column:
+                labels.append(parts[1])
+            if len(rests) == CHUNK_ROWS:
+                flush()
     except DataError:
         flush()  # a value error on an earlier line comes first
         raise
     flush()
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
     if header_dim is not None and header_dim != dim:
         raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
-    matrix = np.concatenate(blocks)
+    matrix.resize((len(ids), dim), refcheck=False)
     matrix.flags.writeable = False  # the table takes it without a copy
     return ids, labels, matrix
 
@@ -323,35 +339,18 @@ def write_table(table: EmbeddingTable, path) -> None:
 
 
 def load_labels(path) -> LabelTable:
+    """Parse a label file; DataError names the line of each malformed row."""
     path = Path(path)
-    ids: list[str] = []
-    label_sets: list[tuple[str, ...]] = []
-    seen: dict[str, int] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if line == "":
-                    raise DataError(f"{path}:{lineno}: blank line")
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'id<TAB>labels'")
-                eid, labels = parts
-                if eid in seen:
-                    raise DataError(
-                        f"{path}:{lineno}: duplicate id {eid!r} "
-                        f"(first seen on line {seen[eid]})")
-                seen[eid] = lineno
-                classes = tuple(c for c in labels.split(",") if c != "")
-                if not classes:
-                    raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
-                ids.append(eid)
-                label_sets.append(classes)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if not ids:
-        raise DataError(f"{path}: no data rows")
-    return LabelTable(ids=tuple(ids), label_sets=tuple(label_sets))
+    mapping: dict[str, tuple[str, ...]] = {}
+    expected = "expected 'id<TAB>labels'"
+    for lineno, (eid, labels) in _keyed_rows(path, _lines(path), 1, expected):
+        if "\t" in labels:
+            raise DataError(f"{path}:{lineno}: {expected}")
+        classes = tuple(c for c in labels.split(",") if c != "")
+        if not classes:
+            raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
+        mapping[eid] = classes
+    return LabelTable(ids=tuple(mapping), label_sets=tuple(mapping.values()))
 
 
 def write_labels(labels: LabelTable, path) -> None:
@@ -425,8 +424,11 @@ class _Reader:
         ndim = struct.unpack("<B", self.take(1))[0]
         shape = tuple(struct.unpack("<I", self.take(4))[0] for _ in range(ndim))
         count = math.prod(shape)  # exact: np.prod wraps past 2**63
-        data = np.frombuffer(self.take(8 * count), dtype="<f8").reshape(shape)
-        return data.astype(float)
+        data = np.frombuffer(self.take(8 * count), dtype="<f8")
+        try:
+            return data.reshape(shape).astype(float)
+        except ValueError as exc:  # past numpy's dimension or size limits
+            raise ModelFormatError(f"unsupported tensor shape ({exc})")
 
 
 def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
@@ -478,7 +480,7 @@ def load_model(path):
     header_len = struct.unpack("<I", reader.take(4))[0]
     try:
         header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ModelFormatError(f"{path}: bad header ({exc})")
     try:
         cfg = TrainConfig.from_dict(header["config"])
@@ -487,7 +489,7 @@ def load_model(path):
         kg_dim = int(header["kg_dim"])
         bg_dim = int(header["bg_dim"])
         edge_dim = int(header["edge_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: incomplete header ({exc})")
     tensors = [reader.tensor() for _ in range(8)]
     if reader.pos != len(reader.payload):
@@ -495,7 +497,7 @@ def load_model(path):
     try:
         proj_net = DiffNet(*proj_dims, *tensors[:4])
         infer_net = DiffNet(*infer_dims, *tensors[4:])
-    except ShapeError as exc:
+    except (ShapeError, TypeError) as exc:  # TypeError: not three net dims
         raise ModelFormatError(f"{path}: tensor shapes disagree with header ({exc})")
     if (proj_net.in_dim != kg_dim or proj_net.out_dim != bg_dim
             or infer_net.in_dim != kg_dim + bg_dim

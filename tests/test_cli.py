@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import zlib
@@ -15,8 +16,8 @@ from bem.synthgen import load_truth, oracle_error
 from bem.trainer import StepRecord, TrainReport
 
 
-def synth_manifest(tmp_path):
-    out = tmp_path / "synth"
+def synth_manifest(tmp_path, name="synth"):
+    out = tmp_path / name
     assert main(["synth", "--out", str(out), "--n", "30", "--seed", "4"]) == EXIT_OK
     return out / "manifest.txt"
 
@@ -26,6 +27,18 @@ class TestReplay:
         manifest = synth_manifest(tmp_path)
         assert main(["replay", str(manifest)]) == EXIT_OK
         assert "bit-identical" in capsys.readouterr().out
+
+    def test_line_separator_in_the_output_path_replays(self, tmp_path, capsys):
+        manifest = synth_manifest(tmp_path, "out\u2028dir")
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_replay_of_a_replay_is_a_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"argv = {json.dumps(['replay', str(manifest)])}\n",
+                            encoding="utf-8")
+        assert main(["replay", str(manifest)]) == EXIT_DATA
+        assert "argv record is itself a replay" in capsys.readouterr().err
 
     def test_hash_without_output_entry_is_a_data_error(self, tmp_path, capsys):
         manifest = synth_manifest(tmp_path)
@@ -79,6 +92,35 @@ class TestNonUtf8Input:
         }[target]
         assert main(argv) == EXIT_DATA
         assert f"{bad}:1: not UTF-8" in capsys.readouterr().err
+
+
+class TestLineBreaks:
+    """Manifest and config lines end at \\n, \\r\\n and \\r only."""
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_other_separators_stay_in_the_line(self, tmp_path, sep):
+        path = tmp_path / "f.txt"
+        path.write_text(f"a = 1{sep}b = 2\rc = 3\r\nd = 4\n", encoding="utf-8")
+        want = {"a": f"1{sep}b = 2", "c": "3", "d": "4"}
+        assert cli.read_manifest(path) == want
+        assert cli.read_config_file(path, {"a", "c", "d"}) == want
+
+
+class TestEvalUsage:
+    @pytest.mark.parametrize("task", ["classify", "cluster-ratio", "recall"])
+    def test_task_without_labels_is_a_usage_error(self, tmp_path, capsys, task):
+        data = synth_manifest(tmp_path).parent
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--task", task]) == EXIT_USAGE
+        assert f"--task {task} needs --labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--splits", "0"], ["--splits", "-1"],
+                                       ["--project-dim", "4", "--n-proj", "0"]])
+    def test_non_positive_counts_are_usage_errors(self, tmp_path, capsys, flags):
+        data = synth_manifest(tmp_path).parent
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
+                     str(data / "labels.tsv"), "--task", "classify", *flags]) == EXIT_USAGE
+        assert "must be positive" in capsys.readouterr().err
 
 
 class TestSweepOracleError:

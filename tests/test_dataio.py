@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -127,6 +128,21 @@ class TestTableMatrix:
 
         monkeypatch.setattr(dataio, "_read_rows", capture)
         assert load_table(p).matrix is parsed[0][2]
+
+    def test_subset_matrix_is_not_copied_again(self):
+        t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
+        picked = []
+
+        class Picking:
+            def __getitem__(self, index, matrix=t.matrix):
+                picked.append(matrix[index])
+                return picked[-1]
+
+        t.matrix = Picking()
+        sub = t.subset([2, 0])
+        assert sub.matrix is picked[0]
+        assert not sub.matrix.flags.writeable
+        assert sub.matrix.tolist() == [[4.0, 5.0], [0.0, 1.0]]
 
 
 class TestRoundTrip:
@@ -351,6 +367,18 @@ class TestStreamedCodec:
         with pytest.raises(DataError, match=":2: not UTF-8"):
             reader(path)
 
+    @pytest.mark.parametrize("reader", [load_table, load_labels])
+    @pytest.mark.parametrize("content, error", [
+        (b"e1\t1.0\re2\t1\r\ne3\t\xe2\x82", ":3: not UTF-8 text \\(unexpected end"),
+        (b"e1\t1.0\ne1\t2.0\n\xff\n", ":2: duplicate id"),
+    ], ids=["cr-ends-a-line", "earlier-error-wins"])
+    def test_undecodable_line_is_numbered_like_any_other(self, tmp_path, reader, content,
+                                                          error):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=error):
+            reader(path)
+
 
 class TestLabels:
     def test_round_trip(self, tmp_path):
@@ -371,6 +399,57 @@ class TestLabels:
         p.write_text("a\tx\na\ty\n")
         with pytest.raises(DataError, match="duplicate"):
             load_labels(p)
+
+    def test_empty_id_rejected(self, tmp_path):
+        p = tmp_path / "l.tsv"
+        p.write_text("a\tx\n\ty\n")
+        with pytest.raises(DataError, match=":2: empty entity id"):
+            load_labels(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.lists(st.sampled_from(["a", "b", "a\t", "\t", "\t", ",", "x,", "\n", "\n",
+                                          "\r", "\r\n", "\u2028", "\x1c", "\x85", " "]),
+                         max_size=30).map("".join))
+    def test_reader_matches_per_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("lb") / "l.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert label_outcome(load_labels, path) == label_outcome(loop_load_labels, path)
+
+
+def loop_load_labels(path):
+    """Reference label reader: one plain loop over the lines."""
+    ids, label_sets, seen = [], [], {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line == "":
+                raise DataError(f"{path}:{lineno}: blank line")
+            fields = line.split("\t")
+            eid = fields[0]
+            if eid == "":
+                raise DataError(f"{path}:{lineno}: empty entity id")
+            if eid in seen:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate id {eid!r} (first seen on line {seen[eid]})")
+            seen[eid] = lineno
+            if len(fields) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'id<TAB>labels'")
+            classes = tuple(c for c in fields[1].split(",") if c != "")
+            if not classes:
+                raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
+            ids.append(eid)
+            label_sets.append(classes)
+    if not ids:
+        raise DataError(f"{path}: no data rows")
+    return LabelTable(ids=tuple(ids), label_sets=tuple(label_sets))
+
+
+def label_outcome(reader, path):
+    try:
+        labels = reader(path)
+    except DataError as exc:
+        return str(exc)
+    return labels.ids, labels.label_sets
 
 
 class TestAlign:
@@ -525,6 +604,29 @@ class TestModelFile:
         p = tmp_path / "m.bem"
         write_huge_tensor_model(p)
         with pytest.raises(ModelFormatError, match="ends prematurely"):
+            load_model(p)
+
+    @pytest.mark.parametrize("change", [
+        {"kg_dim": float("inf")}, {"infer": []}, {"proj": [3, 6, 4, 1]},
+        b"[" * 5000 + b"]" * 5000,
+        struct.pack("<B", 65) + struct.pack("<I", 0) + struct.pack("<I", 1) * 64,
+        struct.pack("<BIII", 3, 0, 2**32 - 1, 2**32 - 1),
+    ], ids=["inf-dim", "no-infer-dims", "four-proj-dims", "deep-json", "65-dims", "too-big"])
+    def test_bad_header_or_tensor_shape_is_a_format_error(self, tmp_path, change):
+        p = tmp_path / "m.bem"
+        save_model(*make_model(), p)
+        payload = p.read_bytes()[:-4]
+        hlen = struct.unpack("<I", payload[8:12])[0]
+        header, tensors = payload[12:12 + hlen], payload[12 + hlen:]
+        if isinstance(change, dict):
+            header = json.dumps({**json.loads(header), **change}).encode()
+        elif change.startswith(b"["):
+            header = change
+        else:
+            tensors = change
+        payload = payload[:8] + struct.pack("<I", len(header)) + header + tensors
+        p.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        with pytest.raises(ModelFormatError):
             load_model(p)
 
     @pytest.mark.parametrize("edge", (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY))
