@@ -6,10 +6,8 @@ from .dataio import (AlignResult, EmbeddingTable, LabelTable, align,
                      load_labels, load_model, load_table, normalize_rows,
                      save_model, write_labels, write_table)
 from .elbo import (BatchPrior, Edge, ElboParts, LatentSample, PosteriorStats,
-                   edge_apply, edge_output_dim, elbo_pair,
-                   elbo_pair_accumulate_grads, estimate_prior,
-                   infer_posterior, kl_penalty, reconstruction_term,
-                   reparametrize)
+                   edge_apply, edge_output_dim, elbo_pair_accumulate_grads,
+                   estimate_prior, kl_penalty, reparametrize)
 from .errors import (AlignmentError, BemError, ConfigError, DataError,
                      EvalError, ModelFormatError, NumericalError, ShapeError,
                      TrainingError)
@@ -17,8 +15,7 @@ from .evalkit import (ClassifierModel, EvalSplit, Histogram, RecallResult,
                       classify_accuracy, cluster_ratio_detail,
                       concat_tables, hit_recall, make_split, random_project,
                       similarity_histogram, train_classifier)
-from .nets import (AdamState, DiffNet, NetGrads, adam_step, net_backward,
-                   net_forward, net_forward_rows)
+from .nets import AdamState, DiffNet, NetGrads, adam_step, net_forward_rows
 from .rng import named_rng
 from .synthgen import (SynthSpec, SynthTruth, generate, load_truth,
                        oracle_error, write_truth)

@@ -368,8 +368,8 @@ def cmd_eval(args, argv) -> int:
     t0 = time.perf_counter()
     if args.task != "histogram" and args.labels is None:
         raise UsageError(f"--task {args.task} needs --labels")
-    if args.splits < 1 or args.n_proj < 1:
-        raise UsageError("--splits and --n-proj must be positive")
+    if args.splits < 1 or args.n_proj < 1 or args.n_users < 1:
+        raise UsageError("--splits, --n-proj and --n-users must be positive")
     table = load_table(args.table)
     if args.table2:
         table = concat_tables(table, load_table(args.table2))
@@ -578,6 +578,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # Manifest records are one line each, so no argument may break a line.
+        if any("\n" in arg or "\r" in arg for arg in argv):
+            raise UsageError("arguments may not hold line breaks")
         return args.func(args, list(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, ModelFormatError, ShapeError
+from .errors import AlignmentError, ConfigError, DataError, ModelFormatError, ShapeError
 from .nets import DiffNet
 
 MODEL_MAGIC = b"BEM1"
@@ -489,8 +489,8 @@ def load_model(path):
         kg_dim = int(header["kg_dim"])
         bg_dim = int(header["bg_dim"])
         edge_dim = int(header["edge_dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{path}: incomplete header ({exc})")
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        raise ModelFormatError(f"{path}: bad header ({exc})")
     tensors = [reader.tensor() for _ in range(8)]
     if reader.pos != len(reader.payload):
         raise ModelFormatError(f"{path}: trailing bytes after tensors")

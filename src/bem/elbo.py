@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
 from .nets import (DiffNet, NetGrads, _backward_from_cache, _forward_cached,
-                   net_forward, net_forward_rows, sigmoid, softplus)
+                   net_forward_rows, sigmoid, softplus)
 
 # Clamps that keep degenerate batches out of log/divide trouble.
 VAR_FLOOR = 1e-6
@@ -163,6 +163,7 @@ def _split_raw(raw: np.ndarray, kg_dim: int, edge_dim: int):
 
 
 def _stats_from_raw(raw: np.ndarray, kg_dim: int, edge_dim: int) -> PosteriorStats:
+    """Posterior of one node from the inference net's output on (bg, kg)."""
     m_shift, r_shift, m_log, r_log = _split_raw(raw, kg_dim, edge_dim)
     return PosteriorStats(
         shift_mean=m_shift.copy(),
@@ -172,31 +173,11 @@ def _stats_from_raw(raw: np.ndarray, kg_dim: int, edge_dim: int) -> PosteriorSta
     )
 
 
-def infer_posterior(infer_net: DiffNet, kg_vec, bg_vec) -> PosteriorStats:
-    """Run the inference net on the concatenation (bg_vec, kg_vec).
-
-    The raw output splits into (shift mean, raw shift std, log-share mean,
-    raw log-share std); stds go through softplus plus a small floor.
-    """
-    kg_vec = np.asarray(kg_vec, dtype=float)
-    bg_vec = np.asarray(bg_vec, dtype=float)
-    if infer_net.in_dim != kg_vec.shape[0] + bg_vec.shape[0]:
-        raise ShapeError(
-            f"inference net expects input {infer_net.in_dim}, "
-            f"got {kg_vec.shape[0]} + {bg_vec.shape[0]}")
-    kg_dim = kg_vec.shape[0]
-    if (infer_net.out_dim - 2 * kg_dim) % 2 != 0 or infer_net.out_dim <= 2 * kg_dim:
-        raise ShapeError("inference net output must be 2*kg_dim + 2*edge_dim")
-    edge_dim = (infer_net.out_dim - 2 * kg_dim) // 2
-    raw = net_forward(infer_net, np.concatenate([bg_vec, kg_vec]))
-    return _stats_from_raw(raw, kg_dim, edge_dim)
-
-
 def shift_mean_rows(infer_net: DiffNet, kg_rows: np.ndarray,
                     bg_rows: np.ndarray) -> np.ndarray:
-    """Posterior shift means of a block of rows: the batched
-    ``infer_posterior(...).shift_mean``, through ``net_forward_rows``.
-    The caller checks that the net fits the row dimensions."""
+    """Posterior shift means of a block of rows: the first kg_dim outputs
+    of the inference net on each (bg row, kg row), as ``_forward`` reads
+    them per node. The caller checks that the net fits the row dimensions."""
     raw = net_forward_rows(infer_net, np.hstack([bg_rows, kg_rows]))
     return raw[:, :kg_rows.shape[1]]
 
@@ -219,20 +200,14 @@ def reparametrize(stats: PosteriorStats, eps_shift, eps_logres) -> LatentSample:
     return LatentSample(shift=shift, res_var=res_var)
 
 
-def reconstruction_term(edge: Edge, bg_i, bg_j, proj_i, proj_j,
-                        res_var_i, res_var_j) -> float:
-    """Gaussian fit of the edge residual, additive constant dropped.
+def _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j):
+    """Gaussian fit of the edge residual, additive constant dropped, with
+    the residual and the total variance behind it, which the gradient reuses.
 
     Per coordinate: -(log(total_var)/2 + residual^2 / (2 total_var)) with
     total_var = res_var_i + res_var_j, summed over coordinates. Equals the
     diagonal-Gaussian log-density up to +(d/2) log(2 pi).
     """
-    return _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j)[0]
-
-
-def _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j):
-    """``reconstruction_term`` with the residual and the total variance
-    behind it, which the gradient reuses."""
     res_var_i = np.asarray(res_var_i, dtype=float)
     res_var_j = np.asarray(res_var_j, dtype=float)
     total_var = res_var_i + res_var_j
@@ -376,27 +351,15 @@ def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
         _backward_from_cache(infer_net, *node.infer_cache, upstream, acc_infer)
 
 
-def elbo_pair(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
-              kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
-              prior_j: BatchPrior, eps) -> ElboParts:
-    """Single-draw lower bound for one pair: reconstruction minus both KLs.
-
-    ``eps`` is the pair's standard-normal noise, 2*kg_dim + 2*edge_dim
-    values in the order shift_i, logres_i, shift_j, logres_j.
-    """
-    return _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j,
-                    prior_i, prior_j, eps)[0]
-
-
 def elbo_pair_accumulate_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
                                kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
                                prior_j: BatchPrior, eps,
                                acc_proj: NetGrads, acc_infer: NetGrads) -> ElboParts:
-    """``elbo_pair``, adding the pair's ELBO gradients into the accumulators.
-
-    Gradients are of the ELBO itself (ascent direction) with the noise draws
-    held fixed, pathwise through the reparametrization.
-    """
+    """One pair's single-draw ELBO parts (reconstruction minus both KLs),
+    adding its gradients into the accumulators: of the ELBO itself (ascent
+    direction), pathwise through the reparametrization with ``eps`` fixed.
+    ``eps`` is the pair's standard-normal noise, 2*kg_dim + 2*edge_dim
+    values in the order shift_i, logres_i, shift_j, logres_j."""
     parts, tape = _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j,
                            prior_i, prior_j, eps)
     _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer)

@@ -22,8 +22,6 @@ class EvalSplit:
 
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    seed: int
-    train_fraction: float
 
 
 def make_split(ids, seed: int, train_fraction: float = 0.8) -> EvalSplit:
@@ -37,8 +35,7 @@ def make_split(ids, seed: int, train_fraction: float = 0.8) -> EvalSplit:
     n_train = min(max(int(round(train_fraction * len(ids))), 1), len(ids) - 1)
     train = tuple(ids[i] for i in perm[:n_train])
     test = tuple(ids[i] for i in perm[n_train:])
-    return EvalSplit(train_ids=train, test_ids=test, seed=seed,
-                     train_fraction=train_fraction)
+    return EvalSplit(train_ids=train, test_ids=test)
 
 
 @dataclass(eq=False)
@@ -64,6 +61,8 @@ def train_classifier(table: EmbeddingTable, labels: LabelTable,
     step is rolled back), so the recorded loss is non-increasing. Zero
     initialization makes training deterministic.
     """
+    if epochs < 1 or not lr > 0 or not reg >= 0:
+        raise ConfigError("classifier needs epochs >= 1, lr > 0 and reg >= 0")
     mapping = labels.mapping
     train_ids = [eid for eid in split.train_ids
                  if eid in table.id_index and eid in mapping]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -78,10 +78,22 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["edge"] = Edge(d["edge"])
-        return cls(**d)
+    def from_dict(cls, d) -> "TrainConfig":
+        """The inverse of ``to_dict``, checked: exactly the fields, each of its
+        default's type (a float field also takes an int), then ``validate``."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        if not isinstance(d, dict) or set(d) != set(kinds):
+            raise ConfigError(f"config must hold exactly the keys {sorted(kinds)}")
+        for name, kind in kinds.items():
+            value = d[name]
+            allowed = {Edge: str, float: (int, float)}.get(kind, kind)
+            if not isinstance(value, allowed) or isinstance(value, bool) is not (kind is bool):
+                raise ConfigError(f"config {name} must be of type {kind.__name__}, got {value!r}")
+        if d["edge"] not in [e.value for e in Edge]:
+            raise ConfigError(f"unknown edge function {d['edge']!r}")
+        cfg = cls(**{**d, "edge": Edge(d["edge"])})
+        cfg.validate()
+        return cfg
 
 
 @dataclass
@@ -97,7 +109,6 @@ class StepRecord:
 class TrainReport:
     records: list[StepRecord] = field(default_factory=list)
     param_checksum: str = ""
-    seed: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -167,7 +178,7 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
 
     n_steps = cfg.n_steps(n)
     allow_self = edge_allows_self_pairs(cfg.edge)
-    report = TrainReport(seed=cfg.seed)
+    report = TrainReport()
     for step in range(1, n_steps + 1):
         t0 = time.perf_counter()
         batch_a, batch_b = sample_paired_batches(n, cfg.n_batch, rng, allow_self)

@@ -70,6 +70,28 @@ class TestModelInput:
                      "--model", str(model), "--out", str(tmp_path / "r")]) == EXIT_DATA
         assert "model file ends prematurely" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        {"normalize_inputs": "false"}, {"n_batch": "x"}, {"n_batch": True},
+        {"epochs": -1}, {"learning_rate": "0.1"}])
+    def test_mistyped_header_config_exits_with_data_code(self, tmp_path, capsys, change):
+        data = synth_manifest(tmp_path).parent
+        model = tmp_path / "m.bem"
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", "--epochs", "0.2",
+                     "--out", str(model)]) == EXIT_OK
+        payload = model.read_bytes()[:-4]
+        hlen = struct.unpack("<I", payload[8:12])[0]
+        header = json.loads(payload[12:12 + hlen])
+        header["config"].update(change)
+        text = json.dumps(header, sort_keys=True).encode()
+        payload = payload[:8] + struct.pack("<I", len(text)) + text + payload[12 + hlen:]
+        model.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        out = tmp_path / "r"
+        assert main(["refine", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--model", str(model), "--out", str(out)]) == EXIT_DATA
+        assert "bad header" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize("target", ["table", "labels", "truth", "manifest", "config"])
@@ -97,6 +119,13 @@ class TestNonUtf8Input:
 class TestLineBreaks:
     """Manifest and config lines end at \\n, \\r\\n and \\r only."""
 
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_argument_with_a_line_break_is_a_usage_error(self, tmp_path, capsys, brk):
+        # Its manifest record would split into two lines that replay cannot read.
+        assert main(["synth", "--out", str(tmp_path / f"a{brk}b"), "--n", "50"]) == EXIT_USAGE
+        assert "line breaks" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                      "\u2028", "\u2029"])
     def test_other_separators_stay_in_the_line(self, tmp_path, sep):
@@ -121,6 +150,23 @@ class TestEvalUsage:
         assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
                      str(data / "labels.tsv"), "--task", "classify", *flags]) == EXIT_USAGE
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_users", ["0", "-3"])
+    def test_non_positive_user_count_is_a_usage_error(self, tmp_path, capsys, n_users):
+        data = synth_manifest(tmp_path).parent
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
+                     str(data / "labels.tsv"), "--task", "recall",
+                     "--n-users", n_users]) == EXIT_USAGE
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--epochs", "0"], ["--lr", "-1"],
+                                       ["--reg", "-1"]])
+    def test_meaningless_classifier_settings_exit_with_data_code(self, tmp_path, capsys,
+                                                                 flags):
+        data = synth_manifest(tmp_path).parent
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
+                     str(data / "labels.tsv"), "--task", "classify", *flags]) == EXIT_DATA
+        assert "classifier needs" in capsys.readouterr().err
 
 
 class TestSweepOracleError:

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from bem.elbo import (BatchPrior, Edge, PosteriorStats, STD_FLOOR, VAR_FLOOR,
-                      edge_apply, edge_output_dim, elbo_pair,
-                      elbo_pair_accumulate_grads, estimate_prior,
-                      infer_posterior, kl_penalty, reconstruction_term,
+                      _reconstruction, edge_apply, edge_output_dim,
+                      elbo_pair_accumulate_grads, estimate_prior, kl_penalty,
                       reparametrize)
 from bem.errors import ConfigError, NumericalError, ShapeError
-from bem.nets import DiffNet, NetGrads, net_forward
+from bem.nets import DiffNet, NetGrads, _forward_cached
 
 EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
 
@@ -148,13 +147,21 @@ class TestEstimatePrior:
 
 
 class TestInferPosterior:
+    """The inference net's posterior, as the pair objective reads it per node."""
+
     def test_zero_net_gives_softplus_zero_stds(self):
         d_w, d_z, d_g = 3, 4, 4
+        rng = np.random.default_rng(0)
+        proj = DiffNet.random(d_w, 5, d_z, rng)
         net = DiffNet.zeros(d_w + d_z, 5, 2 * d_w + 2 * d_g)
-        stats = infer_posterior(net, np.ones(d_w), np.ones(d_z))
-        assert np.array_equal(stats.shift_mean, np.zeros(d_w))
-        assert np.allclose(stats.shift_std, np.log(2.0) + STD_FLOOR)
-        assert np.allclose(stats.log_resvar_std, np.log(2.0) + STD_FLOOR)
+        prior = random_prior(rng, d_w, d_g)
+        parts, _, _ = pair_grads(proj, net, Edge.TRANSLATION, np.ones(d_w), np.ones(d_z),
+                                 -np.ones(d_w), np.zeros(d_z), prior, prior,
+                                 rng.standard_normal(2 * d_w + 2 * d_g))
+        for stats in (parts.stats_i, parts.stats_j):
+            assert np.array_equal(stats.shift_mean, np.zeros(d_w))
+            assert np.allclose(stats.shift_std, np.log(2.0) + STD_FLOOR)
+            assert np.allclose(stats.log_resvar_std, np.log(2.0) + STD_FLOOR)
 
     def test_passthrough_net_copies_input_into_shift_mean(self):
         # With the inner-product edge and d_z = d_w + 2 the inference net
@@ -167,29 +174,43 @@ class TestInferPosterior:
         net = DiffNet(dim, 2 * dim, dim,
                       W1=np.vstack([eye, -eye]), b1=np.zeros(2 * dim),
                       W2=np.hstack([eye, -eye]), b2=np.zeros(dim))
-        kg = np.array([0.5, -0.6, 0.7])
-        bg = np.array([1.5, -2.5, 3.5, -4.5, 5.5])
-        stats = infer_posterior(net, kg, bg)
-        assert np.array_equal(stats.shift_mean, bg[:d_w])
+        rng = np.random.default_rng(1)
+        proj = DiffNet.random(d_w, 4, d_z, rng)
+        prior = random_prior(rng, d_w, 1)
+        kg_i, kg_j = np.array([0.5, -0.6, 0.7]), np.array([0.1, 0.2, -0.3])
+        bg_i = np.array([1.5, -2.5, 3.5, -4.5, 5.5])
+        bg_j = np.array([-0.5, 0.25, 1.0, 2.0, -1.0])
+        parts, _, _ = pair_grads(proj, net, Edge.INNER_PRODUCT, kg_i, bg_i, kg_j, bg_j,
+                                 prior, prior, np.zeros(dim))
+        assert np.array_equal(parts.stats_i.shift_mean, bg_i[:d_w])
+        assert np.array_equal(parts.stats_j.shift_mean, bg_j[:d_w])
 
     def test_matches_forward_then_split(self):
         rng = np.random.default_rng(5)
         d_w, d_z, d_g = 2, 3, 3
         net = DiffNet.random(d_w + d_z, 6, 2 * d_w + 2 * d_g, rng)
-        kg = rng.normal(size=d_w)
-        bg = rng.normal(size=d_z)
-        raw = net_forward(net, np.concatenate([bg, kg]))
-        stats = infer_posterior(net, kg, bg)
-        assert np.array_equal(stats.shift_mean, raw[:d_w])
-        assert np.allclose(stats.shift_std,
-                           np.logaddexp(0.0, raw[d_w:2 * d_w]) + STD_FLOOR)
-        assert np.array_equal(stats.log_resvar_mean, raw[2 * d_w:2 * d_w + d_g])
-        assert np.all(stats.shift_std > 0) and np.all(stats.log_resvar_std > 0)
+        proj = DiffNet.random(d_w, 6, d_z, rng)
+        kg_i, kg_j = rng.normal(size=d_w), rng.normal(size=d_w)
+        bg_i, bg_j = rng.normal(size=d_z), rng.normal(size=d_z)
+        prior = random_prior(rng, d_w, d_g)
+        parts, _, _ = pair_grads(proj, net, Edge.TRANSLATION, kg_i, bg_i, kg_j, bg_j,
+                                 prior, prior, rng.standard_normal(2 * d_w + 2 * d_g))
+        for stats, kg, bg in ((parts.stats_i, kg_i, bg_i), (parts.stats_j, kg_j, bg_j)):
+            raw = _forward_cached(net, np.concatenate([bg, kg]))[0]
+            assert np.array_equal(stats.shift_mean, raw[:d_w])
+            assert np.allclose(stats.shift_std,
+                               np.logaddexp(0.0, raw[d_w:2 * d_w]) + STD_FLOOR)
+            assert np.array_equal(stats.log_resvar_mean, raw[2 * d_w:2 * d_w + d_g])
+            assert np.all(stats.shift_std > 0) and np.all(stats.log_resvar_std > 0)
 
     def test_dimension_mismatch_raises(self):
-        net = DiffNet.zeros(5, 4, 10)
-        with pytest.raises(ShapeError):
-            infer_posterior(net, np.ones(3), np.ones(3))
+        # An inference net for 5 inputs against kg and bg vectors of 3 each.
+        proj = DiffNet.zeros(3, 4, 3)
+        net = DiffNet.zeros(5, 4, 12)
+        prior = BatchPrior(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))
+        with pytest.raises(ShapeError, match="input dimension"):
+            pair_grads(proj, net, Edge.TRANSLATION, np.ones(3), np.ones(3),
+                       np.ones(3), np.ones(3), prior, prior, np.zeros(12))
 
 
 class TestReparametrize:
@@ -239,16 +260,16 @@ class TestReconstructionTerm:
         z = np.array([0.1, 0.2, 0.3])
         nu = z.copy()
         half = np.full(3, 0.5)
-        val = reconstruction_term(Edge.TRANSLATION, z, np.zeros(3), nu,
-                                  np.zeros(3), half, half)
+        val, _, _ = _reconstruction(Edge.TRANSLATION, z, np.zeros(3), nu,
+                                    np.zeros(3), half, half)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_residual_unit_variance(self):
         # d_g = 1 via the inner-product edge: residual 1, total variance 1.
-        val = reconstruction_term(Edge.INNER_PRODUCT, np.array([1.0]),
-                                  np.array([1.0]), np.array([0.0]),
-                                  np.array([1.0]), np.array([0.5]),
-                                  np.array([0.5]))
+        val, _, _ = _reconstruction(Edge.INNER_PRODUCT, np.array([1.0]),
+                                    np.array([1.0]), np.array([0.0]),
+                                    np.array([1.0]), np.array([0.5]),
+                                    np.array([0.5]))
         assert val == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("edge", EDGES)
@@ -260,7 +281,7 @@ class TestReconstructionTerm:
             bg_i, bg_j = rng.normal(size=d_z), rng.normal(size=d_z)
             nu_i, nu_j = rng.normal(size=d_z), rng.normal(size=d_z)
             va, vb = rng.uniform(0.05, 3.0, size=d_g), rng.uniform(0.05, 3.0, size=d_g)
-            val = reconstruction_term(edge, bg_i, bg_j, nu_i, nu_j, va, vb)
+            val, _, _ = _reconstruction(edge, bg_i, bg_j, nu_i, nu_j, va, vb)
             logpdf = float(np.sum(sps.norm.logpdf(
                 edge_apply(edge, bg_i, bg_j),
                 loc=edge_apply(edge, nu_i, nu_j),
@@ -271,10 +292,10 @@ class TestReconstructionTerm:
         rng = np.random.default_rng(4)
         z_i, z_j = rng.normal(size=3), rng.normal(size=3)
         v = rng.uniform(0.2, 1.0, size=3)
-        best = reconstruction_term(Edge.TRANSLATION, z_i, z_j, z_i, z_j, v, v)
+        best, _, _ = _reconstruction(Edge.TRANSLATION, z_i, z_j, z_i, z_j, v, v)
         for _ in range(20):
             off = rng.normal(size=3) * 0.5
-            worse = reconstruction_term(Edge.TRANSLATION, z_i, z_j, z_i + off, z_j, v, v)
+            worse, _, _ = _reconstruction(Edge.TRANSLATION, z_i, z_j, z_i + off, z_j, v, v)
             assert worse <= best + 1e-12
 
     def test_translation_residual_vanishes_for_equal_nodes(self):
@@ -284,7 +305,7 @@ class TestReconstructionTerm:
         z = rng.normal(size=4)
         nu = rng.normal(size=4)
         v = rng.uniform(0.1, 2.0, size=4)
-        val = reconstruction_term(Edge.TRANSLATION, z, z, nu, nu, v, v)
+        val, _, _ = _reconstruction(Edge.TRANSLATION, z, z, nu, nu, v, v)
         assert val == pytest.approx(float(-0.5 * np.sum(np.log(2 * v))), abs=1e-12)
 
 
@@ -360,7 +381,7 @@ class TestElboPair:
 
     def test_parts_add_up(self):
         args = self.make_setup(Edge.TRANSLATION)
-        parts = elbo_pair(args[0], args[1], Edge.TRANSLATION, *args[2:])
+        parts, _, _ = pair_grads(args[0], args[1], Edge.TRANSLATION, *args[2:])
         assert parts.elbo == pytest.approx(parts.recon - parts.kl_i - parts.kl_j)
 
     def test_lambda_direction_of_each_kl_summand(self):
@@ -391,17 +412,21 @@ class TestElboPair:
         kg_i, kg_j = rng.normal(size=d_w), rng.normal(size=d_w)
         bg_i, bg_j = rng.normal(size=d_z), rng.normal(size=d_z)
         eps = rng.standard_normal(2 * d_w + 2 * d_g)
+        # The posteriors do not depend on the priors: a first pass with any
+        # priors gives them, and the second pass uses them as the priors.
+        prior = random_prior(rng, d_w, d_g)
+        first, _, _ = pair_grads(proj, infer, edge, kg_i, bg_i, kg_j, bg_j,
+                                 prior, prior, eps)
         priors = []
-        for kg_vec, bg_vec in ((kg_i, bg_i), (kg_j, bg_j)):
-            stats = infer_posterior(infer, kg_vec, bg_vec)
+        for stats in (first.stats_i, first.stats_j):
             priors.append(BatchPrior(
                 shift_mean=stats.shift_mean.copy(),
                 shift_var=stats.shift_std ** 2,
                 log_resvar_mean=stats.log_resvar_mean.copy(),
                 log_resvar_var=stats.log_resvar_std ** 2,
                 lambda1=1.0, lambda2=1.0))
-        parts = elbo_pair(proj, infer, edge, kg_i, bg_i, kg_j, bg_j,
-                          priors[0], priors[1], eps)
+        parts, _, _ = pair_grads(proj, infer, edge, kg_i, bg_i, kg_j, bg_j,
+                                 priors[0], priors[1], eps)
         assert parts.kl_i == pytest.approx(0.0, abs=1e-10)
         assert parts.kl_j == pytest.approx(0.0, abs=1e-10)
         assert parts.elbo == pytest.approx(parts.recon, abs=1e-9)
@@ -418,8 +443,8 @@ class TestElboPair:
         for seed in range(10):
             args = self.make_setup(Edge.IDENTITY, seed=seed)
             proj, infer, kg_i, bg_i, kg_j, bg_j, prior_i, prior_j, eps = args
-            parts = elbo_pair(proj, infer, Edge.IDENTITY, kg_i, bg_i,
-                              kg_j, bg_j, prior_i, prior_j, eps)
+            parts, _, _ = pair_grads(proj, infer, Edge.IDENTITY, kg_i, bg_i,
+                                     kg_j, bg_j, prior_i, prior_j, eps)
             d_z = proj.out_dim
             total_var = parts.sample_i.res_var + parts.sample_j.res_var
             oracle = (node_term(bg_i, parts.proj_i, total_var[:d_z])
@@ -436,7 +461,7 @@ class TestElboPair:
         parts, gp, gi = pair_grads(proj, infer, edge, *rest)
 
         def value():
-            return elbo_pair(proj, infer, edge, *rest).elbo
+            return pair_grads(proj, infer, edge, *rest)[0].elbo
 
         step = 1e-5
         for net, grads in ((proj, gp), (infer, gi)):

@@ -3,8 +3,9 @@ import pytest
 
 from bem.dataio import EmbeddingTable, LabelTable
 from bem.errors import ConfigError, EvalError, ShapeError
-from bem.evalkit import (_top_k, cluster_ratio_detail, concat_tables, hit_recall,
-                         random_project, similarity_histogram)
+from bem.evalkit import (_top_k, classify_accuracy, cluster_ratio_detail, concat_tables,
+                         hit_recall, make_split, random_project, similarity_histogram,
+                         train_classifier)
 
 
 def argsort_hit_recall(query, candidates, triggers_by_user, truth_by_user,
@@ -110,6 +111,31 @@ class TestHitRecall:
         table = EmbeddingTable(ids=("a", "b"), matrix=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ConfigError):
             hit_recall(table, table, {"u": ["a"]}, {}, {}, k=0)
+
+
+class TestClassifier:
+    def setup_method(self):
+        ids = tuple(f"e{i}" for i in range(20))
+        rng = np.random.default_rng(0)
+        classes = np.arange(20) % 2
+        matrix = rng.normal(size=(20, 3)) + 4.0 * classes[:, None]
+        self.table = EmbeddingTable(ids=ids, matrix=matrix)
+        self.labels = LabelTable(ids=ids, label_sets=[(f"c{c}",) for c in classes])
+        self.split = make_split(ids, 0)
+
+    def test_separable_classes_are_learned(self):
+        model = train_classifier(self.table, self.labels, self.split)
+        assert classify_accuracy(model, self.table, self.labels, self.split.test_ids) == 1.0
+
+    @pytest.mark.parametrize("setting", [{"epochs": 0}, {"epochs": -1}, {"lr": 0.0},
+                                         {"lr": -1.0}, {"lr": float("nan")},
+                                         {"reg": -1.0}, {"reg": float("nan")}])
+    def test_meaningless_settings_raise(self, setting):
+        with pytest.raises(ConfigError):
+            train_classifier(self.table, self.labels, self.split, **setting)
+
+    def test_zero_regularization_is_allowed(self):
+        train_classifier(self.table, self.labels, self.split, reg=0.0, epochs=1)
 
 
 class TestSimilarityHistogram:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bem.elbo import BatchPrior, Edge, elbo_pair_accumulate_grads
 from bem.errors import ShapeError, TrainingError
-from bem.nets import (ROW_BLOCK, AdamState, DiffNet, NetGrads, adam_step,
-                      net_backward, net_forward, net_forward_rows)
+from bem.nets import (ROW_BLOCK, AdamState, DiffNet, NetGrads, _backward_from_cache,
+                      _forward_cached, adam_step, net_forward_rows)
 
-# Largest allowed gap between a blocked row and its single-vector result for
-# order-one values: a few dozen ulps (2.8e-16 measured).
+# Largest allowed gap between a blocked row and the explicit-loop oracle for
+# order-one values: a few dozen ulps (8.9e-16 measured).
 ROWS_ATOL = 1e-14
 
 
@@ -36,38 +37,48 @@ def identity_net(dim):
 class TestForward:
     def test_zero_net_maps_everything_to_zero(self):
         net = DiffNet.zeros(3, 5, 2)
-        assert np.array_equal(net_forward(net, [1.0, -2.0, 0.5]), np.zeros(2))
+        x = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(net_forward_rows(net, [x]), np.zeros((1, 2)))
+        assert np.array_equal(_forward_cached(net, x)[0], np.zeros(2))
 
     def test_relu_kills_negative_coordinate(self):
         net = identity_net(2)
-        assert np.array_equal(net_forward(net, [1.0, -1.0]), [1.0, 0.0])
+        x = np.array([1.0, -1.0])
+        assert np.array_equal(net_forward_rows(net, [x]), [[1.0, 0.0]])
+        assert np.array_equal(_forward_cached(net, x)[0], [1.0, 0.0])
 
     def test_seeded_net_matches_straight_line_reevaluation(self):
         net = DiffNet.random(3, 4, 2, np.random.default_rng(7))
         x = np.array([0.1, 0.2, 0.3])
         expected = straight_line_forward(net, x)
-        assert np.allclose(net_forward(net, x), expected, rtol=0, atol=1e-12)
+        assert np.allclose(net_forward_rows(net, [x])[0], expected, rtol=0, atol=1e-12)
+        assert np.allclose(_forward_cached(net, x)[0], expected, rtol=0, atol=1e-12)
 
     def test_forward_is_pure(self):
         net = DiffNet.random(5, 6, 4, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=5)
-        first = net_forward(net, x)
+        first_row = net_forward_rows(net, [x])
+        first = _forward_cached(net, x)[0]
         for _ in range(5):
-            assert np.array_equal(net_forward(net, x), first)
+            assert np.array_equal(net_forward_rows(net, [x]), first_row)
+            assert np.array_equal(_forward_cached(net, x)[0], first)
 
     def test_dimension_mismatch_raises(self):
         net = DiffNet.zeros(3, 4, 2)
         with pytest.raises(ShapeError):
-            net_forward(net, [1.0, 2.0])
+            net_forward_rows(net, [[1.0, 2.0]])
+        with pytest.raises(ShapeError):
+            net_forward_rows(net, [1.0, 2.0, 3.0])
 
     def test_rows_helper_matches_single_vector_calls(self):
-        # Blocked matrix products sum in another order than the per-vector
-        # calls, so the loop is an oracle within ROWS_ATOL, not bit for bit.
+        # Blocked matrix products sum in another order than the explicit
+        # loop, so the loop is an oracle within ROWS_ATOL, not bit for bit.
         net = DiffNet.random(4, 50, 3, np.random.default_rng(2))
         X = np.random.default_rng(3).normal(size=(2 * ROW_BLOCK + 3, 4))
         batched = net_forward_rows(net, X)
         for i in range(len(X)):
-            assert np.allclose(batched[i], net_forward(net, X[i]), rtol=0, atol=ROWS_ATOL)
+            assert np.allclose(batched[i], straight_line_forward(net, X[i]),
+                               rtol=0, atol=ROWS_ATOL)
         assert np.array_equal(net_forward_rows(net, X), batched)
 
     def test_rows_helper_ignores_input_memory_layout(self):
@@ -95,13 +106,18 @@ class TestInit:
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         net = DiffNet.random(3, 4, 2, np.random.default_rng(0))
-        grads, dx = net_backward(net, [0.3, -0.2, 0.9], np.zeros(2))
+        x = np.array([0.3, -0.2, 0.9])
+        _, pre, hid = _forward_cached(net, x)
+        grads, dx = _backward_from_cache(net, x, pre, hid, np.zeros(2),
+                                         NetGrads.zeros_like(net))
         for arr in (grads.W1, grads.b1, grads.W2, grads.b2, dx):
             assert np.all(arr == 0.0)
 
     def test_identity_net_relu_mask_on_input_grad(self):
         net = identity_net(2)
-        _, dx = net_backward(net, [1.0, -1.0], [1.0, 1.0])
+        x = np.array([1.0, -1.0])
+        _, pre, hid = _forward_cached(net, x)
+        _, dx = _backward_from_cache(net, x, pre, hid, np.ones(2), NetGrads.zeros_like(net))
         assert np.array_equal(dx, [1.0, 0.0])
 
     def test_gradients_match_finite_differences(self):
@@ -119,9 +135,11 @@ class TestBackward:
             if np.min(np.abs(net.W1 @ x + net.b1)) < 1e-3:
                 continue
             upstream = rng.normal(size=out)
-            grads, dx = net_backward(net, x, upstream)
+            _, pre, hid = _forward_cached(net, x)
+            grads, dx = _backward_from_cache(net, x, pre, hid, upstream,
+                                             NetGrads.zeros_like(net))
             def value():
-                return float(upstream @ net_forward(net, x))
+                return float(upstream @ _forward_cached(net, x)[0])
             for arr, g in ((net.W1, grads.W1), (net.b1, grads.b1),
                            (net.W2, grads.W2), (net.b2, grads.b2)):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -148,9 +166,23 @@ class TestBackward:
             checked += 1
 
     def test_shape_mismatch_raises(self):
-        net = DiffNet.zeros(3, 4, 2)
-        with pytest.raises(ShapeError):
-            net_backward(net, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        # The pair objective, the backward pass's one caller, checks the
+        # shapes first: inference-net output, node input and noise length.
+        d_w, d_z = 3, 2
+        proj = DiffNet.zeros(d_w, 4, d_z)
+        fits = DiffNet.zeros(d_w + d_z, 4, 2 * d_w + 2 * d_z)
+        too_wide = DiffNet.zeros(d_w + d_z, 4, 2 * d_w + 2 * d_z + 1)
+        prior = BatchPrior(np.zeros(d_w), np.ones(d_w), np.zeros(d_z), np.ones(d_z))
+        eps = np.zeros(2 * d_w + 2 * d_z)
+        for infer, kg_i, noise, what in (
+                (too_wide, np.ones(d_w), np.zeros(len(eps) + 1), "net output"),
+                (fits, np.ones(d_w + 1), eps, "input dimension"),
+                (fits, np.ones(d_w), eps[1:], "pair noise")):
+            with pytest.raises(ShapeError, match=what):
+                elbo_pair_accumulate_grads(
+                    proj, infer, Edge.TRANSLATION, kg_i, np.ones(d_z), np.ones(d_w),
+                    np.ones(d_z), prior, prior, noise,
+                    NetGrads.zeros_like(proj), NetGrads.zeros_like(infer))
 
 
 class TestAdam:
@@ -219,7 +251,10 @@ class TestAdam:
 class TestNetGrads:
     def test_scale_in_place(self):
         net = DiffNet.random(2, 3, 2, np.random.default_rng(0))
-        g, _ = net_backward(net, [1.0, 2.0], [1.0, -1.0])
+        x = np.array([1.0, 2.0])
+        _, pre, hid = _forward_cached(net, x)
+        g, _ = _backward_from_cache(net, x, pre, hid, np.array([1.0, -1.0]),
+                                    NetGrads.zeros_like(net))
         w1 = g.W1.copy()
         g.scale_(0.5)
         assert np.array_equal(g.W1, 0.5 * w1)

@@ -4,14 +4,11 @@ import pytest
 from bem.dataio import EmbeddingTable
 from bem.elbo import Edge, edge_output_dim, elbo_pair_accumulate_grads, estimate_prior
 from bem.errors import AlignmentError, ConfigError, ShapeError, TrainingError
-from bem.nets import ROW_BLOCK, DiffNet, NetGrads, net_forward
-from bem.elbo import infer_posterior
+from bem.nets import ROW_BLOCK, DiffNet, NetGrads
 from bem.rng import named_rng
 from bem.synthgen import SynthSpec, generate
 from bem.trainer import TrainConfig, refine, sample_paired_batches, train
-
-# See test_nets: blocked rows against single-vector calls.
-ROWS_ATOL = 1e-14
+from test_nets import ROWS_ATOL, straight_line_forward
 
 
 def tiny_tables(seed=0, n=6, d_w=2, d_z=3):
@@ -90,6 +87,24 @@ class TestTrainConfig:
     def test_dict_round_trip(self):
         cfg = TrainConfig(edge=Edge.IDENTITY, lambda2=0.5, seed=9)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("change", [
+        {"normalize_inputs": "false"}, {"normalize_inputs": 0}, {"n_batch": "x"},
+        {"n_batch": True}, {"n_batch": 3.0}, {"epochs": -1}, {"epochs": False},
+        {"learning_rate": "0.1"}, {"lambda1": None}, {"edge": "cosine"}, {"edge": 1},
+        {"seed": [0]}, {"extra": 1}])
+    def test_from_dict_checks_each_value(self, change):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), **change})
+
+    def test_from_dict_needs_every_key(self):
+        d = TrainConfig().to_dict()
+        del d["n_iter"]
+        with pytest.raises(ConfigError, match="exactly the keys"):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_takes_an_integer_for_a_float_field(self):
+        assert TrainConfig.from_dict({**TrainConfig().to_dict(), "epochs": 2}).epochs == 2
 
 
 class TestTrain:
@@ -233,13 +248,14 @@ class TestRefine:
         proj = DiffNet.random(kg.dim, 5, bg.dim, rng)
         infer = DiffNet.random(kg.dim + bg.dim, 5, 2 * kg.dim + 2 * d_g, rng)
         kg_r, bg_r = refine(kg, bg, proj, infer)
-        # The per-row calls are an oracle within ROWS_ATOL (see test_nets);
-        # repeated refines agree bit for bit.
+        # The explicit-loop evaluation is an oracle within ROWS_ATOL (see
+        # test_nets): the shift mean is the first kg.dim inference outputs on
+        # (bg row, kg row). Repeated refines agree bit for bit.
         for eid in kg.ids:
-            stats = infer_posterior(infer, kg.row(eid), bg.row(eid))
-            assert np.allclose(kg_r.row(eid), kg.row(eid) + stats.shift_mean,
+            raw = straight_line_forward(infer, np.concatenate([bg.row(eid), kg.row(eid)]))
+            assert np.allclose(kg_r.row(eid), kg.row(eid) + raw[:kg.dim],
                                rtol=0, atol=ROWS_ATOL)
-            assert np.allclose(bg_r.row(eid), net_forward(proj, kg_r.row(eid)),
+            assert np.allclose(bg_r.row(eid), straight_line_forward(proj, kg_r.row(eid)),
                                rtol=0, atol=ROWS_ATOL)
         kg_again, bg_again = refine(kg, bg, proj, infer)
         assert np.array_equal(kg_again.matrix, kg_r.matrix)
