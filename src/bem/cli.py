@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .dataio import (EmbeddingTable, align, load_labels, load_model,
                      load_table, save_model, write_labels, write_table,
-                     _atomic_write_text, _lines)
+                     _atomic_write_text, _frozen, _lines)
 from .elbo import Edge
 from .errors import (BemError, ConfigError, DataError, EvalError,
                      NumericalError, ShapeError, TrainingError)
@@ -429,7 +429,8 @@ def cmd_sweep(args, argv) -> int:
         else:
             # Scored in input scale: the refined BG rows times the input row norms.
             _, bg_refined = refine(kg_in, bg_in, proj_net, infer_net)
-            rescaled = EmbeddingTable(ids=bg_refined.ids, matrix=bg_refined.matrix * bg_norms)
+            rescaled = EmbeddingTable(ids=bg_refined.ids,
+                                      matrix=_frozen(bg_refined.matrix * bg_norms))
             metric = oracle_error(rescaled, truth_table)
         model_path = out_dir / f"model_{args.param}_{value}.bem"
         save_model(proj_net, infer_net, cfg, model_path)

@@ -16,6 +16,10 @@ non-finite value, is parsed again field by field with ``float()``, so the
 accepted files, the values and the line-numbered errors are those of a
 plain per-field ``float()`` loop.
 
+An ``EmbeddingTable`` copies any matrix but a read-only float64 array that
+owns its data. Code that builds a fresh matrix for a table hands it over
+``_frozen`` and never writes it again, so the table holds no second copy.
+
 Label file: ``id<TAB>class1,class2,...`` with a non-empty id and a
 non-empty class list.
 
@@ -128,17 +132,14 @@ def _keyed_rows(path, lines, n_keys: int, missing: str):
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """Aligned matrix of per-entity vectors. Immutable after construction.
-
-    A read-only float64 ndarray that owns its data is kept as it is; any
-    other matrix is copied.
-    """
+    """Aligned matrix of per-entity vectors. Immutable after construction."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.ids = tuple(str(i) for i in self.ids)
+        if not (type(self.ids) is tuple and all(type(i) is str for i in self.ids)):
+            self.ids = tuple(str(i) for i in self.ids)
         mat = self.matrix
         if not (type(mat) is np.ndarray and mat.dtype == np.float64
                 and mat.flags.owndata and not mat.flags.writeable):
@@ -170,20 +171,28 @@ class EmbeddingTable:
 
     def subset(self, indices) -> "EmbeddingTable":
         indices = list(indices)
-        matrix = self.matrix[indices]  # a fresh array: handed over frozen, not copied
-        matrix.flags.writeable = False
-        return EmbeddingTable(ids=tuple(self.ids[i] for i in indices), matrix=matrix)
+        return EmbeddingTable(ids=tuple(self.ids[i] for i in indices),
+                              matrix=_frozen(self.matrix[indices]))
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """A fresh matrix made read-only, for an ``EmbeddingTable`` to keep uncopied."""
+    matrix.flags.writeable = False
+    return matrix
 
 
 def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows divided by their L2 norms (zero-norm rows kept), and the norms."""
-    norms = np.linalg.norm(matrix, axis=1)
+    """Rows divided by their L2 norms (zero-norm rows kept), and the norms:
+    ``np.linalg.norm`` bit for bit, CHUNK_ROWS rows at a time (no table-sized square)."""
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), CHUNK_ROWS):
+        norms[start:start + CHUNK_ROWS] = np.linalg.norm(matrix[start:start + CHUNK_ROWS], axis=1)
     return matrix / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 
 def normalize_rows(table: EmbeddingTable) -> EmbeddingTable:
     """L2-normalize each row; all-zero rows are left as they are."""
-    return EmbeddingTable(ids=table.ids, matrix=unit_rows(table.matrix)[0])
+    return EmbeddingTable(ids=table.ids, matrix=_frozen(unit_rows(table.matrix)[0]))
 
 
 @dataclass(eq=False)
@@ -317,8 +326,7 @@ def _read_rows(path, label_column: bool = False):
     if header_dim is not None and header_dim != dim:
         raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
     matrix.resize((len(ids), dim), refcheck=False)
-    matrix.flags.writeable = False  # the table takes it without a copy
-    return ids, labels, matrix
+    return ids, labels, _frozen(matrix)
 
 
 def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
@@ -381,10 +389,12 @@ def align(kg: EmbeddingTable, bg: EmbeddingTable,
     """Put two tables on a common entity set, in kg order.
 
     ``strict`` raises on any id-set difference (listing up to 10 examples
-    per side); ``intersect`` keeps the common ids.
+    per side); ``intersect`` keeps the common ids. Aligned tables come back uncopied.
     """
     if policy not in ("strict", "intersect"):
         raise AlignmentError(f"unknown alignment policy {policy!r}")
+    if len(kg) and kg.ids == bg.ids:
+        return kg, bg, AlignResult(kept=len(kg), dropped_kg=0, dropped_bg=0)
     bg_set = set(bg.ids)
     if policy == "strict" and (difference := _id_set_difference(kg.ids, bg.ids)):
         raise AlignmentError(f"id sets differ: {difference}")

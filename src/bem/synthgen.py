@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (EmbeddingTable, LabelTable, _read_rows, _write_rows,
+from .dataio import (EmbeddingTable, LabelTable, _frozen, _read_rows, _write_rows,
                      unit_rows)
 from .errors import ConfigError, DataError, ShapeError
 from .nets import DiffNet, net_forward_rows
@@ -88,19 +88,22 @@ def generate(spec: SynthSpec) -> SynthTruth:
     true_net.W2 /= scale
     true_net.b2 -= col_means
     true_net.b2 /= scale
+    del raw
     clean = net_forward_rows(true_net, kg_mat + shift)
 
-    noise = spec.noise_scale * rng.standard_normal((n, spec.bg_dim))
+    noisy = rng.standard_normal((n, spec.bg_dim))
+    noisy *= spec.noise_scale
+    noisy += clean
     width = max(5, len(str(max(n - 1, 0))))
     ids = tuple(f"e{i:0{width}d}" for i in range(n))
-    cluster_names = tuple(f"c{c}" for c in labels)
+    singles = [(f"c{c}",) for c in range(k)]  # one name and one 1-tuple per cluster
     return SynthTruth(
-        kg=EmbeddingTable(ids=ids, matrix=kg_mat),
+        kg=EmbeddingTable(ids=ids, matrix=_frozen(kg_mat)),
         shift=shift,
-        clean_bg=EmbeddingTable(ids=ids, matrix=clean),
-        bg=EmbeddingTable(ids=ids, matrix=clean + noise),
-        labels=LabelTable(ids=ids, label_sets=tuple((c,) for c in cluster_names)),
-        attributes=dict(zip(ids, cluster_names)),
+        clean_bg=EmbeddingTable(ids=ids, matrix=_frozen(clean)),
+        bg=EmbeddingTable(ids=ids, matrix=_frozen(noisy)),
+        labels=LabelTable(ids=ids, label_sets=tuple(singles[c] for c in labels.tolist())),
+        attributes=dict(zip(ids, (singles[c][0] for c in labels.tolist()))),
         true_net=true_net,
     )
 
@@ -127,7 +130,7 @@ def oracle_error(refined_bg: EmbeddingTable,
                             f"(e.g. {missing[:10]})")
         rows = rows[[index[eid] for eid in refined_bg.ids]]
     diff = refined_bg.matrix - rows
-    return float(np.mean(diff ** 2))
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def write_truth(truth: SynthTruth, path) -> None:

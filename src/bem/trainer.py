@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dataio import EmbeddingTable, _id_set_difference, normalize_rows
+from .dataio import EmbeddingTable, _frozen, _id_set_difference, normalize_rows
 from .elbo import (Edge, edge_allows_self_pairs, edge_output_dim,
                    elbo_pair_accumulate_grads, estimate_prior, shift_mean_rows)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
@@ -49,11 +49,11 @@ class TrainConfig:
         if n_entities is not None and self.n_batch > n_entities:
             raise ConfigError(f"n_batch {self.n_batch} exceeds entity count {n_entities}")
         for name in ("epochs", "lambda1", "lambda2"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         # learning_rate 0 is allowed: it freezes the optimizer.
-        if not self.learning_rate >= 0:
-            raise ConfigError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be non-negative and finite")
         if self.hidden_dim < 1 or self.n_bootstrap < 1 or self.n_iter < 1:
             raise ConfigError("hidden_dim, n_bootstrap and n_iter must be positive")
         if not isinstance(self.edge, Edge):
@@ -246,5 +246,5 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
         kg_out[rows] = kg.matrix[rows] + shift_mean_rows(
             infer_net, kg.matrix[rows], bg.matrix[rows])
         bg_out[rows] = net_forward_rows(proj_net, kg_out[rows])
-    return (EmbeddingTable(ids=kg.ids, matrix=kg_out),
-            EmbeddingTable(ids=kg.ids, matrix=bg_out))
+    return (EmbeddingTable(ids=kg.ids, matrix=_frozen(kg_out)),
+            EmbeddingTable(ids=kg.ids, matrix=_frozen(bg_out)))

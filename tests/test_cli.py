@@ -72,7 +72,8 @@ class TestModelInput:
 
     @pytest.mark.parametrize("change", [
         {"normalize_inputs": "false"}, {"n_batch": "x"}, {"n_batch": True},
-        {"epochs": -1}, {"learning_rate": "0.1"}])
+        {"epochs": -1}, {"learning_rate": "0.1"}, {"epochs": float("inf")},
+        {"lambda2": float("inf")}])
     def test_mistyped_header_config_exits_with_data_code(self, tmp_path, capsys, change):
         data = synth_manifest(tmp_path).parent
         model = tmp_path / "m.bem"
@@ -91,6 +92,17 @@ class TestModelInput:
                      "--model", str(model), "--out", str(out)]) == EXIT_DATA
         assert "bad header" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTrainUsage:
+    @pytest.mark.parametrize("flag", ["--epochs", "--lambda1", "--lambda2", "--lr"])
+    def test_infinite_setting_exits_with_data_code(self, tmp_path, capsys, flag):
+        data = synth_manifest(tmp_path).parent
+        model = tmp_path / "m.bem"
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", flag, "inf", "--out", str(model)]) == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+        assert not model.exists()
 
 
 class TestNonUtf8Input:

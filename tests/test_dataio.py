@@ -459,6 +459,14 @@ class TestAlign:
         assert kg.ids == bg.ids == ("a", "b")
         assert res == AlignResult(kept=2, dropped_kg=0, dropped_bg=0)
 
+    @pytest.mark.parametrize("policy", ["strict", "intersect"])
+    def test_aligned_tables_come_back_uncopied(self, policy):
+        kg = table_of(["a", "b"], [[1.0], [2.0]])
+        bg = table_of(["a", "b"], [[3.0, 4.0], [5.0, 6.0]])
+        kg2, bg2, res = align(kg, bg, policy=policy)
+        assert kg2 is kg and bg2 is bg
+        assert res == AlignResult(kept=2, dropped_kg=0, dropped_bg=0)
+
     def test_intersection_with_drop_report(self):
         kg = table_of(["a", "b", "c"], [[1.0], [2.0], [3.0]])
         bg = table_of(["b", "c", "d"], [[5.0], [6.0], [7.0]])

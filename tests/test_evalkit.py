@@ -3,34 +3,49 @@ import pytest
 
 from bem.dataio import EmbeddingTable, LabelTable
 from bem.errors import ConfigError, EvalError, ShapeError
-from bem.evalkit import (_top_k, classify_accuracy, cluster_ratio_detail, concat_tables,
-                         hit_recall, make_split, random_project, similarity_histogram,
-                         train_classifier)
+from bem.evalkit import (QUERY_BLOCK, _cosine_blocks, _top_k, classify_accuracy,
+                         cluster_ratio_detail, concat_tables, hit_recall, make_split,
+                         random_project, similarity_histogram, train_classifier)
+
+
+def loop_cosines(candidates, qvec):
+    """Reference similarity: unit candidate rows times the unit trigger row,
+    one trigger at a time; -inf for zero-norm candidates."""
+    norms = np.linalg.norm(candidates.matrix, axis=1)
+    unit = candidates.matrix / np.where(norms > 0.0, norms, 1.0)[:, None]
+    sims = unit @ (qvec / np.linalg.norm(qvec))
+    sims[norms == 0.0] = -np.inf
+    return sims
 
 
 def argsort_hit_recall(query, candidates, triggers_by_user, truth_by_user,
-                       item_attrs, k):
-    """Oracle: rank every candidate with a full stable argsort per trigger."""
-    cand_norms = np.linalg.norm(candidates.matrix, axis=1)
-    unit = candidates.matrix / np.where(cand_norms > 0.0, cand_norms, 1.0)[:, None]
-    hits = retrieved = skipped = 0
+                       item_attrs, k, cosines="blocks"):
+    """Oracle: rank every candidate with a full stable argsort per trigger,
+    by ``_cosine_blocks`` (the same bits as hit_recall) or, with
+    ``cosines="loop"``, by ``loop_cosines``."""
+    live, skipped = [], 0  # (trigger, user, query row) per ranked trigger
     for user in sorted(triggers_by_user):
-        truth = truth_by_user.get(user, set())
         for trig in triggers_by_user[user]:
             qidx = query.id_index.get(trig)
             if qidx is None or np.linalg.norm(query.matrix[qidx]) == 0.0:
                 skipped += 1
-                continue
-            qvec = query.matrix[qidx]
-            sims = unit @ (qvec / np.linalg.norm(qvec))
-            sims[cand_norms == 0.0] = -np.inf
-            if trig in candidates.id_index:
-                sims[candidates.id_index[trig]] = -np.inf
-            order = np.argsort(-sims, kind="stable")
-            for idx in order[:k]:
-                if np.isfinite(sims[idx]):
-                    retrieved += 1
-                    hits += item_attrs.get(candidates.ids[idx]) in truth
+            else:
+                live.append((trig, user, qidx))
+    rows = query.matrix[[qidx for _, _, qidx in live]].reshape(-1, query.dim)
+    if cosines == "loop":
+        sims_rows = [loop_cosines(candidates, row) for row in rows]
+    else:
+        sims_rows = [row.copy() for block in _cosine_blocks(rows, candidates.matrix)
+                     for row in block]
+    hits = retrieved = 0
+    for (trig, user, _), sims in zip(live, sims_rows):
+        if trig in candidates.id_index:
+            sims[candidates.id_index[trig]] = -np.inf
+        order = np.argsort(-sims, kind="stable")
+        for idx in order[:k]:
+            if np.isfinite(sims[idx]):
+                retrieved += 1
+                hits += item_attrs.get(candidates.ids[idx]) in truth_by_user.get(user, set())
     return hits, retrieved, skipped
 
 
@@ -77,6 +92,52 @@ class TestHitRecall:
             got = (result.hits, result.retrieved, result.skipped_triggers)
             assert got == expected, seed
             assert result.recall == expected[0] / expected[1]
+
+    @pytest.mark.parametrize("n_triggers", [1, QUERY_BLOCK - 1, QUERY_BLOCK,
+                                            QUERY_BLOCK + 1, 3 * QUERY_BLOCK + 2])
+    def test_block_cosines_match_the_per_trigger_loop(self, n_triggers):
+        # The GEMM cosines are within 1e-15 of the unit-row loop, and the
+        # same bits on every run; ranked by either, hits agree on every
+        # trigger whose k-th and (k+1)-th loop cosines are 1e-12 apart.
+        k = 5
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n, dim = int(rng.integers(100, 400)), int(rng.integers(1, 33))
+            ids = tuple(f"i{j}" for j in range(n))
+            mat = rng.normal(size=(n, dim)) * rng.lognormal(0.0, 2.0, size=(n, 1))
+            mat[rng.integers(0, n)] = 0.0
+            table = EmbeddingTable(ids=ids, matrix=mat)
+            attrs = {eid: f"a{rng.integers(0, 4)}" for eid in ids}
+            picks = [ids[j] for j in rng.permutation(n)]
+            rows = table.matrix[[table.id_index[t] for t in picks]]
+            keep = np.linalg.norm(rows, axis=1) > 0.0
+            blocks = np.vstack([b.copy() for b in _cosine_blocks(rows[keep], table.matrix)])
+            again = np.vstack([b.copy() for b in _cosine_blocks(rows[keep], table.matrix)])
+            assert np.array_equal(blocks, again)
+            loop = np.array([loop_cosines(table, row) for row in rows[keep]])
+            assert np.array_equal(np.isinf(blocks), np.isinf(loop))
+            finite = np.isfinite(loop)
+            assert np.max(np.abs(blocks[finite] - loop[finite])) <= 1e-15
+
+            separated = []
+            for t in picks:
+                if not np.any(table.row(t)):
+                    continue
+                sims = loop_cosines(table, table.row(t))
+                sims[table.id_index[t]] = -np.inf
+                top = np.sort(sims)[::-1]
+                if top[k - 1] - top[k] > 1e-12:
+                    separated.append(t)
+            triggers = separated[:n_triggers]
+            assert len(triggers) == n_triggers
+            users = {f"u{u}": triggers[u::3] for u in range(3)}
+            truth = {u: {f"a{rng.integers(0, 4)}"} for u in users}
+            result = hit_recall(table, table, users, truth, attrs, k)
+            got = (result.hits, result.retrieved, result.skipped_triggers)
+            assert got == argsort_hit_recall(table, table, users, truth, attrs, k,
+                                             cosines="loop")
+            again = hit_recall(table, table, users, truth, attrs, k)
+            assert (again.hits, again.retrieved) == (result.hits, result.retrieved)
 
     def test_zero_norm_rows_are_skipped_and_never_retrieved(self):
         ids = ("z", "a", "b", "c")

@@ -80,6 +80,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0.0).validate()
 
+    @pytest.mark.parametrize("name", ["epochs", "lambda1", "lambda2", "learning_rate"])
+    def test_infinity_is_rejected(self, name):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**{name: float("inf")}).validate()
+
     def test_step_count_ceiling(self):
         assert TrainConfig(n_batch=2, epochs=0.01).n_steps(4) == 1
         assert TrainConfig(n_batch=2, epochs=1.0).n_steps(5) == 3
@@ -92,7 +97,7 @@ class TestTrainConfig:
         {"normalize_inputs": "false"}, {"normalize_inputs": 0}, {"n_batch": "x"},
         {"n_batch": True}, {"n_batch": 3.0}, {"epochs": -1}, {"epochs": False},
         {"learning_rate": "0.1"}, {"lambda1": None}, {"edge": "cosine"}, {"edge": 1},
-        {"seed": [0]}, {"extra": 1}])
+        {"seed": [0]}, {"extra": 1}, {"epochs": float("inf")}, {"learning_rate": float("inf")}])
     def test_from_dict_checks_each_value(self, change):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({**TrainConfig().to_dict(), **change})
