@@ -8,7 +8,9 @@ Every file-writing command drops a ``key = value`` manifest alongside its
 outputs recording the exact argv, the effective configuration and the
 SHA-256 of each deterministic output, so a run can be replayed and
 verified bit for bit. Timing fields (and the step log, which contains
-per-step wall-clock) are excluded from that guarantee.
+per-step wall-clock) are excluded from that guarantee. The bits also depend
+on numpy, its BLAS and the BLAS thread settings: the manifest records them,
+and replay does not compare them.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import shlex
 import sys
 import time
@@ -54,6 +57,10 @@ TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 SWEEP_PARAMS = ["lambda1", "lambda2", "lr", "nB", "nh", "epochs"]
 ALIGN_POLICIES = ("strict", "intersect")
 
+# Environment variables that set the BLAS thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
 # synth flags named differently from their SynthSpec fields.
 SYNTH_FLAGS = {"n_entities": "n", "n_clusters": "clusters", "jitter_scale": "jitter"}
 
@@ -76,6 +83,7 @@ def _manifest_path(target: Path) -> Path:
 def write_manifest(target, command: str, argv: list[str], seed,
                    config: dict, inputs: dict, outputs: list,
                    unhashed_outputs: list = (), wall_s: float = 0.0) -> Path:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     lines = [
         f"command = {command}",
         f"tool_version = {__version__}",
@@ -83,7 +91,11 @@ def write_manifest(target, command: str, argv: list[str], seed,
         f"seed = {seed}",
         f"argv = {json.dumps(list(argv))}",
         f"wall_clock_s = {wall_s:.3f}",
+        f"numpy_version = {np.__version__}",
+        f"blas_name = {blas.get('name')}", f"blas_version = {blas.get('version')}",
     ]
+    lines += [f"env.{var} = {json.dumps(os.environ[var]) if var in os.environ else 'unset'}"
+              for var in BLAS_THREAD_VARS]
     for key, path in sorted(inputs.items()):
         lines.append(f"input.{key} = {path}")
     for path in outputs:
@@ -183,12 +195,8 @@ def _steplog_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_lines(pairs) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
-
-
 def _emit_report(pairs, out_dir: Path | None) -> list[Path]:
-    text = _report_lines(pairs)
+    text = "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
     sys.stdout.write(text)
     written = []
     if out_dir is not None:
@@ -211,12 +219,7 @@ def cmd_synth(args, argv) -> int:
                         for f in dataclasses.fields(SynthSpec)})
     truth = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "kg.tsv": out_dir / "kg.tsv",
-        "bg.tsv": out_dir / "bg.tsv",
-        "labels.tsv": out_dir / "labels.tsv",
-        "truth.tsv": out_dir / "truth.tsv",
-    }
+    paths = {name: out_dir / name for name in ("kg.tsv", "bg.tsv", "labels.tsv", "truth.tsv")}
     write_table(truth.kg, paths["kg.tsv"])
     write_table(truth.bg, paths["bg.tsv"])
     write_labels(truth.labels, paths["labels.tsv"])
@@ -384,11 +387,8 @@ def cmd_eval(args, argv) -> int:
         pairs, extra = _eval_recall(args, table)
     written = _emit_report(pairs, out_dir)
     if out_dir is not None:
-        inputs = {"table": args.table}
-        if args.table2:
-            inputs["table2"] = args.table2
-        if getattr(args, "labels", None):
-            inputs["labels"] = args.labels
+        inputs = {key: getattr(args, key) for key in ("table", "table2", "labels")
+                  if getattr(args, key)}
         write_manifest(out_dir, "eval", argv, args.seed, config=dict(pairs),
                        inputs=inputs, outputs=written + extra,
                        wall_s=time.perf_counter() - t0)

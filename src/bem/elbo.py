@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
 from .nets import (DiffNet, NetGrads, _backward_from_cache, _forward_cached,
-                   net_forward_rows, sigmoid, softplus)
+                   sigmoid, softplus)
 
 # Clamps that keep degenerate batches out of log/divide trouble.
 VAR_FLOOR = 1e-6
@@ -116,10 +116,7 @@ def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, n_boot: int,
     ``rng.integers(0, n, size=(n_boot, n))`` call. Both moments are mapped
     to log space by the first-order delta method and clamped.
     """
-    kg_a = np.asarray(kg_a, dtype=float)
-    kg_b = np.asarray(kg_b, dtype=float)
-    bg_a = np.asarray(bg_a, dtype=float)
-    bg_b = np.asarray(bg_b, dtype=float)
+    kg_a, kg_b, bg_a, bg_b = (np.asarray(x, dtype=float) for x in (kg_a, kg_b, bg_a, bg_b))
     n = kg_a.shape[0]
     if n < 2 or kg_b.shape[0] != n or bg_a.shape[0] != n or bg_b.shape[0] != n:
         raise ConfigError("prior estimation needs two aligned batches of size >= 2")
@@ -171,15 +168,6 @@ def _stats_from_raw(raw: np.ndarray, kg_dim: int, edge_dim: int) -> PosteriorSta
         log_resvar_mean=m_log.copy(),
         log_resvar_std=softplus(r_log) + STD_FLOOR,
     )
-
-
-def shift_mean_rows(infer_net: DiffNet, kg_rows: np.ndarray,
-                    bg_rows: np.ndarray) -> np.ndarray:
-    """Posterior shift means of a block of rows: the first kg_dim outputs
-    of the inference net on each (bg row, kg row), as ``_forward`` reads
-    them per node. The caller checks that the net fits the row dimensions."""
-    raw = net_forward_rows(infer_net, np.hstack([bg_rows, kg_rows]))
-    return raw[:, :kg_rows.shape[1]]
 
 
 def reparametrize(stats: PosteriorStats, eps_shift, eps_logres) -> LatentSample:

@@ -168,28 +168,21 @@ def similarity_histogram(table: EmbeddingTable, n_pairs: int, bins: int,
     n = len(table)
     if n < 2:
         raise EvalError("need at least 2 rows to sample pairs")
-    norms = np.linalg.norm(table.matrix, axis=1)
-    ii = np.empty(n_pairs, dtype=np.int64)
-    jj = np.empty(n_pairs, dtype=np.int64)
-    got = 0
-    while got < n_pairs:
-        need = n_pairs - got
-        a = rng.integers(0, n, size=need)
-        b = rng.integers(0, n, size=need)
-        keep = a != b
-        k = int(np.sum(keep))
-        ii[got:got + k] = a[keep]
-        jj[got:got + k] = b[keep]
-        got += k
-    ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
+    ii = jj = np.empty(0, dtype=np.int64)
+    while len(ii) < n_pairs:
+        need = n_pairs - len(ii)
+        a, b = rng.integers(0, n, size=need), rng.integers(0, n, size=need)
+        ii, jj = np.concatenate([ii, a[a != b]]), np.concatenate([jj, b[a != b]])
+    # Only the sampled rows are read: no norm pass over the whole table.
+    rows_i, rows_j = table.matrix[ii], table.matrix[jj]
+    norms_i, norms_j = np.linalg.norm(rows_i, axis=1), np.linalg.norm(rows_j, axis=1)
+    ok = (norms_i > 0.0) & (norms_j > 0.0)
     n_skipped = int(n_pairs - np.sum(ok))
     if n_skipped == n_pairs:
         raise EvalError("every sampled pair touched a zero-norm row")
-    ii, jj = ii[ok], jj[ok]
-    cos = np.abs(np.sum(table.matrix[ii] * table.matrix[jj], axis=1)
-                 / (norms[ii] * norms[jj]))
-    cos = np.clip(cos, 0.0, 1.0)
-    counts, edges = np.histogram(cos, bins=bins, range=(0.0, 1.0))
+    rows_i *= rows_j
+    cos = np.abs(np.sum(rows_i, axis=1)[ok] / (norms_i * norms_j)[ok])
+    counts, edges = np.histogram(np.clip(cos, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
     return Histogram(edges=edges, mass=counts / len(cos), n_pairs=n_pairs,
                      n_used=len(cos), n_skipped=n_skipped)
 

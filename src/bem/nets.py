@@ -1,10 +1,12 @@
 """Two-layer perceptrons with hand-written gradients and the Adam update.
 
 Everything is float64. Inference runs row-wise as matrix products over fixed
-blocks of ``ROW_BLOCK`` rows, so a row can differ from an explicit-loop
-evaluation in the last bits (summation order; 8.9e-16 measured). It is
-bit-identical from run to run, and a row's output does not depend on how
-many rows follow it. Training runs one vector at a time.
+blocks of ``ROW_BLOCK`` rows, one ``_block_forward`` per block, in
+``net_forward_rows`` and in ``trainer.refine`` (which passes only the
+shift-mean rows of the inference output layer), so a row can differ from an
+explicit-loop evaluation in the last bits (summation order; 8.9e-16
+measured). It is bit-identical from run to run, and a row's output does not
+depend on how many rows follow it. Training runs one vector at a time.
 """
 from __future__ import annotations
 
@@ -14,11 +16,11 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 
-# Rows per matrix product in ``net_forward_rows``. Blocks start at row 0 and
-# the last one is zero-padded to full height, because the BLAS result for
-# one row may change with the height of the matrix it sits in: with fixed
-# blocks, the first m rows of a table give the same bits alone or inside
-# the whole table.
+# Rows per matrix product in ``net_forward_rows`` and ``trainer.refine``.
+# Blocks start at row 0 and the last one is padded to full height, because
+# the BLAS result for one row may change with the height of the matrix it
+# sits in (not with the other rows' values): with fixed blocks, the first m
+# rows of a table give the same bits alone or inside the whole table.
 ROW_BLOCK = 128
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
@@ -132,19 +134,24 @@ def net_forward_rows(net: DiffNet, X) -> np.ndarray:
     n = X.shape[0]
     out = np.empty((n, net.out_dim))
     block = np.zeros((ROW_BLOCK, net.in_dim))
-    hidden = np.empty((ROW_BLOCK, net.hidden_dim))
-    result = np.empty((ROW_BLOCK, net.out_dim))
+    hidden, result = np.empty((ROW_BLOCK, net.hidden_dim)), np.empty((ROW_BLOCK, net.out_dim))
     for start in range(0, n, ROW_BLOCK):
         rows = min(ROW_BLOCK, n - start)
         block[:rows] = X[start:start + rows]
         block[rows:] = 0.0
-        np.matmul(block, net.W1.T, out=hidden)
-        hidden += net.b1
-        np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(hidden, net.W2.T, out=result)
-        result += net.b2
+        _block_forward(block, net.W1, net.b1, net.W2, net.b2, hidden, result)
         out[start:start + rows] = result[:rows]
     return out
+
+
+def _block_forward(block, W1, b1, W2, b2, hidden, out) -> None:
+    """``out = relu(block @ W1.T + b1) @ W2.T + b2`` for one ``ROW_BLOCK``
+    block of rows, into the caller's ``hidden`` and ``out`` buffers."""
+    np.matmul(block, W1.T, out=hidden)
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    np.matmul(hidden, W2.T, out=out)
+    out += b2
 
 
 def _forward_cached(net: DiffNet, x: np.ndarray):

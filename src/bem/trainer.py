@@ -16,13 +16,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dataio import EmbeddingTable, _frozen, _id_set_difference, normalize_rows
+from .dataio import (EmbeddingTable, _frozen, _id_set_difference, normalize_rows,
+                     unit_rows)
 from .elbo import (Edge, edge_allows_self_pairs, edge_output_dim,
-                   elbo_pair_accumulate_grads, estimate_prior, shift_mean_rows)
+                   elbo_pair_accumulate_grads, estimate_prior)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
                      TrainingError)
-from .nets import (ROW_BLOCK, AdamState, DiffNet, NetGrads, adam_step,
-                   net_forward_rows)
+from .nets import ROW_BLOCK, AdamState, DiffNet, NetGrads, _block_forward, adam_step
 from .rng import named_rng
 
 
@@ -69,8 +69,9 @@ class TrainConfig:
         with ``normalize_inputs``, else the tables themselves and 1.0."""
         if not self.normalize_inputs:
             return kg, bg, 1.0
-        return (normalize_rows(kg), normalize_rows(bg),
-                np.linalg.norm(bg.matrix, axis=1, keepdims=True))
+        bg_unit, bg_norms = unit_rows(bg.matrix)
+        return (normalize_rows(kg), EmbeddingTable(ids=bg.ids, matrix=_frozen(bg_unit)),
+                bg_norms[:, None])
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -223,10 +224,11 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
            infer_net: DiffNet) -> tuple[EmbeddingTable, EmbeddingTable]:
     """Posterior-mean refinement of both tables; no sampling, inputs untouched.
 
-    Each KG row moves by its inferred shift mean; the refined BG row is the
-    deterministic projection of the shifted KG row. The tables are taken as
-    the nets see them (``TrainConfig.model_inputs``), and the refined tables
-    are in that space.
+    Each KG row moves by its inferred shift mean: the first ``kg.dim``
+    inference-net outputs on (bg row, kg row), the only second-layer rows
+    refine computes. The refined BG row is the deterministic projection of
+    the shifted KG row. The tables are taken as the nets see them
+    (``TrainConfig.model_inputs``), and the refined tables are in that space.
     """
     _check_aligned(kg, bg)
     if proj_net.in_dim != kg.dim:
@@ -235,16 +237,26 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
         raise ShapeError(f"projection net emits dim {proj_net.out_dim}, bg table has {bg.dim}")
     if infer_net.in_dim != kg.dim + bg.dim:
         raise ShapeError("inference net input does not match the table dimensions")
-    n = len(kg)
-    kg_out = np.empty((n, kg.dim))
-    bg_out = np.empty((n, bg.dim))
-    # Blocks of ROW_BLOCK rows give each row the block position a
-    # whole-table net_forward_rows call would, and keep every intermediate
-    # at one block's size.
+    n, kg_dim, bg_dim = len(kg), kg.dim, bg.dim
+    kg_out, bg_out = np.empty((n, kg_dim)), np.empty((n, bg_dim))
+    # One pass over fixed ROW_BLOCK blocks (see nets.ROW_BLOCK): the last
+    # block's padding rows are zero inputs whose outputs are never read.
+    inputs = np.zeros((ROW_BLOCK, infer_net.in_dim))
+    infer_hidden, shifted, proj_hidden, projected = (
+        np.empty((ROW_BLOCK, width))
+        for width in (infer_net.hidden_dim, kg_dim, proj_net.hidden_dim, bg_dim))
     for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, min(start + ROW_BLOCK, n))
-        kg_out[rows] = kg.matrix[rows] + shift_mean_rows(
-            infer_net, kg.matrix[rows], bg.matrix[rows])
-        bg_out[rows] = net_forward_rows(proj_net, kg_out[rows])
+        rows = min(ROW_BLOCK, n - start)
+        stop = start + rows
+        inputs[:rows, :bg_dim] = bg.matrix[start:stop]
+        inputs[:rows, bg_dim:] = kg.matrix[start:stop]
+        inputs[rows:] = 0.0
+        _block_forward(inputs, infer_net.W1, infer_net.b1, infer_net.W2[:kg_dim],
+                       infer_net.b2[:kg_dim], infer_hidden, shifted)
+        shifted += inputs[:, bg_dim:]
+        kg_out[start:stop] = shifted[:rows]
+        _block_forward(shifted, proj_net.W1, proj_net.b1, proj_net.W2, proj_net.b2,
+                       proj_hidden, projected)
+        bg_out[start:stop] = projected[:rows]
     return (EmbeddingTable(ids=kg.ids, matrix=_frozen(kg_out)),
             EmbeddingTable(ids=kg.ids, matrix=_frozen(bg_out)))

@@ -47,6 +47,36 @@ class TestReplay:
         assert main(["replay", str(manifest)]) == EXIT_DATA
         assert "no output.ghost.tsv entry" in capsys.readouterr().err
 
+    def test_manifest_records_numpy_blas_and_thread_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        entries = cli.read_manifest(synth_manifest(tmp_path))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert entries["numpy_version"] == np.__version__
+        assert (entries["blas_name"], entries["blas_version"]) == (blas["name"],
+                                                                   blas["version"])
+        assert entries["env.OMP_NUM_THREADS"] == '"2"'
+        assert entries["env.OPENBLAS_NUM_THREADS"] == "unset"
+        assert {f"env.{var}" for var in cli.BLAS_THREAD_VARS} <= set(entries)
+
+    def test_replay_does_not_compare_the_recorded_setup(self, tmp_path, capsys):
+        manifest = synth_manifest(tmp_path)
+        text = manifest.read_text(encoding="utf-8")
+        text = re.sub(r"(?m)^(numpy_version|blas_name|blas_version) = .*$", r"\1 = 0.0", text)
+        text = re.sub(r"(?m)^(env\.\w+) = .*$", r'\1 = "64"', text)
+        manifest.write_text(text, encoding="utf-8")
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_manifest_without_the_setup_records_replays(self, tmp_path, capsys):
+        # The layout written before manifests recorded numpy, BLAS and threads.
+        manifest = synth_manifest(tmp_path)
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if not line.startswith(
+            ("numpy_version", "blas_", "env."))), encoding="utf-8")
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", ["[not json", "5", '["synth", 3]'])
     def test_malformed_argv_record_is_a_data_error(self, tmp_path, argv):
         manifest = tmp_path / "manifest.txt"

@@ -199,7 +199,40 @@ class TestClassifier:
         train_classifier(self.table, self.labels, self.split, reg=0.0, epochs=1)
 
 
+def whole_table_histogram(table, n_pairs, bins, rng):
+    """Reference: the pair draw of ``similarity_histogram``, scored with the
+    norms of the whole table."""
+    n = len(table)
+    norms = np.linalg.norm(table.matrix, axis=1)
+    ii, jj = [], []
+    while len(ii) < n_pairs:
+        need = n_pairs - len(ii)
+        a, b = rng.integers(0, n, size=need), rng.integers(0, n, size=need)
+        ii += a[a != b].tolist()
+        jj += b[a != b].tolist()
+    ii, jj = np.array(ii), np.array(jj)
+    ok = (norms[ii] > 0.0) & (norms[jj] > 0.0)
+    ii, jj = ii[ok], jj[ok]
+    cos = np.abs(np.sum(table.matrix[ii] * table.matrix[jj], axis=1)
+                 / (norms[ii] * norms[jj]))
+    counts, edges = np.histogram(np.clip(cos, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
+    return counts / len(cos), edges, int(n_pairs - np.sum(ok))
+
+
 class TestSimilarityHistogram:
+    @pytest.mark.parametrize("seed,n,dim,bins", [(0, 7, 1, 3), (1, 500, 16, 1000),
+                                                 (2, 3000, 33, 50000)])
+    def test_same_bits_as_whole_table_norms(self, seed, n, dim, bins):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, dim)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        matrix[::5] = 0.0
+        table = EmbeddingTable(ids=tuple(f"i{j}" for j in range(n)), matrix=matrix)
+        hist = similarity_histogram(table, 4000, bins, np.random.default_rng(seed + 10))
+        mass, edges, n_skipped = whole_table_histogram(table, 4000, bins,
+                                                       np.random.default_rng(seed + 10))
+        assert np.array_equal(hist.mass, mass) and np.array_equal(hist.edges, edges)
+        assert (hist.n_used, hist.n_skipped) == (4000 - n_skipped, n_skipped)
+
     def test_mass_sums_to_one(self):
         rng = np.random.default_rng(0)
         table = EmbeddingTable(ids=tuple(f"i{j}" for j in range(20)),

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 
 from bem.dataio import EmbeddingTable, normalize_rows
-from bem.evalkit import hit_recall
+from bem.evalkit import hit_recall, similarity_histogram
 from bem.nets import DiffNet
-from bem.trainer import refine
+from bem.trainer import TrainConfig, refine
 
 N, DIM = 20000, 32
 
@@ -20,7 +20,7 @@ def table(seed):
 
 
 def peak_beyond_output(call):
-    """Traced peak bytes of ``call()`` minus the matrices of the tables it returns."""
+    """Traced peak bytes of ``call()`` minus the table matrices and arrays it returns."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -28,8 +28,9 @@ def peak_beyond_output(call):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    tables = out if isinstance(out, tuple) else (out,)
-    return peak - sum(t.matrix.nbytes for t in tables if isinstance(t, EmbeddingTable))
+    outputs = out if isinstance(out, tuple) else (out,)
+    return peak - sum(o.matrix.nbytes if isinstance(o, EmbeddingTable) else o.nbytes
+                      for o in outputs if isinstance(o, (EmbeddingTable, np.ndarray)))
 
 
 def test_hit_recall_holds_no_unit_copy():
@@ -52,3 +53,14 @@ def test_refine_holds_no_copy_beyond_its_output():
     proj = DiffNet.random(DIM, 8, DIM, rng)
     infer = DiffNet.random(2 * DIM, 8, 4 * DIM, rng)
     assert peak_beyond_output(lambda: refine(kg, bg, proj, infer)) < kg.matrix.nbytes
+
+
+def test_model_inputs_take_bg_norms_in_the_normalizing_pass():
+    kg, bg = table(5), table(6)
+    assert peak_beyond_output(lambda: TrainConfig().model_inputs(kg, bg)) < bg.matrix.nbytes
+
+
+def test_similarity_histogram_reads_only_the_sampled_rows():
+    t, rng = table(7), np.random.default_rng(8)
+    assert peak_beyond_output(lambda: similarity_histogram(t, 1000, 20, rng)) \
+        < t.matrix.nbytes

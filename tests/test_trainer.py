@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -225,15 +227,52 @@ class TestTrain:
             assert bool(np.any(proj.b2)) == (edge is not Edge.TRANSLATION)
 
 
+def random_nets(kg, bg, edge, hidden, rng):
+    d_g = edge_output_dim(edge, bg.dim)
+    return (DiffNet.random(kg.dim, hidden, bg.dim, rng),
+            DiffNet.random(kg.dim + bg.dim, hidden, 2 * kg.dim + 2 * d_g, rng))
+
+
 @pytest.fixture(scope="module")
 def prefix_case():
-    """A whole-table refine at desk dimensions and hidden width, with its inputs."""
+    """Per edge, made on first use: a whole-table refine at desk dimensions
+    and hidden width, with its inputs."""
     truth = generate(SynthSpec(n_entities=5300, seed=3))
-    rng = np.random.default_rng(11)
     kg, bg = truth.kg, truth.bg
-    proj = DiffNet.random(kg.dim, 500, bg.dim, rng)
-    infer = DiffNet.random(kg.dim + bg.dim, 500, 2 * kg.dim + 2 * bg.dim, rng)
-    return (kg, bg, proj, infer, *refine(kg, bg, proj, infer))
+
+    @functools.cache
+    def case(edge):
+        proj, infer = random_nets(kg, bg, edge, 500, np.random.default_rng(11))
+        return (kg, bg, proj, infer, *refine(kg, bg, proj, infer))
+    return case
+
+
+def assert_rows_match_loop_oracle(edge, d_w, d_z, hidden):
+    kg, bg = tiny_tables(seed=6, n=ROW_BLOCK + 3, d_w=d_w, d_z=d_z)
+    proj, infer = random_nets(kg, bg, edge, hidden, np.random.default_rng(9))
+    kg_r, bg_r = refine(kg, bg, proj, infer)
+    # The explicit-loop evaluation is an oracle within ROWS_ATOL (see
+    # test_nets): the shift mean is the first kg.dim inference outputs on
+    # (bg row, kg row). Refine computes only those outputs, a narrower
+    # product than the whole net's, which moves the last bits at some widths
+    # (kg 8, bg 8, hidden 50). Repeated refines agree bit for bit.
+    for eid in kg.ids:
+        raw = straight_line_forward(infer, np.concatenate([bg.row(eid), kg.row(eid)]))
+        assert np.allclose(kg_r.row(eid), kg.row(eid) + raw[:kg.dim],
+                           rtol=0, atol=ROWS_ATOL)
+        assert np.allclose(bg_r.row(eid), straight_line_forward(proj, kg_r.row(eid)),
+                           rtol=0, atol=ROWS_ATOL)
+    kg_again, bg_again = refine(kg, bg, proj, infer)
+    assert np.array_equal(kg_again.matrix, kg_r.matrix)
+    assert np.array_equal(bg_again.matrix, bg_r.matrix)
+
+
+# Prefix lengths around the block height, on every edge; the translation
+# cases keep the ids they had before the other edges were added.
+PREFIX_CASES = [pytest.param(edge, m, id=str(m) if edge is Edge.TRANSLATION
+                             else f"{edge.value}-{m}")
+                for edge in Edge
+                for m in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2000, 5000)]
 
 
 class TestRefine:
@@ -247,28 +286,27 @@ class TestRefine:
         assert kg_r.ids == kg.ids and bg_r.ids == kg.ids
 
     def test_rows_match_componentwise_recomputation(self):
-        kg, bg = tiny_tables(seed=6)
-        rng = np.random.default_rng(9)
-        d_g = edge_output_dim(Edge.TRANSLATION, bg.dim)
-        proj = DiffNet.random(kg.dim, 5, bg.dim, rng)
-        infer = DiffNet.random(kg.dim + bg.dim, 5, 2 * kg.dim + 2 * d_g, rng)
-        kg_r, bg_r = refine(kg, bg, proj, infer)
-        # The explicit-loop evaluation is an oracle within ROWS_ATOL (see
-        # test_nets): the shift mean is the first kg.dim inference outputs on
-        # (bg row, kg row). Repeated refines agree bit for bit.
-        for eid in kg.ids:
-            raw = straight_line_forward(infer, np.concatenate([bg.row(eid), kg.row(eid)]))
-            assert np.allclose(kg_r.row(eid), kg.row(eid) + raw[:kg.dim],
-                               rtol=0, atol=ROWS_ATOL)
-            assert np.allclose(bg_r.row(eid), straight_line_forward(proj, kg_r.row(eid)),
-                               rtol=0, atol=ROWS_ATOL)
-        kg_again, bg_again = refine(kg, bg, proj, infer)
-        assert np.array_equal(kg_again.matrix, kg_r.matrix)
-        assert np.array_equal(bg_again.matrix, bg_r.matrix)
+        assert_rows_match_loop_oracle(Edge.TRANSLATION, 2, 3, 5)
 
-    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2000, 5000])
-    def test_prefix_refines_to_whole_table_prefix_bit_for_bit(self, m, prefix_case):
-        kg, bg, proj, infer, kg_whole, bg_whole = prefix_case
+    @pytest.mark.parametrize("edge,d_w,d_z,hidden", [
+        (Edge.INNER_PRODUCT, 2, 3, 5), (Edge.IDENTITY, 2, 3, 5), (Edge.TRANSLATION, 8, 8, 50)])
+    def test_other_edges_and_widths_match_the_loop_oracle(self, edge, d_w, d_z, hidden):
+        assert_rows_match_loop_oracle(edge, d_w, d_z, hidden)
+
+    @pytest.mark.parametrize("edge", list(Edge), ids=lambda e: e.value)
+    def test_non_shift_outputs_leave_refine_bit_identical(self, edge):
+        kg, bg = tiny_tables(seed=5, n=2 * ROW_BLOCK + 9, d_w=4, d_z=6)
+        proj, infer = random_nets(kg, bg, edge, 30, np.random.default_rng(2))
+        before = refine(kg, bg, proj, infer)
+        infer.W2[kg.dim:] = np.random.default_rng(3).normal(size=infer.W2[kg.dim:].shape)
+        infer.b2[kg.dim:] = 7.0
+        after = refine(kg, bg, proj, infer)
+        for old, new in zip(before, after):
+            assert np.array_equal(old.matrix, new.matrix)
+
+    @pytest.mark.parametrize("edge,m", PREFIX_CASES)
+    def test_prefix_refines_to_whole_table_prefix_bit_for_bit(self, edge, m, prefix_case):
+        kg, bg, proj, infer, kg_whole, bg_whole = prefix_case(edge)
         rows = range(m)
         kg_r, bg_r = refine(kg.subset(rows), bg.subset(rows), proj, infer)
         assert np.array_equal(kg_r.matrix, kg_whole.matrix[:m])
