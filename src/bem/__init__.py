@@ -1,6 +1,6 @@
 """Bayesian refinement of paired KG/BG embedding tables."""
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 from .dataio import (AlignResult, EmbeddingTable, LabelTable, align,
                      load_labels, load_model, load_table, normalize_rows,

@@ -170,6 +170,10 @@ class EmbeddingTable:
         return self.matrix[self.id_index[entity_id]]
 
     def subset(self, indices) -> "EmbeddingTable":
+        """The rows at ``indices``, in that order, as a new table; the table
+        itself when ``indices`` is ``range(len(self))`` (tables are immutable)."""
+        if isinstance(indices, range) and indices == range(len(self)):
+            return self
         indices = list(indices)
         return EmbeddingTable(ids=tuple(self.ids[i] for i in indices),
                               matrix=_frozen(self.matrix[indices]))

@@ -6,7 +6,9 @@ blocks of ``ROW_BLOCK`` rows, one ``_block_forward`` per block, in
 shift-mean rows of the inference output layer), so a row can differ from an
 explicit-loop evaluation in the last bits (summation order; 8.9e-16
 measured). It is bit-identical from run to run, and a row's output does not
-depend on how many rows follow it. Training runs one vector at a time.
+depend on how many rows follow it. Training runs each node's forward pass
+and input-gradient chain one vector at a time; the weight gradients are one
+matrix product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``).
 """
 from __future__ import annotations
 
@@ -22,6 +24,11 @@ from .errors import ShapeError, TrainingError
 # sits in (not with the other rows' values): with fixed blocks, the first m
 # rows of a table give the same bits alone or inside the whole table.
 ROW_BLOCK = 128
+
+# Node rows per weight-gradient product in ``NetGrads``: a net's buffers
+# hold this many rows of each of its four widths, so their size does not
+# grow with the batch.
+GRAD_ROWS = 64
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
@@ -102,19 +109,58 @@ class DiffNet:
                 f"{prefix}W2": self.W2, f"{prefix}b2": self.b2}
 
 
-@dataclass(eq=False)
 class NetGrads:
-    """Gradients for one DiffNet, same shapes as the parameters."""
+    """Gradients for one DiffNet, same shapes as the parameters.
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
+    The biases are summed node by node. Each weight gradient is a sum of
+    per-node outer products, kept as a running sum plus ``GRAD_ROWS``-row
+    buffers of the factors: a full buffer is flushed into the sum as one
+    matrix product (``W1 += D.T @ X``, ``W2 += U.T @ H``). ``W1`` and ``W2``
+    flush before they are read, and so do ``scale_`` and ``param_dict``, so
+    no caller sees a partial sum.
+    """
+
+    def __init__(self, W1: np.ndarray, b1: np.ndarray, W2: np.ndarray, b2: np.ndarray):
+        self._W1, self.b1, self._W2, self.b2 = W1, b1, W2, b2
+        (hidden_dim, in_dim), out_dim = W1.shape, W2.shape[0]
+        # Per node: hidden delta, net input, output upstream, hidden activation.
+        self._dpre, self._x, self._up, self._hid = (
+            np.empty((GRAD_ROWS, width)) for width in (hidden_dim, in_dim, out_dim, hidden_dim))
+        self._filled = 0
 
     @classmethod
     def zeros_like(cls, net: DiffNet) -> "NetGrads":
         return cls(np.zeros_like(net.W1), np.zeros_like(net.b1),
                    np.zeros_like(net.W2), np.zeros_like(net.b2))
+
+    @property
+    def W1(self) -> np.ndarray:
+        self._flush()
+        return self._W1
+
+    @property
+    def W2(self) -> np.ndarray:
+        self._flush()
+        return self._W2
+
+    def _add_node(self, x: np.ndarray, dpre: np.ndarray, hid: np.ndarray,
+                  upstream: np.ndarray) -> None:
+        """Add one node's gradients: ``outer(dpre, x)`` to W1, ``dpre`` to b1,
+        ``outer(upstream, hid)`` to W2 and ``upstream`` to b2."""
+        k = self._filled
+        self._dpre[k], self._x[k], self._up[k], self._hid[k] = dpre, x, upstream, hid
+        self.b1 += dpre
+        self.b2 += upstream
+        self._filled = k + 1
+        if self._filled == GRAD_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        k = self._filled
+        if k:
+            self._W1 += self._dpre[:k].T @ self._x[:k]
+            self._W2 += self._up[:k].T @ self._hid[:k]
+            self._filled = 0
 
     def scale_(self, c: float) -> "NetGrads":
         for arr in (self.W1, self.b1, self.W2, self.b2):
@@ -167,12 +213,8 @@ def _backward_from_cache(net: DiffNet, x: np.ndarray, pre: np.ndarray,
     Returns ``(acc, d_input)``. The relu subgradient at exactly 0 is 0."""
     dh = net.W2.T @ upstream
     dpre = dh * (pre > 0)
-    dx = net.W1.T @ dpre
-    acc.W1 += np.outer(dpre, x)
-    acc.b1 += dpre
-    acc.W2 += np.outer(upstream, hid)
-    acc.b2 += upstream
-    return acc, dx
+    acc._add_node(x, dpre, hid, upstream)
+    return acc, net.W1.T @ dpre
 
 
 @dataclass(eq=False)

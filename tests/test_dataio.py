@@ -144,6 +144,20 @@ class TestTableMatrix:
         assert not sub.matrix.flags.writeable
         assert sub.matrix.tolist() == [[4.0, 5.0], [0.0, 1.0]]
 
+    def test_subset_of_every_row_in_order_is_the_table_itself(self):
+        t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
+        assert t.subset(range(3)) is t
+        assert t.subset(range(0, 3, 1)) is t
+
+    @pytest.mark.parametrize("indices", [[0, 1, 2], np.arange(3), range(2), range(1, 3),
+                                         range(2, -1, -1)])
+    def test_any_other_selection_copies(self, indices):
+        t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
+        sub = t.subset(indices)
+        assert sub is not t and not np.shares_memory(sub.matrix, t.matrix)
+        assert sub.ids == tuple(self.IDS[i] for i in indices)
+        assert np.array_equal(sub.matrix, t.matrix[list(indices)])
+
 
 class TestRoundTrip:
     def test_write_then_load_is_exact(self, tmp_path):

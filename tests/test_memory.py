@@ -1,6 +1,7 @@
 """Table-scale calls hold no table-sized temporary: on a 20000 x 32 table
 (5.12 MB of floats) the traced peak of one call, beyond the tables it
-returns, stays below the size of one table."""
+returns, stays below the size of one table. A training step holds no
+batch-sized stack of node rows."""
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy as np
 from bem.dataio import EmbeddingTable, normalize_rows
 from bem.evalkit import hit_recall, similarity_histogram
 from bem.nets import DiffNet
-from bem.trainer import TrainConfig, refine
+from bem.trainer import TrainConfig, refine, train
 
 N, DIM = 20000, 32
 
@@ -64,3 +65,17 @@ def test_similarity_histogram_reads_only_the_sampled_rows():
     t, rng = table(7), np.random.default_rng(8)
     assert peak_beyond_output(lambda: similarity_histogram(t, 1000, 20, rng)) \
         < t.matrix.nbytes
+
+
+def test_train_step_holds_no_batch_sized_hidden_stack():
+    # Weight gradients go through fixed GRAD_ROWS-row buffers: one step's
+    # peak (nets, Adam moments and buffers included) stays below the
+    # 2*n_batch hidden rows that stacking the batch's nodes would hold.
+    n, dim = 500, 8
+    rng = np.random.default_rng(9)
+    ids = tuple(f"e{i}" for i in range(n))
+    kg, bg = (EmbeddingTable(ids=ids, matrix=rng.normal(size=(n, dim))) for _ in range(2))
+    cfg = TrainConfig(n_batch=n, epochs=1.0, hidden_dim=500, seed=1)
+    assert cfg.n_steps(n) == 1
+    hidden_stack = 2 * cfg.n_batch * cfg.hidden_dim * 8
+    assert peak_beyond_output(lambda: train(kg, bg, cfg)) < hidden_stack

@@ -4,12 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from bem.elbo import BatchPrior, Edge, elbo_pair_accumulate_grads
 from bem.errors import ShapeError, TrainingError
-from bem.nets import (ROW_BLOCK, AdamState, DiffNet, NetGrads, _backward_from_cache,
-                      _forward_cached, adam_step, net_forward_rows)
+from bem.nets import (GRAD_ROWS, ROW_BLOCK, AdamState, DiffNet, NetGrads,
+                      _backward_from_cache, _forward_cached, adam_step, net_forward_rows)
 
 # Largest allowed gap between a blocked row and the explicit-loop oracle for
 # order-one values: a few dozen ulps (8.9e-16 measured).
 ROWS_ATOL = 1e-14
+
+# Largest allowed gap between a buffered weight gradient and the per-node
+# outer-product loop, relative to the largest entry of the loop's sum: a
+# matrix product sums each entry in a different order than the loop.
+GRAD_RTOL = 1e-13
 
 
 def straight_line_forward(net, x):
@@ -264,3 +269,47 @@ class TestNetGrads:
         g = NetGrads.zeros_like(net)
         assert g.W1.shape == (3, 2) and g.W2.shape == (4, 3)
         assert g.b1.shape == (3,) and g.b2.shape == (4,)
+
+
+class TestBufferedWeightGradients:
+    """``NetGrads`` sums weight gradients as one product per GRAD_ROWS node
+    rows; the oracle is the per-node ``np.outer`` loop."""
+
+    @staticmethod
+    def nodes(net, count, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            x = rng.normal(size=net.in_dim)
+            _, pre, hid = _forward_cached(net, x)
+            yield x, pre, hid, rng.normal(size=net.out_dim)
+
+    @staticmethod
+    def assert_matches_loop(acc, loop):
+        for name in ("W1", "W2"):
+            want = loop[name]
+            assert np.allclose(getattr(acc, name), want, rtol=0,
+                               atol=GRAD_RTOL * np.max(np.abs(want)))
+        for name in ("b1", "b2"):
+            assert np.array_equal(getattr(acc, name), loop[name])
+
+    @pytest.mark.parametrize("count", [1, GRAD_ROWS - 1, GRAD_ROWS, GRAD_ROWS + 1,
+                                       3 * GRAD_ROWS + 5])
+    def test_matches_outer_product_loop(self, count):
+        net = DiffNet.random(5, 30, 7, np.random.default_rng(count))
+        net.b1 = np.random.default_rng(1).normal(size=30) * 0.3
+        acc = NetGrads.zeros_like(net)
+        loop = {k: np.zeros_like(v) for k, v in net.param_dict().items()}
+        for n_added, (x, pre, hid, up) in enumerate(self.nodes(net, count, seed=count), 1):
+            _, dx = _backward_from_cache(net, x, pre, hid, up, acc)
+            dpre = (net.W2.T @ up) * (pre > 0)
+            loop["W1"] += np.outer(dpre, x)
+            loop["b1"] += dpre
+            loop["W2"] += np.outer(up, hid)
+            loop["b2"] += up
+            assert np.array_equal(dx, net.W1.T @ dpre)
+            if n_added == count // 2:
+                # A read mid-run sees every node added so far.
+                self.assert_matches_loop(acc, loop)
+        # scale_ flushes the rows still buffered before it scales.
+        acc.scale_(-0.5)
+        self.assert_matches_loop(acc, {k: -0.5 * v for k, v in loop.items()})

@@ -6,7 +6,7 @@ import pytest
 from bem.dataio import EmbeddingTable
 from bem.elbo import Edge, edge_output_dim, elbo_pair_accumulate_grads, estimate_prior
 from bem.errors import AlignmentError, ConfigError, ShapeError, TrainingError
-from bem.nets import ROW_BLOCK, DiffNet, NetGrads
+from bem.nets import GRAD_ROWS, ROW_BLOCK, DiffNet, NetGrads
 from bem.rng import named_rng
 from bem.synthgen import SynthSpec, generate
 from bem.trainer import TrainConfig, refine, sample_paired_batches, train
@@ -188,6 +188,18 @@ class TestTrain:
         r2 = refine(kg, bg, out2[0], out2[1])
         assert np.array_equal(r1[0].matrix, r2[0].matrix)
         assert np.array_equal(r1[1].matrix, r2[1].matrix)
+
+    def test_determinism_bit_identical_across_weight_gradient_flushes(self):
+        # 2*n_batch = 80 node rows per net and step: one full GRAD_ROWS flush
+        # inside the step and a partial one when the step reads the sums.
+        n_batch = 40
+        assert 2 * n_batch > GRAD_ROWS and (2 * n_batch) % GRAD_ROWS
+        kg, bg = tiny_tables(seed=6, n=50)
+        cfg = TrainConfig(n_batch=n_batch, epochs=3.0, hidden_dim=6, seed=78)
+        out1, out2 = train(kg, bg, cfg), train(kg, bg, cfg)
+        assert out1[2].n_steps == 4
+        assert out1[2].param_checksum == out2[2].param_checksum
+        assert [r.elbo for r in out1[2].records] == [r.elbo for r in out2[2].records]
 
     def test_misaligned_tables_raise_with_ids(self):
         kg, _ = tiny_tables(seed=0, n=4)
