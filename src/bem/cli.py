@@ -51,7 +51,7 @@ EXIT_NUMERIC = 4
 TRAIN_KEYS = {
     "nB": "n_batch", "epochs": "epochs", "lambda1": "lambda1",
     "lambda2": "lambda2", "lr": "learning_rate", "nh": "hidden_dim",
-    "bootstrap": "n_bootstrap", "n_iter": "n_iter", "seed": "seed",
+    "n_iter": "n_iter", "seed": "seed",
 }
 TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 SWEEP_PARAMS = ["lambda1", "lambda2", "lr", "nB", "nh", "epochs"]

@@ -47,41 +47,30 @@ def edge_allows_self_pairs(edge: Edge) -> bool:
 
 
 def edge_apply(edge: Edge, x, y) -> np.ndarray:
-    """Translation: x - y. Inner product: <x, y> as a 1-vector. Identity: (x, y)."""
+    """The edge over the last axis of equal-shape vectors (one pair) or
+    matrices (a pair per row). Translation: x - y. Inner product: <x, y>,
+    a last axis of length 1. Identity: (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ShapeError(f"edge inputs must be equal-length vectors, got {x.shape} and {y.shape}")
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ShapeError(f"edge inputs must be equal-shape vectors or matrices, "
+                         f"got {x.shape} and {y.shape}")
     if edge is Edge.TRANSLATION:
         return x - y
     if edge is Edge.INNER_PRODUCT:
-        return np.array([float(x @ y)])
-    return np.concatenate([x, y])
-
-
-def _edge_apply_rows(edge: Edge, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    if edge is Edge.TRANSLATION:
-        return X - Y
-    if edge is Edge.INNER_PRODUCT:
-        return np.sum(X * Y, axis=1, keepdims=True)
-    return np.hstack([X, Y])
+        return np.sum(x * y, axis=-1, keepdims=True)
+    return np.concatenate([x, y], axis=-1)
 
 
 @dataclass(eq=False)
 class BatchPrior:
-    """Per-batch prior for the shift and for the log of the variance share.
+    """Per-batch prior for the shift and for the log of the variance share,
+    as the KL reads it: the shift prior has mean 0, and both variances
+    already carry their ``lambda1``/``lambda2`` factor."""
 
-    ``shift_mean`` is identically zero; ``lambda1`` scales the shift prior
-    variance and ``lambda2`` the log-variance-share prior variance inside
-    the KL penalty.
-    """
-
-    shift_mean: np.ndarray
     shift_var: np.ndarray
     log_resvar_mean: np.ndarray
     log_resvar_var: np.ndarray
-    lambda1: float = 1.0
-    lambda2: float = 1.0
 
 
 @dataclass(eq=False)
@@ -102,53 +91,36 @@ class LatentSample:
     res_var: np.ndarray
 
 
-def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, n_boot: int,
-                   rng: np.random.Generator, lambda1: float = 1.0,
+def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, lambda1: float = 1.0,
                    lambda2: float = 1.0) -> tuple[BatchPrior, BatchPrior]:
-    """Moment-based priors from one paired batch.
+    """Moment-based priors from one paired batch, in closed form.
 
-    The shift prior variance is the unbiased per-coordinate sample variance
-    of each side's KG rows. The variance-share prior is estimated from the
-    spread of the edge values: its location is the per-coordinate mean
-    squared deviation of edge(bg_a, bg_b) around the batch mean (divisor
-    n), and its uncertainty is the standard deviation of that estimator
-    over ``n_boot`` bootstrap resamples of the pair list, drawn as one
-    ``rng.integers(0, n, size=(n_boot, n))`` call. Both moments are mapped
-    to log space by the first-order delta method and clamped.
+    The shift prior variance is ``lambda1`` times the unbiased
+    per-coordinate sample variance of each side's KG rows, floored. The
+    variance-share prior is estimated from the edge values
+    g = edge(bg_a, bg_b): its location is the per-coordinate mean of
+    dev2 = (g - mean(g))**2 (divisor n), and its spread is that estimator's
+    delta-method standard error sqrt(var(dev2) / n), the two-pass form of
+    sqrt((m4 - m2**2) / n). Both are mapped to log space by the first-order
+    delta method and clamped; ``lambda2`` then scales the log-space variance.
     """
     kg_a, kg_b, bg_a, bg_b = (np.asarray(x, dtype=float) for x in (kg_a, kg_b, bg_a, bg_b))
     n = kg_a.shape[0]
     if n < 2 or kg_b.shape[0] != n or bg_a.shape[0] != n or bg_b.shape[0] != n:
         raise ConfigError("prior estimation needs two aligned batches of size >= 2")
-    if n_boot < 1:
-        raise ConfigError("bootstrap replicate count must be positive")
 
-    gvals = _edge_apply_rows(edge, bg_a, bg_b)
-    mu_res = np.mean((gvals - gvals.mean(axis=0)) ** 2, axis=0)
-
-    idx = rng.integers(0, n, size=(n_boot, n))
-    boot = np.empty((n_boot, gvals.shape[1]))
-    for r in range(n_boot):
-        sample = gvals[idx[r]]
-        boot[r] = np.mean((sample - sample.mean(axis=0)) ** 2, axis=0)
-    sd_res = np.sqrt(np.mean((boot - boot.mean(axis=0)) ** 2, axis=0))
+    gvals = edge_apply(edge, bg_a, bg_b)
+    dev2 = (gvals - gvals.mean(axis=0)) ** 2
+    mu_res = dev2.mean(axis=0)
+    sd_res = np.sqrt(dev2.var(axis=0) / n)
 
     floored = np.maximum(mu_res, VAR_FLOOR)
     log_mean = np.log(floored)
-    log_var = np.clip((sd_res / floored) ** 2, LOG_RESVAR_VAR_MIN, LOG_RESVAR_VAR_MAX)
-
-    priors = []
-    for kg_side in (kg_a, kg_b):
-        shift_var = np.maximum(np.var(kg_side, axis=0, ddof=1), VAR_FLOOR)
-        priors.append(BatchPrior(
-            shift_mean=np.zeros(kg_side.shape[1]),
-            shift_var=shift_var,
-            log_resvar_mean=log_mean.copy(),
-            log_resvar_var=log_var.copy(),
-            lambda1=lambda1,
-            lambda2=lambda2,
-        ))
-    return priors[0], priors[1]
+    log_var = lambda2 * np.clip((sd_res / floored) ** 2, LOG_RESVAR_VAR_MIN, LOG_RESVAR_VAR_MAX)
+    return tuple(
+        BatchPrior(shift_var=lambda1 * np.maximum(np.var(kg_side, axis=0, ddof=1), VAR_FLOOR),
+                   log_resvar_mean=log_mean, log_resvar_var=log_var)
+        for kg_side in (kg_a, kg_b))
 
 
 def _split_raw(raw: np.ndarray, kg_dim: int, edge_dim: int):
@@ -209,20 +181,19 @@ def _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j):
 
 
 def kl_penalty(stats: PosteriorStats, prior: BatchPrior) -> float:
-    """Exact KL from the posterior to the lambda-scaled prior, both blocks.
+    """Exact KL from the posterior to the (lambda-scaled) prior, both blocks.
 
     Per coordinate: (-log(v_hat/v) + v_hat/v + (m_hat - m)^2 / v - 1) / 2
-    with v = lambda * prior variance. The log-normal block reduces to the
-    KL of the underlying normals on the log scale. Non-negative; zero only
-    when posterior and scaled prior coincide.
+    with v the prior variance and m the prior mean, 0 for the shift. The
+    log-normal block reduces to the KL of the underlying normals on the log
+    scale. Non-negative; zero only when posterior and prior coincide.
     """
-    v = prior.lambda1 * prior.shift_var
+    v = prior.shift_var
     var_hat = stats.shift_std ** 2
     if var_hat.shape != v.shape:
         raise ShapeError("posterior and prior disagree on the shift dimension")
-    kl = 0.5 * np.sum(-np.log(var_hat / v) + var_hat / v
-                      + (stats.shift_mean - prior.shift_mean) ** 2 / v - 1.0)
-    u = prior.lambda2 * prior.log_resvar_var
+    kl = 0.5 * np.sum(-np.log(var_hat / v) + var_hat / v + stats.shift_mean ** 2 / v - 1.0)
+    u = prior.log_resvar_var
     lvar_hat = stats.log_resvar_std ** 2
     if lvar_hat.shape != u.shape:
         raise ShapeError("posterior and prior disagree on the edge dimension")
@@ -322,9 +293,8 @@ def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
         d_logres = d_total_var * node.sample.res_var
         prior, stats = node.prior, node.stats
         eps_shift, eps_logres = node.eps[:kg_dim], node.eps[kg_dim:]
-        v = prior.lambda1 * prior.shift_var
-        u = prior.lambda2 * prior.log_resvar_var
-        d_m_shift = d_shift - (stats.shift_mean - prior.shift_mean) / v
+        v, u = prior.shift_var, prior.log_resvar_var
+        d_m_shift = d_shift - stats.shift_mean / v
         d_s_shift = d_shift * eps_shift - (stats.shift_std / v - 1.0 / stats.shift_std)
         d_m_log = d_logres - (stats.log_resvar_mean - prior.log_resvar_mean) / u
         d_s_log = d_logres * eps_logres - (stats.log_resvar_std / u

@@ -2,9 +2,9 @@
 
 Randomness enters only through the "train" substream of the config seed,
 in a fixed draw order: net initialization (projection net first), then per
-step the paired batches, the bootstrap indices of the prior estimate, and
-one standard-normal noise matrix with a row per pair, its columns in the
-order shift_i, logres_i, shift_j, logres_j. Identical inputs therefore
+step the paired batches and one standard-normal noise matrix with a row per
+pair, its columns in the order shift_i, logres_i, shift_j, logres_j (the
+batch prior is a closed form and draws nothing). Identical inputs therefore
 give bit-identical reports and refined tables.
 """
 from __future__ import annotations
@@ -37,7 +37,6 @@ class TrainConfig:
     lambda2: float = 1.0
     learning_rate: float = 0.001
     hidden_dim: int = 500
-    n_bootstrap: int = 30
     edge: Edge = Edge.TRANSLATION
     n_iter: int = 1
     seed: int = 0
@@ -54,8 +53,8 @@ class TrainConfig:
         # learning_rate 0 is allowed: it freezes the optimizer.
         if not 0 <= self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be non-negative and finite")
-        if self.hidden_dim < 1 or self.n_bootstrap < 1 or self.n_iter < 1:
-            raise ConfigError("hidden_dim, n_bootstrap and n_iter must be positive")
+        if self.hidden_dim < 1 or self.n_iter < 1:
+            raise ConfigError("hidden_dim and n_iter must be positive")
         if not isinstance(self.edge, Edge):
             raise ConfigError(f"unknown edge function {self.edge!r}")
 
@@ -81,8 +80,15 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d) -> "TrainConfig":
         """The inverse of ``to_dict``, checked: exactly the fields, each of its
-        default's type (a float field also takes an int), then ``validate``."""
+        default's type (a float field also takes an int), then ``validate``.
+        Model headers written before 0.3.0 also hold ``n_bootstrap``, the
+        replicate count of the old bootstrap prior: an int, ignored."""
         kinds = {f.name: type(f.default) for f in fields(cls)}
+        if isinstance(d, dict) and "n_bootstrap" in d:
+            d = dict(d)
+            legacy = d.pop("n_bootstrap")
+            if not isinstance(legacy, int) or isinstance(legacy, bool):
+                raise ConfigError(f"config n_bootstrap must be of type int, got {legacy!r}")
         if not isinstance(d, dict) or set(d) != set(kinds):
             raise ConfigError(f"config must hold exactly the keys {sorted(kinds)}")
         for name, kind in kinds.items():
@@ -183,10 +189,8 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
     for step in range(1, n_steps + 1):
         t0 = time.perf_counter()
         batch_a, batch_b = sample_paired_batches(n, cfg.n_batch, rng, allow_self)
-        prior_a, prior_b = estimate_prior(W[batch_a], W[batch_b],
-                                          Z[batch_a], Z[batch_b],
-                                          cfg.edge, cfg.n_bootstrap, rng,
-                                          cfg.lambda1, cfg.lambda2)
+        prior_a, prior_b = estimate_prior(W[batch_a], W[batch_b], Z[batch_a], Z[batch_b],
+                                          cfg.edge, cfg.lambda1, cfg.lambda2)
         noise = rng.standard_normal((cfg.n_batch, 2 * kg_dim + 2 * edge_dim))
         elbo_sum = recon_sum = kl_sum = 0.0
         try:

@@ -1,7 +1,9 @@
 import json
 import re
+import shutil
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,11 @@ from bem.synthgen import load_truth, oracle_error
 from bem.trainer import StepRecord, TrainReport
 
 
+# Tables, a model trained on them and the manifest of refining with it, all
+# written by bem 0.2.2, whose model header config still holds n_bootstrap.
+MODEL_0_2_2 = Path(__file__).parent / "data" / "model-0.2.2"
+
+
 def synth_manifest(tmp_path, name="synth"):
     out = tmp_path / name
     assert main(["synth", "--out", str(out), "--n", "30", "--seed", "4"]) == EXIT_OK
@@ -26,6 +33,13 @@ class TestReplay:
     def test_replay_verifies_synth_outputs(self, tmp_path, capsys):
         manifest = synth_manifest(tmp_path)
         assert main(["replay", str(manifest)]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_refine_with_a_0_2_2_model_replays(self, tmp_path, monkeypatch, capsys):
+        shutil.copytree(MODEL_0_2_2, tmp_path, dirs_exist_ok=True)
+        monkeypatch.chdir(tmp_path)
+        assert b'"n_bootstrap": 30' in Path("model.bem").read_bytes()
+        assert main(["replay", "refine_manifest.txt"]) == EXIT_OK
         assert "bit-identical" in capsys.readouterr().out
 
     def test_line_separator_in_the_output_path_replays(self, tmp_path, capsys):
@@ -280,7 +294,6 @@ TRAIN_KEYS = {
     "lambda2": ("lambda2", 1.0, 2.0, 4.0),
     "lr": ("learning_rate", 0.001, 0.01, 0.02),
     "nh": ("hidden_dim", 500, 8, 6),
-    "bootstrap": ("n_bootstrap", 30, 5, 4),
     "n_iter": ("n_iter", 1, 2, 3),
     "seed": ("seed", 0, 11, 12),
 }
@@ -352,6 +365,17 @@ class TestTrainOptionPrecedence:
                      "--config", str(config)]) == EXIT_USAGE
         assert "unknown edge 'bogus'" in capsys.readouterr().err
 
+    def test_retired_bootstrap_flag_is_a_usage_error(self):
+        assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                     "--bootstrap", "4"]) == EXIT_USAGE
+
+    def test_retired_bootstrap_config_key_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("bootstrap = 4\n", encoding="utf-8")
+        assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                     "--config", str(config)]) == EXIT_DATA
+        assert "unknown config key 'bootstrap'" in capsys.readouterr().err
+
 
 def fake_train(kg, bg, cfg):
     """Nets of the right shapes without training: manifests record the config."""
@@ -377,7 +401,7 @@ class TestManifestConfig:
         assert cfg_lines(tmp_path / "m.bem.manifest.txt") == [
             "cfg.edge = translation", "cfg.epochs = 20.0", "cfg.hidden_dim = 500",
             "cfg.lambda1 = 1.0", "cfg.lambda2 = 1.0", "cfg.learning_rate = 0.001",
-            "cfg.n_batch = 500", "cfg.n_bootstrap = 30", "cfg.n_iter = 1",
+            "cfg.n_batch = 500", "cfg.n_iter = 1",
             "cfg.normalize_inputs = True", "cfg.seed = 0"]
 
     def test_train_flags_and_config(self, tmp_path, monkeypatch):
@@ -389,12 +413,12 @@ class TestManifestConfig:
         assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
                      "--out", str(tmp_path / "m.bem"), "--config", str(config),
                      "--nB", "12", "--epochs", "3", "--lambda1", "2", "--lambda2", "0.5",
-                     "--nh", "9", "--bootstrap", "4", "--n-iter", "2",
+                     "--nh", "9", "--n-iter", "2",
                      "--seed", "8"]) == EXIT_OK
         assert cfg_lines(tmp_path / "m.bem.manifest.txt") == [
             "cfg.edge = inner", "cfg.epochs = 3.0", "cfg.hidden_dim = 9",
             "cfg.lambda1 = 2.0", "cfg.lambda2 = 0.5", "cfg.learning_rate = 0.5",
-            "cfg.n_batch = 12", "cfg.n_bootstrap = 4", "cfg.n_iter = 2",
+            "cfg.n_batch = 12", "cfg.n_iter = 2",
             "cfg.normalize_inputs = False", "cfg.seed = 8"]
 
     def test_synth_defaults(self, tmp_path):
@@ -420,7 +444,7 @@ class TestManifestConfig:
 
 
 TRAIN_FLAGS = ["--kg", "--bg", "--mode", "--edge", "--nB", "--epochs", "--lambda1",
-               "--lambda2", "--lr", "--nh", "--bootstrap", "--n-iter", "--seed",
+               "--lambda2", "--lr", "--nh", "--n-iter", "--seed",
                "--normalize", "--no-normalize", "--align", "--config"]
 TRAIN_CHOICES = ["p,i", "strict,intersect", "translation,inner,identity"]
 

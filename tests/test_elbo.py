@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from bem.elbo import (BatchPrior, Edge, PosteriorStats, STD_FLOOR, VAR_FLOOR,
-                      _reconstruction, edge_apply, edge_output_dim,
+from bem.elbo import (BatchPrior, Edge, LOG_RESVAR_VAR_MIN, PosteriorStats, STD_FLOOR,
+                      VAR_FLOOR, _reconstruction, edge_apply, edge_output_dim,
                       elbo_pair_accumulate_grads, estimate_prior, kl_penalty,
                       reparametrize)
 from bem.errors import ConfigError, NumericalError, ShapeError
@@ -30,32 +30,48 @@ def random_stats(rng, d_w, d_g, spread=1.0):
 
 
 def random_prior(rng, d_w, d_g, lambda1=None, lambda2=None):
-    return BatchPrior(
-        shift_mean=np.zeros(d_w),
-        shift_var=rng.uniform(0.2, 3.0, size=d_w),
-        log_resvar_mean=rng.normal(size=d_g),
-        log_resvar_var=rng.uniform(0.2, 3.0, size=d_g),
-        lambda1=lambda1 if lambda1 is not None else rng.uniform(0.2, 4.0),
-        lambda2=lambda2 if lambda2 is not None else rng.uniform(0.2, 4.0),
-    )
+    """A prior with random variances scaled by random (or given) lambdas."""
+    shift_var = rng.uniform(0.2, 3.0, size=d_w)
+    log_resvar_mean = rng.normal(size=d_g)
+    log_resvar_var = rng.uniform(0.2, 3.0, size=d_g)
+    lambda1 = lambda1 if lambda1 is not None else rng.uniform(0.2, 4.0)
+    lambda2 = lambda2 if lambda2 is not None else rng.uniform(0.2, 4.0)
+    return BatchPrior(shift_var=lambda1 * shift_var, log_resvar_mean=log_resvar_mean,
+                      log_resvar_var=lambda2 * log_resvar_var)
+
+
+def stacked(v, rows):
+    """``v`` itself (one pair), or ``rows`` copies of it as a matrix (a pair per row)."""
+    v = np.asarray(v, dtype=float)
+    return v if rows is None else np.tile(v, (rows, 1))
+
+
+# One pair as vectors, and three pairs as the rows of matrices.
+ROWS = (None, 3)
 
 
 class TestEdgeApply:
     def test_translation_of_equal_vectors_is_zero(self):
-        v = np.array([0.3, -0.1])
-        assert np.array_equal(edge_apply(Edge.TRANSLATION, v, v), [0.0, 0.0])
+        for rows in ROWS:
+            v = stacked([0.3, -0.1], rows)
+            assert np.array_equal(edge_apply(Edge.TRANSLATION, v, v), stacked([0.0, 0.0], rows))
 
     def test_inner_product_of_orthogonal_vectors_is_zero(self):
-        out = edge_apply(Edge.INNER_PRODUCT, [1.0, 0.0], [0.0, 1.0])
-        assert out.shape == (1,) and out[0] == 0.0
+        for rows in ROWS:
+            out = edge_apply(Edge.INNER_PRODUCT, stacked([1.0, 0.0], rows),
+                             stacked([0.0, 1.0], rows))
+            assert np.array_equal(out, stacked([0.0], rows))
 
     def test_translation_componentwise(self):
-        assert np.array_equal(
-            edge_apply(Edge.TRANSLATION, [1.0, 2.0], [0.5, 1.0]), [0.5, 1.0])
+        for rows in ROWS:
+            out = edge_apply(Edge.TRANSLATION, stacked([1.0, 2.0], rows),
+                             stacked([0.5, 1.0], rows))
+            assert np.array_equal(out, stacked([0.5, 1.0], rows))
 
     def test_identity_concatenates(self):
-        out = edge_apply(Edge.IDENTITY, [1.0, 2.0], [3.0, 4.0])
-        assert np.array_equal(out, [1.0, 2.0, 3.0, 4.0])
+        for rows in ROWS:
+            out = edge_apply(Edge.IDENTITY, stacked([1.0, 2.0], rows), stacked([3.0, 4.0], rows))
+            assert np.array_equal(out, stacked([1.0, 2.0, 3.0, 4.0], rows))
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
     def test_inner_product_symmetry(self, vals):
@@ -71,8 +87,11 @@ class TestEdgeApply:
         assert edge_output_dim(Edge.IDENTITY, 7) == 14
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            edge_apply(Edge.TRANSLATION, [1.0], [1.0, 2.0])
+        for x, y in (([1.0], [1.0, 2.0]), (np.ones((2, 1)), np.ones((2, 2))),
+                     (np.ones((2, 2)), np.ones((3, 2))),
+                     (np.ones((2, 2, 2)), np.ones((2, 2, 2)))):
+            with pytest.raises(ShapeError):
+                edge_apply(Edge.TRANSLATION, x, y)
 
 
 class TestEstimatePrior:
@@ -80,70 +99,80 @@ class TestEstimatePrior:
         rng = np.random.default_rng(0)
         kg = np.ones((4, 3))
         bg = rng.normal(size=(4, 5))
-        prior_a, _ = estimate_prior(kg, kg.copy(), bg, bg.copy(),
-                                    Edge.TRANSLATION, 5, rng)
+        prior_a, _ = estimate_prior(kg, kg.copy(), bg, bg.copy(), Edge.TRANSLATION)
         assert np.array_equal(prior_a.shift_var, np.full(3, VAR_FLOOR))
-        assert np.array_equal(prior_a.shift_mean, np.zeros(3))
 
     def test_two_point_sample_variance(self):
         rng = np.random.default_rng(1)
         kg_a = np.array([[0.0, 0.0], [2.0, 0.0]])
         kg_b = np.array([[1.0, 1.0], [3.0, 1.0]])
         bg = rng.normal(size=(2, 2))
-        prior_a, _ = estimate_prior(kg_a, kg_b, bg, bg, Edge.TRANSLATION, 3, rng)
+        prior_a, _ = estimate_prior(kg_a, kg_b, bg, bg, Edge.TRANSLATION)
         assert prior_a.shift_var[0] == pytest.approx(2.0)
         assert prior_a.shift_var[1] == pytest.approx(VAR_FLOOR)
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_matches_straight_loop_recomputation(self, edge):
-        # Brute-force oracle with explicit Python loops, sharing the
-        # documented bootstrap index draw.
-        n, d_w, d_z, n_boot, lam1, lam2 = 4, 3, 5, 7, 0.7, 1.3
+        # Brute-force oracle with explicit Python loops: the delta-method
+        # spread of the mean squared deviation, sqrt((m4 - m2**2) / n).
+        n, d_w, d_z, lam1, lam2 = 4, 3, 5, 0.7, 1.3
         data_rng = np.random.default_rng(42)
         kg_a = data_rng.normal(size=(n, d_w))
         kg_b = data_rng.normal(size=(n, d_w))
         bg_a = data_rng.normal(size=(n, d_z))
         bg_b = data_rng.normal(size=(n, d_z))
 
-        prior_a, prior_b = estimate_prior(kg_a, kg_b, bg_a, bg_b, edge,
-                                          n_boot, np.random.default_rng(9),
-                                          lam1, lam2)
+        prior_a, prior_b = estimate_prior(kg_a, kg_b, bg_a, bg_b, edge, lam1, lam2)
 
         g_rows = [edge_apply(edge, bg_a[m], bg_b[m]) for m in range(n)]
         d_g = len(g_rows[0])
         g_bar = [sum(r[k] for r in g_rows) / n for k in range(d_g)]
-        mu_res = [sum((r[k] - g_bar[k]) ** 2 for r in g_rows) / n for k in range(d_g)]
-
-        idx = np.random.default_rng(9).integers(0, n, size=(n_boot, n))
-        boots = []
-        for r in range(n_boot):
-            rows = [g_rows[i] for i in idx[r]]
-            bar = [sum(row[k] for row in rows) / n for k in range(d_g)]
-            boots.append([sum((row[k] - bar[k]) ** 2 for row in rows) / n
-                          for k in range(d_g)])
-        sd_res = []
-        for k in range(d_g):
-            mean_k = sum(b[k] for b in boots) / n_boot
-            sd_res.append(np.sqrt(sum((b[k] - mean_k) ** 2 for b in boots) / n_boot))
+        m2 = [sum((r[k] - g_bar[k]) ** 2 for r in g_rows) / n for k in range(d_g)]
+        m4 = [sum((r[k] - g_bar[k]) ** 4 for r in g_rows) / n for k in range(d_g)]
 
         for k in range(d_g):
-            floored = max(mu_res[k], VAR_FLOOR)
+            floored = max(m2[k], VAR_FLOOR)
+            sd_res = np.sqrt((m4[k] - m2[k] ** 2) / n)
             assert prior_a.log_resvar_mean[k] == pytest.approx(np.log(floored), abs=1e-12)
-            expected_var = min(max((sd_res[k] / floored) ** 2, 1e-6), 10.0)
-            assert prior_a.log_resvar_var[k] == pytest.approx(expected_var, abs=1e-12)
+            expected_var = lam2 * min(max((sd_res / floored) ** 2, 1e-6), 10.0)
+            for side in (prior_a, prior_b):
+                assert side.log_resvar_var[k] == pytest.approx(expected_var, abs=1e-12)
         for side, kg_side in ((prior_a, kg_a), (prior_b, kg_b)):
             for k in range(d_w):
                 mean_k = sum(kg_side[m, k] for m in range(n)) / n
                 var_k = sum((kg_side[m, k] - mean_k) ** 2 for m in range(n)) / (n - 1)
-                assert side.shift_var[k] == pytest.approx(max(var_k, VAR_FLOOR), abs=1e-12)
-        assert prior_a.lambda1 == lam1 and prior_b.lambda2 == lam2
+                assert side.shift_var[k] == pytest.approx(lam1 * max(var_k, VAR_FLOOR),
+                                                          abs=1e-12)
         assert np.array_equal(prior_a.log_resvar_mean, prior_b.log_resvar_mean)
 
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_spread_agrees_with_a_large_bootstrap(self, edge):
+        # The closed-form spread is what a bootstrap of the pair list
+        # estimates: 4000 replicates of 200 pairs agree within 5%.
+        n, d_z, n_boot = 200, 3, 4000
+        rng = np.random.default_rng(5)
+        kg = rng.normal(size=(n, 2))
+        bg_a, bg_b = rng.normal(size=(n, d_z)), rng.standard_t(5, size=(n, d_z))
+        prior, _ = estimate_prior(kg, kg, bg_a, bg_b, edge)
+        g = edge_apply(edge, bg_a, bg_b)
+        boot = np.array([np.var(g[idx], axis=0)
+                         for idx in rng.integers(0, n, size=(n_boot, n))])
+        closed_sd = np.sqrt(prior.log_resvar_var) * np.var(g, axis=0)
+        assert np.allclose(closed_sd / boot.std(axis=0), 1.0, rtol=0, atol=0.05)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_constant_edge_coordinate_clamps_to_the_floor(self, edge):
+        bg = np.full((6, 2), 0.5)
+        with np.errstate(all="raise"):
+            prior, _ = estimate_prior(np.eye(6, 2), np.eye(6, 2), bg, bg.copy(), edge)
+        assert not np.any(np.isnan(prior.log_resvar_var))
+        assert np.all(prior.log_resvar_var == LOG_RESVAR_VAR_MIN)
+        assert np.all(prior.log_resvar_mean == np.log(VAR_FLOOR))
+
     def test_batch_of_one_rejected(self):
-        rng = np.random.default_rng(0)
         one = np.ones((1, 2))
         with pytest.raises(ConfigError):
-            estimate_prior(one, one, one, one, Edge.TRANSLATION, 3, rng)
+            estimate_prior(one, one, one, one, Edge.TRANSLATION)
 
 
 class TestInferPosterior:
@@ -207,7 +236,7 @@ class TestInferPosterior:
         # An inference net for 5 inputs against kg and bg vectors of 3 each.
         proj = DiffNet.zeros(3, 4, 3)
         net = DiffNet.zeros(5, 4, 12)
-        prior = BatchPrior(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))
+        prior = BatchPrior(np.ones(3), np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError, match="input dimension"):
             pair_grads(proj, net, Edge.TRANSLATION, np.ones(3), np.ones(3),
                        np.ones(3), np.ones(3), prior, prior, np.zeros(12))
@@ -314,17 +343,16 @@ class TestKlPenalty:
         rng = np.random.default_rng(0)
         prior = random_prior(rng, 3, 2)
         stats = PosteriorStats(
-            shift_mean=prior.shift_mean.copy(),
-            shift_std=np.sqrt(prior.lambda1 * prior.shift_var),
+            shift_mean=np.zeros(3),
+            shift_std=np.sqrt(prior.shift_var),
             log_resvar_mean=prior.log_resvar_mean.copy(),
-            log_resvar_std=np.sqrt(prior.lambda2 * prior.log_resvar_var),
+            log_resvar_std=np.sqrt(prior.log_resvar_var),
         )
         assert kl_penalty(stats, prior) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_mean_shift_gives_half(self):
-        prior = BatchPrior(shift_mean=np.zeros(1), shift_var=np.ones(1),
-                           log_resvar_mean=np.zeros(1), log_resvar_var=np.ones(1),
-                           lambda1=1.0, lambda2=1.0)
+        prior = BatchPrior(shift_var=np.ones(1), log_resvar_mean=np.zeros(1),
+                           log_resvar_var=np.ones(1))
         stats = PosteriorStats(shift_mean=np.ones(1), shift_std=np.ones(1),
                                log_resvar_mean=np.zeros(1),
                                log_resvar_std=np.ones(1))
@@ -352,9 +380,8 @@ class TestKlPenalty:
 
             mu_q = np.concatenate([stats.shift_mean, stats.log_resvar_mean])
             sd_q = np.concatenate([stats.shift_std, stats.log_resvar_std])
-            mu_p = np.concatenate([prior.shift_mean, prior.log_resvar_mean])
-            sd_p = np.sqrt(np.concatenate([prior.lambda1 * prior.shift_var,
-                                           prior.lambda2 * prior.log_resvar_var]))
+            mu_p = np.concatenate([np.zeros(d_w), prior.log_resvar_mean])
+            sd_p = np.sqrt(np.concatenate([prior.shift_var, prior.log_resvar_var]))
             draws = mu_q + sd_q * rng.standard_normal((n, d_w + d_g))
             log_q = sps.norm.logpdf(draws, loc=mu_q, scale=sd_q).sum(axis=1)
             log_p = sps.norm.logpdf(draws, loc=mu_p, scale=sd_p).sum(axis=1)
@@ -412,6 +439,8 @@ class TestElboPair:
         kg_i, kg_j = rng.normal(size=d_w), rng.normal(size=d_w)
         bg_i, bg_j = rng.normal(size=d_z), rng.normal(size=d_z)
         eps = rng.standard_normal(2 * d_w + 2 * d_g)
+        # The shift prior has mean 0, so the shift-mean outputs are zeroed.
+        infer.W2[:d_w] = 0.0
         # The posteriors do not depend on the priors: a first pass with any
         # priors gives them, and the second pass uses them as the priors.
         prior = random_prior(rng, d_w, d_g)
@@ -419,12 +448,11 @@ class TestElboPair:
                                  prior, prior, eps)
         priors = []
         for stats in (first.stats_i, first.stats_j):
+            assert np.array_equal(stats.shift_mean, np.zeros(d_w))
             priors.append(BatchPrior(
-                shift_mean=stats.shift_mean.copy(),
                 shift_var=stats.shift_std ** 2,
                 log_resvar_mean=stats.log_resvar_mean.copy(),
-                log_resvar_var=stats.log_resvar_std ** 2,
-                lambda1=1.0, lambda2=1.0))
+                log_resvar_var=stats.log_resvar_std ** 2))
         parts, _, _ = pair_grads(proj, infer, edge, kg_i, bg_i, kg_j, bg_j,
                                  priors[0], priors[1], eps)
         assert parts.kl_i == pytest.approx(0.0, abs=1e-10)

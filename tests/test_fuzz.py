@@ -77,7 +77,7 @@ def data(tmp_path_factory):
     assert main(["synth", "--out", str(root), "--force", "--n", "12", "--kg-dim", "2",
                  "--bg-dim", "3", "--clusters", "2", "--true-hidden", "3"]) == EXIT_OK
     assert main(["train", "--kg", str(root / "kg.tsv"), "--bg", str(root / "bg.tsv"),
-                 "--nB", "4", "--nh", "3", "--epochs", "0.5", "--bootstrap", "2",
+                 "--nB", "4", "--nh", "3", "--epochs", "0.5",
                  "--out", str(root / "m.bem")]) == EXIT_OK
     (root / "train.cfg").write_text("nB = 4\nnh = 3\nepochs = 0.5\n", encoding="utf-8")
     return root
@@ -125,7 +125,7 @@ class TestReaders:
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}
 # Every numeric training flag is given, so a fuzzed config cannot make a run slow.
-CHEAP = ["--nB", "4", "--nh", "3", "--epochs", "0.5", "--bootstrap", "2", "--n-iter", "1"]
+CHEAP = ["--nB", "4", "--nh", "3", "--epochs", "0.5", "--n-iter", "1"]
 
 
 def cli_argv(d, fuzzed, out, command, role, task):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from bem.elbo import BatchPrior, Edge, elbo_pair_accumulate_grads
 from bem.errors import ShapeError, TrainingError
 from bem.nets import (GRAD_ROWS, ROW_BLOCK, AdamState, DiffNet, NetGrads,
-                      _backward_from_cache, _forward_cached, adam_step, net_forward_rows)
+                      _backward_from_cache, _forward_cached, adam_step, net_forward_rows,
+                      sigmoid)
 
 # Largest allowed gap between a blocked row and the explicit-loop oracle for
 # order-one values: a few dozen ulps (8.9e-16 measured).
@@ -93,6 +94,28 @@ class TestForward:
                               net_forward_rows(net, X))
 
 
+def masked_sigmoid(x):
+    """The two-branch logistic: 1/(1 + exp(-x)) for x >= 0, else exp(x)/(1 + exp(x))."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_the_two_branch_formula(self):
+        # exp(-softplus(-x)) carries the rounding of an exponent near |x|,
+        # which shows only while exp(x) is not negligible, |x| below ~37:
+        # 40 ulps allowed, 3.8e-15 relative measured. Below -745 both are 0.
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-1e-300, -0.0, 1e-300]])
+        assert np.allclose(sigmoid(x), masked_sigmoid(x), rtol=40 * np.finfo(float).eps, atol=0)
+
+    def test_extremes_are_exact(self):
+        assert np.array_equal(sigmoid(np.array([-800.0, 0.0, 800.0])), [0.0, 0.5, 1.0])
+
+
 class TestInit:
     def test_uniform_bounds_and_zero_biases(self):
         net = DiffNet.random(30, 40, 20, np.random.default_rng(9))
@@ -177,7 +200,7 @@ class TestBackward:
         proj = DiffNet.zeros(d_w, 4, d_z)
         fits = DiffNet.zeros(d_w + d_z, 4, 2 * d_w + 2 * d_z)
         too_wide = DiffNet.zeros(d_w + d_z, 4, 2 * d_w + 2 * d_z + 1)
-        prior = BatchPrior(np.zeros(d_w), np.ones(d_w), np.zeros(d_z), np.ones(d_z))
+        prior = BatchPrior(np.ones(d_w), np.zeros(d_z), np.ones(d_z))
         eps = np.zeros(2 * d_w + 2 * d_z)
         for infer, kg_i, noise, what in (
                 (too_wide, np.ones(d_w), np.zeros(len(eps) + 1), "net output"),

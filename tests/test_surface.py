@@ -18,3 +18,11 @@ def test_every_public_definition_is_referenced_in_src():
             if isinstance(node, (ast.Name, ast.Attribute))}
     unused = sorted(defined - used)
     assert not unused, f"public but never referenced in src/bem: {unused}"
+
+
+def test_package_top_level_imports_nothing():
+    # Callers import submodules (``from bem import cli``); the package file
+    # holds only its docstring and ``__version__``.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"src/bem/__init__.py imports again: {[ast.unparse(n) for n in imports]}"

@@ -110,6 +110,22 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="exactly the keys"):
             TrainConfig.from_dict(d)
 
+    def test_from_dict_ignores_the_legacy_bootstrap_count(self):
+        # Model headers written before the closed-form prior hold n_bootstrap.
+        legacy = {**TrainConfig().to_dict(), "n_bootstrap": 30}
+        assert TrainConfig.from_dict(legacy) == TrainConfig()
+        assert "n_bootstrap" in legacy  # the caller's mapping is left as it was
+
+    @pytest.mark.parametrize("value", ["30", 30.0, True, None])
+    def test_from_dict_checks_the_legacy_bootstrap_type(self, value):
+        with pytest.raises(ConfigError, match="n_bootstrap must be of type int"):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), "n_bootstrap": value})
+
+    def test_from_dict_still_refuses_other_extra_keys(self):
+        d = {**TrainConfig().to_dict(), "n_bootstrap": 30, "extra": 1}
+        with pytest.raises(ConfigError, match="exactly the keys"):
+            TrainConfig.from_dict(d)
+
     def test_from_dict_takes_an_integer_for_a_float_field(self):
         assert TrainConfig.from_dict({**TrainConfig().to_dict(), "epochs": 2}).epochs == 2
 
@@ -133,7 +149,7 @@ class TestTrain:
         a, b = sample_paired_batches(n, n_batch, rng)
         prior_a, prior_b = estimate_prior(
             kg.matrix[a], kg.matrix[b], bg.matrix[a], bg.matrix[b],
-            cfg.edge, cfg.n_bootstrap, rng, cfg.lambda1, cfg.lambda2)
+            cfg.edge, cfg.lambda1, cfg.lambda2)
         noise = rng.standard_normal((n_batch, 2 * d_w + 2 * d_g))
         sums = {}
         elbo_sum = 0.0
