@@ -4,7 +4,8 @@ ratio, nearest-neighbour hit recall and random Gaussian projection.
 All metrics are pure functions of immutable tables. Randomness, where a
 metric needs it, comes in through an explicit generator or split seed.
 Hit recall takes ``QUERY_BLOCK`` triggers' cosines per GEMM on the raw
-candidate table, within 1e-15 of a per-trigger product of unit rows.
+candidate table, within 1e-15 of a per-trigger product of unit rows, and
+ranks each such block of cosines as one array.
 """
 from __future__ import annotations
 
@@ -17,8 +18,10 @@ from .dataio import EmbeddingTable, LabelTable, _frozen, align
 from .errors import ConfigError, EvalError, ShapeError
 from .rng import named_rng
 
-# Triggers per GEMM in ``hit_recall``; its (QUERY_BLOCK, n) cosines are the call's
-# largest array. On 100k x 32, 64 rows gained under 10% over 16; 4 lost over 30%.
+# Triggers per GEMM and per ranking pass in ``hit_recall``; its (QUERY_BLOCK, n)
+# cosines are the call's largest array. For 200 triggers on 2000 x 32 and on
+# 100k x 32, 32 rows gained 8% and 17% over 16 but its buffer alone reaches
+# tests/test_memory.py's bound; 8 rows lost 9% and 20%, 4 rows 35% and 51%.
 QUERY_BLOCK = 16
 
 
@@ -246,15 +249,29 @@ class RecallResult:
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, highest first and ties by index:
-    the first k of ``np.argsort(-scores, kind="stable")`` without sorting
-    every score. Only scores at or above the k-th largest are sorted."""
-    if k >= len(scores):
-        return np.argsort(-scores, kind="stable")
-    keys = -scores
-    kth = np.partition(keys, k - 1)[k - 1]
-    near = np.flatnonzero(keys <= kth)
-    return near[np.lexsort((near, keys[near]))][:k]
+    """Per row of ``scores``, the indices of its k largest scores, highest
+    first and ties by index: row r is the first ``min(k, n)`` of
+    ``np.argsort(-scores[r], kind="stable")`` (NaN last), without sorting
+    every score. Each row's k-th key comes from partitioning its negation in
+    one reused buffer; the scores at or above it (NaN included, ranked after
+    every number) are gathered for the whole block in index order and sorted
+    by (row, -score) in one stable ``lexsort``, so ties stay in index order."""
+    n_rows, n = scores.shape
+    k = min(k, n)
+    if k == 0:
+        return np.empty((n_rows, 0), dtype=np.intp)
+    kth = np.empty((n_rows, 1))
+    keys = np.empty(n)
+    for r in range(n_rows):
+        np.negative(scores[r], out=keys)
+        keys.partition(k - 1)
+        kth[r] = keys[k - 1]
+    near = np.flatnonzero(~(scores < -kth))
+    near_rows, near_cols = np.divmod(near, n)
+    order = np.lexsort((-scores.ravel()[near], near_rows))
+    counts = np.bincount(near_rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    return near_cols[order][starts[:, None] + np.arange(k)]
 
 
 def _cosine_blocks(queries: np.ndarray, matrix: np.ndarray):
@@ -283,10 +300,11 @@ def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
 
     Cosines ``(q / ‖q‖) @ m / ‖m‖`` come from one GEMM per ``QUERY_BLOCK``
     triggers: within 1e-15 of a per-trigger unit-row product (only
-    near-ties can rank otherwise) and the same bits on every run. Ties rank
-    by candidate index. The trigger itself and zero-norm candidates are
-    never retrieved; triggers missing from the query table (or with zero
-    norm) are skipped and counted. Micro-averaged: hits over retrieved.
+    near-ties can rank otherwise) and the same bits on every run. Each
+    block is ranked in one pass (``_top_k``); ties rank by candidate index.
+    The trigger itself and zero-norm candidates are never retrieved;
+    triggers missing from the query table (or with zero norm) are skipped
+    and counted. Micro-averaged: hits over retrieved.
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
@@ -298,14 +316,22 @@ def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
     rows = query.matrix[[qidx for qidx, _, _ in found]]
     live = np.einsum("ij,ij->i", rows, rows) > 0.0
     skipped = sum(map(len, triggers_by_user.values())) - int(np.sum(live))
+    kept = [f for f, ok in zip(found, live) if ok]
     hits = retrieved = 0
-    sims_rows = (row for block in _cosine_blocks(rows[live], candidates.matrix) for row in block)
-    for sims, (_, self_idx, truth) in zip(sims_rows, [f for f, ok in zip(found, live) if ok]):
-        if self_idx is not None:
-            sims[self_idx] = -np.inf
-        top = [i for i in _top_k(sims, k) if np.isfinite(sims[i])]
-        retrieved += len(top)
-        hits += sum(item_attrs.get(candidates.ids[i]) in truth for i in top)
+    start = 0
+    for sims in _cosine_blocks(rows[live], candidates.matrix):
+        block = kept[start:start + len(sims)]
+        start += len(sims)
+        for r, (_, self_idx, _) in enumerate(block):
+            if self_idx is not None:
+                sims[r, self_idx] = -np.inf
+        top = _top_k(sims, k)
+        # Cosines are finite, -inf (never retrieved) or NaN (an overflowed
+        # norm); the non-finite rank last, so each row's retrievals are a prefix.
+        n_finite = np.sum(np.isfinite(np.take_along_axis(sims, top, axis=1)), axis=1)
+        retrieved += int(np.sum(n_finite))
+        for idx, m, (_, _, truth) in zip(top.tolist(), n_finite.tolist(), block):
+            hits += sum(item_attrs.get(candidates.ids[i]) in truth for i in idx[:m])
     if retrieved == 0:
         raise EvalError("no retrievals performed (all triggers skipped?)")
     return RecallResult(recall=hits / retrieved, hits=hits,

@@ -67,22 +67,47 @@ def tie_heavy_case(seed):
     return table, users, truth, attrs, k
 
 
+def multi_block_case(seed):
+    """``tie_heavy_case``'s table plus a zero row, queried by enough triggers
+    for two full ``QUERY_BLOCK``s of live ones and a partial third, with a
+    zero-norm and a missing trigger in the middle of each block."""
+    table, _, _, attrs, k = tie_heavy_case(seed)
+    rng = np.random.default_rng([seed, 1])
+    table = EmbeddingTable(ids=table.ids + ("zero",),
+                           matrix=np.vstack([table.matrix, np.zeros(table.dim)]))
+    attrs = {**attrs, "zero": "a0"}
+    live = [eid for eid in table.ids if np.any(table.row(eid))]
+    triggers = [live[j] for j in rng.integers(0, len(live), size=2 * QUERY_BLOCK + 5)]
+    for at in (2 * QUERY_BLOCK + 2, QUERY_BLOCK + 7, QUERY_BLOCK // 2):
+        triggers[at:at] = ["zero", "missing"]
+    users, start = {}, 0
+    while start < len(triggers):  # sorted user order is trigger order
+        size = int(rng.integers(1, 4))
+        users[f"u{len(users):03d}"] = triggers[start:start + size]
+        start += size
+    truth = {u: {f"a{rng.integers(0, 3)}"} for u in users}
+    return table, users, truth, attrs, k
+
+
 class TestTopK:
     def test_matches_stable_argsort_prefix(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            scores = rng.integers(-3, 4, size=int(rng.integers(1, 60))) / 3.0
-            scores[rng.random(len(scores)) < 0.2] = -np.inf
-            scores[rng.random(len(scores)) < 0.2] = -0.0
-            for k in range(1, len(scores) + 3):
-                expected = np.argsort(-scores, kind="stable")[:k]
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 60)))
+            scores = rng.integers(-3, 4, size=shape) / 3.0
+            scores[rng.random(shape) < 0.2] = -np.inf
+            scores[rng.random(shape) < 0.2] = -0.0
+            scores[rng.random(shape) < 0.05] = np.nan
+            for k in range(1, shape[1] + 3):
+                expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
                 assert np.array_equal(_top_k(scores, k), expected), (seed, k)
 
 
 class TestHitRecall:
     def test_matches_argsort_oracle_on_ties(self):
-        for seed in range(300):
-            table, users, truth, attrs, k = tie_heavy_case(seed)
+        for seed in range(340):
+            case = tie_heavy_case if seed < 300 else multi_block_case
+            table, users, truth, attrs, k = case(seed)
             expected = argsort_hit_recall(table, table, users, truth, attrs, k)
             if expected[1] == 0:
                 with pytest.raises(EvalError):
@@ -148,6 +173,18 @@ class TestHitRecall:
         # "z" is skipped as a trigger; "a" retrieves b and c, never z or itself.
         assert (result.hits, result.retrieved, result.skipped_triggers) == (1, 2, 1)
 
+    def test_overflowed_cosines_rank_last(self):
+        # b's and c's norms overflow, so their cosines are inf / inf = NaN:
+        # never retrieved, and ranked after every finite cosine at any k.
+        ids = ("a", "b", "c", "d", "e")
+        table = EmbeddingTable(ids=ids, matrix=[[1.0, 1.0], [1.7e308, 1.7e308],
+                                                [1.6e308, 1.7e308], [0.5, 0.5], [0.0, 1.0]])
+        attrs = {eid: "x" for eid in ids}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 3, 4, 10):
+                result = hit_recall(table, table, {"u": ["a"]}, {"u": {"x"}}, attrs, k)
+                assert (result.hits, result.retrieved) == (min(k, 2), min(k, 2))
+
     def test_missing_triggers_are_counted(self):
         table = EmbeddingTable(ids=("a", "b"), matrix=[[1.0, 0.0], [0.0, 1.0]])
         result = hit_recall(table, table, {"u": ["a", "nope"], "v": ["gone"]},
@@ -167,6 +204,12 @@ class TestHitRecall:
         table = EmbeddingTable(ids=("a", "z"), matrix=[[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(EvalError):
             hit_recall(table, table, {"u": ["z", "missing"]}, {}, {}, k=3)
+
+    def test_empty_candidate_table_raises(self):
+        query = EmbeddingTable(ids=("a",), matrix=[[1.0, 0.0]])
+        empty = EmbeddingTable(ids=(), matrix=np.empty((0, 2)))
+        with pytest.raises(EvalError):
+            hit_recall(query, empty, {"u": ["a"]}, {}, {}, k=3)
 
     def test_k_below_one_raises(self):
         table = EmbeddingTable(ids=("a", "b"), matrix=[[1.0, 0.0], [0.0, 1.0]])
