@@ -128,9 +128,14 @@ def read_manifest(path) -> dict:
 
 def read_config_file(path, allowed: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, key, value in _key_values(path, "=", ConfigError):
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -415,13 +420,15 @@ def cmd_sweep(args, argv) -> int:
         oracle_error(bg, truth_table)  # fail on missing truth rows before training
         # Normalization is not a sweep parameter: one preparation serves all runs.
         kg_in, bg_in, bg_norms = base_cfg.model_inputs(kg, bg)
+    # Every value is checked against the aligned tables before the first run.
+    cfgs = [dataclasses.replace(base_cfg, **{field: value}) for value in values]
+    for cfg in cfgs:
+        cfg.validate(len(kg))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     model_paths = []
-    for value in values:
-        cfg = dataclasses.replace(base_cfg, **{field: value})
-        cfg.validate()
+    for value, cfg in zip(values, cfgs):
         proj_net, infer_net, report = train(kg, bg, cfg)
         if args.metric == "elbo":
             window = min(50, report.n_steps)

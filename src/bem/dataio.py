@@ -517,6 +517,6 @@ def load_model(path):
             or infer_net.in_dim != kg_dim + bg_dim
             or edge_dim != edge_output_dim(cfg.edge, bg_dim)
             or infer_net.out_dim != 2 * kg_dim + 2 * edge_dim
-            or cfg.hidden_dim != proj_net.hidden_dim):
+            or not cfg.hidden_dim == proj_net.hidden_dim == infer_net.hidden_dim):
         raise ModelFormatError(f"{path}: header dimensions are inconsistent")
     return proj_net, infer_net, cfg

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .nets import (DiffNet, NetGrads, _backward_from_cache, _forward_cached,
-                   sigmoid, softplus)
+from .nets import DiffNet, NetGrads, _block_forward, sigmoid, softplus
 
 # Clamps that keep degenerate batches out of log/divide trouble.
 VAR_FLOOR = 1e-6
@@ -73,24 +72,6 @@ class BatchPrior:
     log_resvar_var: np.ndarray
 
 
-@dataclass(eq=False)
-class PosteriorStats:
-    """Approximate posterior means and stds produced by the inference net."""
-
-    shift_mean: np.ndarray
-    shift_std: np.ndarray
-    log_resvar_mean: np.ndarray
-    log_resvar_std: np.ndarray
-
-
-@dataclass(eq=False)
-class LatentSample:
-    """One reparametrized draw: the shift and the positive variance share."""
-
-    shift: np.ndarray
-    res_var: np.ndarray
-
-
 def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, lambda1: float = 1.0,
                    lambda2: float = 1.0) -> tuple[BatchPrior, BatchPrior]:
     """Moment-based priors from one paired batch, in closed form.
@@ -123,202 +104,114 @@ def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, lambda1: float = 1.0,
         for kg_side in (kg_a, kg_b))
 
 
-def _split_raw(raw: np.ndarray, kg_dim: int, edge_dim: int):
-    m_shift = raw[:kg_dim]
-    r_shift = raw[kg_dim:2 * kg_dim]
-    m_log = raw[2 * kg_dim:2 * kg_dim + edge_dim]
-    r_log = raw[2 * kg_dim + edge_dim:]
-    return m_shift, r_shift, m_log, r_log
+def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
+                     kg_a, bg_a, kg_b, bg_b, prior_a: BatchPrior, prior_b: BatchPrior,
+                     noise, acc_proj: NetGrads, acc_infer: NetGrads
+                     ) -> tuple[float, float, float]:
+    """The summed single-draw ELBO, reconstruction and KL of n pairs, adding
+    their gradients into the accumulators: of the ELBO itself (ascent
+    direction), pathwise through the reparametrization with ``noise`` fixed.
 
+    Pair m is row m of the (n, dim) side matrices, and row m of ``noise``
+    holds its 2*kg_dim + 2*edge_dim standard normals in the order shift_a,
+    logres_a, shift_b, logres_b. The 2n node rows are stacked side a then
+    side b, each net runs forward and backward over the stack as matrix
+    products, and the rest is row-wise. Arrays of node rows are viewed as
+    (side, pair, width), so that each side's prior broadcasts over its rows.
 
-def _stats_from_raw(raw: np.ndarray, kg_dim: int, edge_dim: int) -> PosteriorStats:
-    """Posterior of one node from the inference net's output on (bg, kg)."""
-    m_shift, r_shift, m_log, r_log = _split_raw(raw, kg_dim, edge_dim)
-    return PosteriorStats(
-        shift_mean=m_shift.copy(),
-        shift_std=softplus(r_shift) + STD_FLOOR,
-        log_resvar_mean=m_log.copy(),
-        log_resvar_std=softplus(r_log) + STD_FLOOR,
-    )
+    Per coordinate, the reconstruction is -(log(t)/2 + r^2 / (2t)) with r the
+    edge residual and t = res_var_a + res_var_b: the Gaussian log-density
+    up to +log(2 pi)/2. Each KL block is the exact
+    (v_hat/v - log(v_hat/v) + (m_hat - m)^2 / v - 1) / 2 against the prior
+    variance v and mean m (0 for the shift); the log-normal block is the KL
+    of the underlying normals on the log scale.
+    """
+    kg_a, bg_a, kg_b, bg_b, noise = (np.asarray(x, dtype=float)
+                                     for x in (kg_a, bg_a, kg_b, bg_b, noise))
+    n, kg_dim, bg_dim = kg_a.shape[0], proj_net.in_dim, proj_net.out_dim
+    edge_dim = edge_output_dim(edge, bg_dim)
+    node_dim = kg_dim + edge_dim
+    if infer_net.out_dim != 2 * node_dim:
+        raise ShapeError("inference net output does not match kg/edge dimensions")
+    if (infer_net.in_dim != kg_dim + bg_dim or not kg_a.shape == kg_b.shape == (n, kg_dim)
+            or not bg_a.shape == bg_b.shape == (n, bg_dim)):
+        raise ShapeError("pair rows do not match the nets' input dimensions")
+    if noise.shape != (n, 2 * node_dim):
+        raise ShapeError(f"pair noise has shape {noise.shape}, expected ({n}, {2 * node_dim})")
 
+    infer_in = np.empty((2, n, infer_net.in_dim))
+    infer_in[0, :, :bg_dim], infer_in[0, :, bg_dim:] = bg_a, kg_a
+    infer_in[1, :, :bg_dim], infer_in[1, :, bg_dim:] = bg_b, kg_b
+    eps = noise.reshape(n, 2, node_dim).transpose(1, 0, 2)
+    eps_shift, eps_log = eps[..., :kg_dim], eps[..., kg_dim:]
+    v, mu, u = (np.concatenate(sides).reshape(2, 1, -1) for sides in (
+        (prior_a.shift_var, prior_b.shift_var),
+        (prior_a.log_resvar_mean, prior_b.log_resvar_mean),
+        (prior_a.log_resvar_var, prior_b.log_resvar_var)))
 
-def reparametrize(stats: PosteriorStats, eps_shift, eps_logres) -> LatentSample:
-    """shift = mean + std*eps; variance share = exp(log mean + log std*eps),
-    a NumericalError when that overflows."""
-    eps_shift = np.asarray(eps_shift, dtype=float)
-    eps_logres = np.asarray(eps_logres, dtype=float)
-    if eps_shift.shape != stats.shift_mean.shape:
-        raise ShapeError("shift noise has wrong shape")
-    if eps_logres.shape != stats.log_resvar_mean.shape:
-        raise ShapeError("log-share noise has wrong shape")
-    shift = stats.shift_mean + stats.shift_std * eps_shift
+    # Forward: the posterior of each node, one draw, its projection.
+    infer_hid = np.empty((2, n, infer_net.hidden_dim))
+    raw = np.empty((2, n, infer_net.out_dim))
+    _block_forward(infer_in.reshape(2 * n, -1), infer_net.W1, infer_net.b1, infer_net.W2,
+                   infer_net.b2, infer_hid.reshape(2 * n, -1), raw.reshape(2 * n, -1))
+    m_shift, r_shift = raw[..., :kg_dim], raw[..., kg_dim:2 * kg_dim]
+    m_log, r_log = raw[..., 2 * kg_dim:kg_dim + node_dim], raw[..., kg_dim + node_dim:]
+    s_shift = softplus(r_shift) + STD_FLOOR
+    s_log = softplus(r_log) + STD_FLOOR
+    proj_in = infer_in[..., bg_dim:] + (m_shift + s_shift * eps_shift)
     with np.errstate(over="raise"):
         try:
-            res_var = np.exp(stats.log_resvar_mean + stats.log_resvar_std * eps_logres)
+            res_var = np.exp(m_log + s_log * eps_log)
         except FloatingPointError:
             raise NumericalError("variance share overflows") from None
-    return LatentSample(shift=shift, res_var=res_var)
+    proj_hid = np.empty((2, n, proj_net.hidden_dim))
+    proj = np.empty((2, n, bg_dim))
+    _block_forward(proj_in.reshape(2 * n, -1), proj_net.W1, proj_net.b1, proj_net.W2,
+                   proj_net.b2, proj_hid.reshape(2 * n, -1), proj.reshape(2 * n, -1))
 
-
-def _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j):
-    """Gaussian fit of the edge residual, additive constant dropped, with
-    the residual and the total variance behind it, which the gradient reuses.
-
-    Per coordinate: -(log(total_var)/2 + residual^2 / (2 total_var)) with
-    total_var = res_var_i + res_var_j, summed over coordinates. Equals the
-    diagonal-Gaussian log-density up to +(d/2) log(2 pi).
-    """
-    res_var_i = np.asarray(res_var_i, dtype=float)
-    res_var_j = np.asarray(res_var_j, dtype=float)
-    total_var = res_var_i + res_var_j
-    if np.any(total_var <= 0.0) or not np.all(np.isfinite(total_var)):
+    # Gaussian fit of each edge residual with variance res_var_a + res_var_b,
+    # additive constant dropped, minus both nodes' closed-form KL.
+    total_var = res_var[0] + res_var[1]
+    if not np.all((total_var > 0.0) & (total_var < np.inf)):
         raise NumericalError("total residual variance must be positive and finite")
-    resid = edge_apply(edge, bg_i, bg_j) - edge_apply(edge, proj_i, proj_j)
-    if resid.shape != total_var.shape:
-        raise ShapeError("variance shares must have the edge output dimension")
-    recon = float(-np.sum(0.5 * np.log(total_var) + resid ** 2 / (2.0 * total_var)))
-    return recon, resid, total_var
+    resid = edge_apply(edge, bg_a, bg_b) - edge_apply(edge, proj[0], proj[1])
+    recon = -np.sum(0.5 * np.log(total_var) + resid ** 2 / (2.0 * total_var))
+    shift_ratio, log_ratio = s_shift ** 2 / v, s_log ** 2 / u
+    log_gap = m_log - mu
+    kl = 0.5 * (np.sum(shift_ratio - np.log(shift_ratio) + m_shift ** 2 / v - 1.0)
+                + np.sum(log_ratio - np.log(log_ratio) + log_gap ** 2 / u - 1.0))
 
-
-def kl_penalty(stats: PosteriorStats, prior: BatchPrior) -> float:
-    """Exact KL from the posterior to the (lambda-scaled) prior, both blocks.
-
-    Per coordinate: (-log(v_hat/v) + v_hat/v + (m_hat - m)^2 / v - 1) / 2
-    with v the prior variance and m the prior mean, 0 for the shift. The
-    log-normal block reduces to the KL of the underlying normals on the log
-    scale. Non-negative; zero only when posterior and prior coincide.
-    """
-    v = prior.shift_var
-    var_hat = stats.shift_std ** 2
-    if var_hat.shape != v.shape:
-        raise ShapeError("posterior and prior disagree on the shift dimension")
-    kl = 0.5 * np.sum(-np.log(var_hat / v) + var_hat / v + stats.shift_mean ** 2 / v - 1.0)
-    u = prior.log_resvar_var
-    lvar_hat = stats.log_resvar_std ** 2
-    if lvar_hat.shape != u.shape:
-        raise ShapeError("posterior and prior disagree on the edge dimension")
-    kl += 0.5 * np.sum(-np.log(lvar_hat / u) + lvar_hat / u
-                       + (stats.log_resvar_mean - prior.log_resvar_mean) ** 2 / u - 1.0)
-    return float(kl)
-
-
-@dataclass(eq=False)
-class ElboParts:
-    """Single-draw objective value with the intermediates behind it."""
-
-    elbo: float
-    recon: float
-    kl_i: float
-    kl_j: float
-    stats_i: PosteriorStats
-    stats_j: PosteriorStats
-    sample_i: LatentSample
-    sample_j: LatentSample
-    proj_i: np.ndarray
-    proj_j: np.ndarray
-
-
-@dataclass(eq=False)
-class _Node:
-    """One node's forward pass as its backward pass reads it. The caches
-    are each net's (input, hidden pre-activation, hidden activation)."""
-
-    prior: BatchPrior
-    eps: np.ndarray
-    raw: np.ndarray
-    stats: PosteriorStats
-    sample: LatentSample
-    proj: np.ndarray
-    infer_cache: tuple
-    proj_cache: tuple
-
-
-def _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j, prior_i,
-             prior_j, eps):
-    """One pair's ELBO parts, and the tape ``_backward`` reads: the
-    residual, the total variance and both nodes."""
-    kg_dim = proj_net.in_dim
-    edge_dim = edge_output_dim(edge, proj_net.out_dim)
-    if infer_net.out_dim != 2 * kg_dim + 2 * edge_dim:
-        raise ShapeError("inference net output does not match kg/edge dimensions")
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (infer_net.out_dim,):
-        raise ShapeError(f"pair noise has shape {eps.shape}, "
-                         f"expected ({infer_net.out_dim},)")
-    nodes = []
-    for kg_vec, bg_vec, prior, node_eps in (
-            (kg_i, bg_i, prior_i, eps[:kg_dim + edge_dim]),
-            (kg_j, bg_j, prior_j, eps[kg_dim + edge_dim:])):
-        kg_vec = np.asarray(kg_vec, dtype=float)
-        infer_in = np.concatenate([np.asarray(bg_vec, dtype=float), kg_vec])
-        if infer_in.shape[0] != infer_net.in_dim:
-            raise ShapeError("inference net input dimension mismatch")
-        raw, pre, hid = _forward_cached(infer_net, infer_in)
-        stats = _stats_from_raw(raw, kg_dim, edge_dim)
-        sample = reparametrize(stats, node_eps[:kg_dim], node_eps[kg_dim:])
-        proj_in = kg_vec + sample.shift
-        proj, proj_pre, proj_hid = _forward_cached(proj_net, proj_in)
-        nodes.append(_Node(prior, node_eps, raw, stats, sample, proj,
-                           (infer_in, pre, hid), (proj_in, proj_pre, proj_hid)))
-    ni, nj = nodes
-    recon, resid, total_var = _reconstruction(edge, bg_i, bg_j, ni.proj, nj.proj,
-                                              ni.sample.res_var, nj.sample.res_var)
-    kl_i = kl_penalty(ni.stats, prior_i)
-    kl_j = kl_penalty(nj.stats, prior_j)
-    parts = ElboParts(elbo=recon - kl_i - kl_j, recon=recon, kl_i=kl_i, kl_j=kl_j,
-                      stats_i=ni.stats, stats_j=nj.stats,
-                      sample_i=ni.sample, sample_j=nj.sample,
-                      proj_i=ni.proj, proj_j=nj.proj)
-    return parts, (resid, total_var, ni, nj)
-
-
-def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
-    """Add the taped pair's ELBO gradients into the accumulators, node i
-    first."""
-    resid, total_var, ni, nj = tape
+    # Backward: the projection net down to the sampled shift, then the
+    # inference net through the reparametrization, plus the KL's own gradient.
     d_total_var = -0.5 / total_var + resid ** 2 / (2.0 * total_var ** 2)
-    d_gnu = resid / total_var  # d ELBO / d edge(proj_i, proj_j)
+    d_gnu = resid / total_var  # d ELBO / d edge(proj_a, proj_b)
     if edge is Edge.TRANSLATION:
-        d_projs = (d_gnu, -d_gnu)
+        d_proj = np.concatenate((d_gnu, -d_gnu))
     elif edge is Edge.INNER_PRODUCT:
-        d_projs = (d_gnu[0] * nj.proj, d_gnu[0] * ni.proj)
+        d_proj = d_gnu * proj[::-1]
     else:
-        half = ni.proj.shape[0]
-        d_projs = (d_gnu[:half], d_gnu[half:])
-    kg_dim = proj_net.in_dim
-    for node, d_proj in zip((ni, nj), d_projs):
-        # Through the projection net down to the sampled shift.
-        _, d_shift = _backward_from_cache(proj_net, *node.proj_cache, d_proj, acc_proj)
-        # Through the reparametrizations, plus the KL's own gradient.
-        d_logres = d_total_var * node.sample.res_var
-        prior, stats = node.prior, node.stats
-        eps_shift, eps_logres = node.eps[:kg_dim], node.eps[kg_dim:]
-        v, u = prior.shift_var, prior.log_resvar_var
-        d_m_shift = d_shift - stats.shift_mean / v
-        d_s_shift = d_shift * eps_shift - (stats.shift_std / v - 1.0 / stats.shift_std)
-        d_m_log = d_logres - (stats.log_resvar_mean - prior.log_resvar_mean) / u
-        d_s_log = d_logres * eps_logres - (stats.log_resvar_std / u
-                                           - 1.0 / stats.log_resvar_std)
-        _, r_shift, _, r_log = _split_raw(node.raw, kg_dim, total_var.shape[0])
-        upstream = np.concatenate([
-            d_m_shift,
-            d_s_shift * sigmoid(r_shift),
-            d_m_log,
-            d_s_log * sigmoid(r_log),
-        ])
-        _backward_from_cache(infer_net, *node.infer_cache, upstream, acc_infer)
+        d_proj = d_gnu.reshape(n, 2, bg_dim).transpose(1, 0, 2)
+    dpre = _rows_backward(proj_net, proj_in, proj_hid, d_proj, acc_proj)
+    d_shift = (dpre @ proj_net.W1).reshape(2, n, kg_dim)
+    d_logres = d_total_var * res_var
+    upstream = np.empty_like(raw)
+    upstream[..., :kg_dim] = d_shift - m_shift / v
+    upstream[..., kg_dim:2 * kg_dim] = (
+        (d_shift * eps_shift - (s_shift / v - 1.0 / s_shift)) * sigmoid(r_shift))
+    upstream[..., 2 * kg_dim:kg_dim + node_dim] = d_logres - log_gap / u
+    upstream[..., kg_dim + node_dim:] = (
+        (d_logres * eps_log - (s_log / u - 1.0 / s_log)) * sigmoid(r_log))
+    _rows_backward(infer_net, infer_in, infer_hid, upstream, acc_infer)
+    recon, kl = float(recon), float(kl)
+    return recon - kl, recon, kl
 
 
-def elbo_pair_accumulate_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
-                               kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
-                               prior_j: BatchPrior, eps,
-                               acc_proj: NetGrads, acc_infer: NetGrads) -> ElboParts:
-    """One pair's single-draw ELBO parts (reconstruction minus both KLs),
-    adding its gradients into the accumulators: of the ELBO itself (ascent
-    direction), pathwise through the reparametrization with ``eps`` fixed.
-    ``eps`` is the pair's standard-normal noise, 2*kg_dim + 2*edge_dim
-    values in the order shift_i, logres_i, shift_j, logres_j."""
-    parts, tape = _forward(proj_net, infer_net, edge, kg_i, bg_i, kg_j, bg_j,
-                           prior_i, prior_j, eps)
-    _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer)
-    return parts
+def _rows_backward(net: DiffNet, x, hidden, upstream, acc: NetGrads) -> np.ndarray:
+    """Backward pass over stacked node rows given the net's input and hidden
+    activation, accumulated into ``acc``; returns the hidden delta rows. The
+    relu mask ``hidden > 0`` is ``pre > 0``: the subgradient at 0 is 0."""
+    x, hidden, upstream = (a.reshape(-1, a.shape[-1]) for a in (x, hidden, upstream))
+    dpre = upstream @ net.W2
+    dpre *= hidden > 0
+    acc._add_rows(x, dpre, hidden, upstream)
+    return dpre

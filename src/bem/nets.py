@@ -6,9 +6,10 @@ blocks of ``ROW_BLOCK`` rows, one ``_block_forward`` per block, in
 shift-mean rows of the inference output layer), so a row can differ from an
 explicit-loop evaluation in the last bits (summation order; 8.9e-16
 measured). It is bit-identical from run to run, and a row's output does not
-depend on how many rows follow it. Training runs each node's forward pass
-and input-gradient chain one vector at a time; the weight gradients are one
-matrix product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``).
+depend on how many rows follow it. Training runs ``_block_forward`` over each
+pair's two node rows (``elbo.elbo_batch_grads``) and its backward pass as
+matrix products over the same rows; the weight gradients are one matrix
+product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``).
 """
 from __future__ import annotations
 
@@ -34,10 +35,6 @@ GRAD_ROWS = 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -107,7 +104,7 @@ class DiffNet:
 class NetGrads:
     """Gradients for one DiffNet, same shapes as the parameters.
 
-    The biases are summed node by node. Each weight gradient is a sum of
+    The biases are summed pair by pair. Each weight gradient is a sum of
     per-node outer products, kept as a running sum plus ``GRAD_ROWS``-row
     buffers of the factors: a full buffer is flushed into the sum as one
     matrix product (``W1 += D.T @ X``, ``W2 += U.T @ H``). ``W1`` and ``W2``
@@ -138,17 +135,26 @@ class NetGrads:
         self._flush()
         return self._W2
 
-    def _add_node(self, x: np.ndarray, dpre: np.ndarray, hid: np.ndarray,
+    def _add_rows(self, x: np.ndarray, dpre: np.ndarray, hid: np.ndarray,
                   upstream: np.ndarray) -> None:
-        """Add one node's gradients: ``outer(dpre, x)`` to W1, ``dpre`` to b1,
-        ``outer(upstream, hid)`` to W2 and ``upstream`` to b2."""
-        k = self._filled
-        self._dpre[k], self._x[k], self._up[k], self._hid[k] = dpre, x, upstream, hid
-        self.b1 += dpre
-        self.b2 += upstream
-        self._filled = k + 1
-        if self._filled == GRAD_ROWS:
-            self._flush()
+        """Add the gradients of 2n node rows, side a of n pairs then side b:
+        ``dpre.T @ x`` to W1 and ``upstream.T @ hid`` to W2, through the
+        buffers in row order, and to b1 and b2 the column sums of ``dpre`` and
+        ``upstream`` with each pair's two rows added first, so that rows that
+        cancel within every pair add exactly 0."""
+        n = len(x) // 2
+        self.b1 += (dpre[:n] + dpre[n:]).sum(axis=0)
+        self.b2 += (upstream[:n] + upstream[n:]).sum(axis=0)
+        start = 0
+        while start < len(x):
+            k = self._filled
+            take = min(GRAD_ROWS - k, len(x) - start)
+            for buf, rows in zip((self._dpre, self._x, self._up, self._hid),
+                                 (dpre, x, upstream, hid)):
+                buf[k:k + take] = rows[start:start + take]
+            self._filled, start = k + take, start + take
+            if self._filled == GRAD_ROWS:
+                self._flush()
 
     def _flush(self) -> None:
         k = self._filled
@@ -186,30 +192,13 @@ def net_forward_rows(net: DiffNet, X) -> np.ndarray:
 
 
 def _block_forward(block, W1, b1, W2, b2, hidden, out) -> None:
-    """``out = relu(block @ W1.T + b1) @ W2.T + b2`` for one ``ROW_BLOCK``
-    block of rows, into the caller's ``hidden`` and ``out`` buffers."""
+    """``out = relu(block @ W1.T + b1) @ W2.T + b2`` for one block of rows,
+    into the caller's ``hidden`` and ``out`` buffers."""
     np.matmul(block, W1.T, out=hidden)
     hidden += b1
     np.maximum(hidden, 0.0, out=hidden)
     np.matmul(hidden, W2.T, out=out)
     out += b2
-
-
-def _forward_cached(net: DiffNet, x: np.ndarray):
-    """Forward pass keeping the hidden pre-activation and activation."""
-    pre = net.W1 @ x + net.b1
-    hid = relu(pre)
-    return net.W2 @ hid + net.b2, pre, hid
-
-
-def _backward_from_cache(net: DiffNet, x: np.ndarray, pre: np.ndarray,
-                         hid: np.ndarray, upstream: np.ndarray, acc: NetGrads):
-    """Backward pass given cached activations, accumulated into ``acc``.
-    Returns ``(acc, d_input)``. The relu subgradient at exactly 0 is 0."""
-    dh = net.W2.T @ upstream
-    dpre = dh * (pre > 0)
-    acc._add_node(x, dpre, hid, upstream)
-    return acc, net.W1.T @ dpre
 
 
 @dataclass(eq=False)

@@ -3,9 +3,14 @@
 Randomness enters only through the "train" substream of the config seed,
 in a fixed draw order: net initialization (projection net first), then per
 step the paired batches and one standard-normal noise matrix with a row per
-pair, its columns in the order shift_i, logres_i, shift_j, logres_j (the
+pair, its columns in the order shift_a, logres_a, shift_b, logres_b (the
 batch prior is a closed form and draws nothing). Identical inputs therefore
 give bit-identical reports and refined tables.
+
+Each step sums its pairs' ELBO gradients with ``elbo.elbo_batch_grads``, one
+pair per call: the engine takes any number of pairs, and the call over a
+whole batch waits on a benchmark whose peak memory does not grow with the
+number of pipelines that fit into a run.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 from .dataio import (EmbeddingTable, _frozen, _id_set_difference, normalize_rows,
                      unit_rows)
 from .elbo import (Edge, edge_allows_self_pairs, edge_output_dim,
-                   elbo_pair_accumulate_grads, estimate_prior)
+                   elbo_batch_grads, estimate_prior)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
                      TrainingError)
 from .nets import ROW_BLOCK, AdamState, DiffNet, NetGrads, _block_forward, adam_step
@@ -189,7 +194,8 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
     for step in range(1, n_steps + 1):
         t0 = time.perf_counter()
         batch_a, batch_b = sample_paired_batches(n, cfg.n_batch, rng, allow_self)
-        prior_a, prior_b = estimate_prior(W[batch_a], W[batch_b], Z[batch_a], Z[batch_b],
+        kg_a, kg_b, bg_a, bg_b = W[batch_a], W[batch_b], Z[batch_a], Z[batch_b]
+        prior_a, prior_b = estimate_prior(kg_a, kg_b, bg_a, bg_b,
                                           cfg.edge, cfg.lambda1, cfg.lambda2)
         noise = rng.standard_normal((cfg.n_batch, 2 * kg_dim + 2 * edge_dim))
         elbo_sum = recon_sum = kl_sum = 0.0
@@ -198,14 +204,17 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
                 acc_proj = NetGrads.zeros_like(proj_net)
                 acc_infer = NetGrads.zeros_like(infer_net)
                 elbo_sum = recon_sum = kl_sum = 0.0
+                # One pair (rows m:m+1) per engine call until the benchmark
+                # holds its peak memory flat (see the module docstring).
                 for m in range(cfg.n_batch):
-                    i, j = batch_a[m], batch_b[m]
-                    parts = elbo_pair_accumulate_grads(
-                        proj_net, infer_net, cfg.edge, W[i], Z[i], W[j], Z[j],
-                        prior_a, prior_b, noise[m], acc_proj, acc_infer)
-                    elbo_sum += parts.elbo
-                    recon_sum += parts.recon
-                    kl_sum += parts.kl_i + parts.kl_j
+                    rows = slice(m, m + 1)
+                    elbo, recon, kl = elbo_batch_grads(
+                        proj_net, infer_net, cfg.edge, kg_a[rows], bg_a[rows],
+                        kg_b[rows], bg_b[rows], prior_a, prior_b, noise[rows],
+                        acc_proj, acc_infer)
+                    elbo_sum += elbo
+                    recon_sum += recon
+                    kl_sum += kl
                 # Batch objective is the mean over pairs; Adam minimizes, so
                 # the loss gradient is the negated ELBO gradient.
                 scale = -1.0 / cfg.n_batch

@@ -282,6 +282,18 @@ class TestSweepOracleError:
         assert not (out / "sweep.tsv").exists()
 
 
+class TestSweepChecksEveryValueFirst:
+    def test_a_value_past_the_entity_count_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "synth"
+        assert main(["synth", "--out", str(data), "--n", "60", "--seed", "2"]) == EXIT_OK
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", "nB", "--values", "10", "100",
+                     "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nh", "4", "--epochs", "1", "--out", str(out)]) == EXIT_DATA
+        assert "n_batch 100 exceeds entity count 60" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def load_sweep(out_dir):
     return (out_dir / "sweep.tsv").read_text(encoding="utf-8")
 
@@ -368,6 +380,18 @@ class TestTrainOptionPrecedence:
     def test_retired_bootstrap_flag_is_a_usage_error(self):
         assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
                      "--bootstrap", "4"]) == EXIT_USAGE
+
+    def test_repeated_config_key_names_both_lines(self, tmp_path, capsys):
+        data = synth_manifest(tmp_path).parent
+        config = tmp_path / "train.cfg"
+        config.write_text("lambda1 = 1\n# a comment\nnh = 4\nlambda1 = 0.1\n",
+                          encoding="utf-8")
+        out = tmp_path / "m.bem"
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--out", str(out), "--config", str(config)]) == EXIT_DATA
+        assert (f"{config}:4: duplicate config key 'lambda1' (first set on line 1)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_retired_bootstrap_config_key_is_unknown(self, tmp_path, capsys):
         config = tmp_path / "train.cfg"

@@ -622,6 +622,18 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             load_model(p)
 
+    @pytest.mark.parametrize("hidden", [(4, 7), (7, 4)], ids=["infer-wider", "proj-wider"])
+    def test_hidden_width_of_either_net_must_match_the_config(self, tmp_path, hidden):
+        # A CRC-valid file whose two nets disagree on the hidden width.
+        rng = np.random.default_rng(0)
+        proj_h, infer_h = hidden
+        proj = DiffNet.random(3, proj_h, 4, rng)
+        infer = DiffNet.random(7, infer_h, 14, rng)
+        p = tmp_path / "m.bem"
+        save_model(proj, infer, TrainConfig(hidden_dim=4), p)
+        with pytest.raises(ModelFormatError, match="inconsistent"):
+            load_model(p)
+
     def test_tensor_dims_past_int64_are_a_format_error(self, tmp_path):
         p = tmp_path / "m.bem"
         write_huge_tensor_model(p)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from bem.elbo import (BatchPrior, Edge, LOG_RESVAR_VAR_MIN, PosteriorStats, STD_FLOOR,
-                      VAR_FLOOR, _reconstruction, edge_apply, edge_output_dim,
-                      elbo_pair_accumulate_grads, estimate_prior, kl_penalty,
-                      reparametrize)
+from bem.elbo import (BatchPrior, Edge, LOG_RESVAR_VAR_MIN, STD_FLOOR, VAR_FLOOR,
+                      edge_apply, edge_output_dim, elbo_batch_grads, estimate_prior)
 from bem.errors import ConfigError, NumericalError, ShapeError
-from bem.nets import DiffNet, NetGrads, _forward_cached
+from bem.nets import GRAD_ROWS, DiffNet, NetGrads
+from pair_oracle import (PosteriorStats, _forward_cached, _reconstruction,
+                         elbo_pair_accumulate_grads, kl_penalty, reparametrize)
 
 EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
 
@@ -44,6 +44,27 @@ def stacked(v, rows):
     """``v`` itself (one pair), or ``rows`` copies of it as a matrix (a pair per row)."""
     v = np.asarray(v, dtype=float)
     return v if rows is None else np.tile(v, (rows, 1))
+
+
+def assert_matches_finite_differences(proj, infer, grads_proj, grads_infer, value):
+    """Each parameter's gradient against the central difference of ``value()``."""
+    step = 1e-5
+    for net, grads in ((proj, grads_proj), (infer, grads_infer)):
+        for name in ("W1", "b1", "W2", "b2"):
+            arr = getattr(net, name)
+            g = getattr(grads, name)
+            it = np.nditer(arr, flags=["multi_index"])
+            while not it.finished:
+                ix = it.multi_index
+                old = arr[ix]
+                arr[ix] = old + step
+                up = value()
+                arr[ix] = old - step
+                dn = value()
+                arr[ix] = old
+                fd = (up - dn) / (2 * step)
+                assert abs(g[ix] - fd) <= 1e-4 * max(abs(g[ix]), abs(fd), 1e-3)
+                it.iternext()
 
 
 # One pair as vectors, and three pairs as the rows of matrices.
@@ -487,27 +508,8 @@ class TestElboPair:
         proj, infer = args[0], args[1]
         rest = args[2:]
         parts, gp, gi = pair_grads(proj, infer, edge, *rest)
-
-        def value():
-            return pair_grads(proj, infer, edge, *rest)[0].elbo
-
-        step = 1e-5
-        for net, grads in ((proj, gp), (infer, gi)):
-            for name in ("W1", "b1", "W2", "b2"):
-                arr = getattr(net, name)
-                g = getattr(grads, name)
-                it = np.nditer(arr, flags=["multi_index"])
-                while not it.finished:
-                    ix = it.multi_index
-                    old = arr[ix]
-                    arr[ix] = old + step
-                    up = value()
-                    arr[ix] = old - step
-                    dn = value()
-                    arr[ix] = old
-                    fd = (up - dn) / (2 * step)
-                    assert abs(g[ix] - fd) <= 1e-4 * max(abs(g[ix]), abs(fd), 1e-3)
-                    it.iternext()
+        assert_matches_finite_differences(
+            proj, infer, gp, gi, lambda: pair_grads(proj, infer, edge, *rest)[0].elbo)
 
     def test_accumulation_equals_sum_of_singles(self):
         argsA = self.make_setup(Edge.TRANSLATION, seed=3)
@@ -523,3 +525,100 @@ class TestElboPair:
         _, gB_p, gB_i = pair_grads(proj, infer, Edge.TRANSLATION, *argsB[2:])
         assert np.allclose(acc_p.W1, gA_p.W1 + gB_p.W1, atol=1e-12)
         assert np.allclose(acc_i.W2, gA_i.W2 + gB_i.W2, atol=1e-12)
+
+
+# Largest allowed gap between the engine and the per-pair oracle: the ELBO,
+# reconstruction and KL relative to their own value, each gradient relative to
+# the largest entry of the oracle's array. The engine sums in another order
+# (matrix products over the stacked node rows, bias rows added pair by pair);
+# 2.9e-15 measured over the three edges, 1-40 pairs and widths up to
+# kg 16, bg 32, hidden 500.
+ENGINE_RTOL = 1e-13
+
+
+def batch_case(edge, n, seed, d_w=3, d_z=4, n_h=6):
+    """Nets with nonzero biases, n pairs as the rows of the side matrices, two
+    priors and the noise matrix: the arguments of ``elbo_batch_grads``."""
+    rng = np.random.default_rng(seed)
+    d_g = edge_output_dim(edge, d_z)
+    proj = DiffNet.random(d_w, n_h, d_z, rng)
+    infer = DiffNet.random(d_w + d_z, n_h, 2 * d_w + 2 * d_g, rng)
+    for net in (proj, infer):
+        net.b1 = 0.3 * rng.normal(size=net.hidden_dim)
+        net.b2 = 0.3 * rng.normal(size=net.out_dim)
+    kg_a, kg_b = rng.normal(size=(2, n, d_w))
+    bg_a, bg_b = rng.normal(size=(2, n, d_z))
+    priors = (random_prior(rng, d_w, d_g, 1.0, 1.0), random_prior(rng, d_w, d_g, 1.0, 1.0))
+    noise = rng.standard_normal((n, 2 * d_w + 2 * d_g))
+    return proj, infer, (kg_a, bg_a, kg_b, bg_b, *priors, noise)
+
+
+def engine_grads(proj, infer, edge, *rest):
+    """The engine's (elbo, recon, kl) sums and gradients, accumulated from zero."""
+    acc_proj, acc_infer = NetGrads.zeros_like(proj), NetGrads.zeros_like(infer)
+    values = elbo_batch_grads(proj, infer, edge, *rest, acc_proj, acc_infer)
+    return values, acc_proj, acc_infer
+
+
+def oracle_grads(proj, infer, edge, kg_a, bg_a, kg_b, bg_b, prior_a, prior_b, noise):
+    """The same sums and gradients from the per-pair oracle, pair by pair."""
+    acc_proj, acc_infer = NetGrads.zeros_like(proj), NetGrads.zeros_like(infer)
+    elbo = recon = kl = 0.0
+    for m in range(len(noise)):
+        parts = elbo_pair_accumulate_grads(proj, infer, edge, kg_a[m], bg_a[m], kg_b[m],
+                                           bg_b[m], prior_a, prior_b, noise[m],
+                                           acc_proj, acc_infer)
+        elbo, recon, kl = elbo + parts.elbo, recon + parts.recon, kl + parts.kl_i + parts.kl_j
+    return (elbo, recon, kl), acc_proj, acc_infer
+
+
+class TestElboBatch:
+    """``elbo_batch_grads`` over n pairs against the per-pair oracle: at 40
+    pairs the 80 node rows make one full GRAD_ROWS flush and a partial one."""
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_matches_pair_oracle(self, edge, n):
+        assert n < 40 or (2 * n > GRAD_ROWS and (2 * n) % GRAD_ROWS)
+        proj, infer, rest = batch_case(edge, n, seed=n)
+        values, gp, gi = engine_grads(proj, infer, edge, *rest)
+        want, op, oi = oracle_grads(proj, infer, edge, *rest)
+        elbo, recon, kl = values
+        assert elbo == recon - kl
+        for got, ref in zip(values, want):
+            assert abs(got - ref) <= ENGINE_RTOL * abs(ref)
+        for acc, ref in ((gp, op), (gi, oi)):
+            for name in ("W1", "b1", "W2", "b2"):
+                want_arr = getattr(ref, name)
+                assert np.max(np.abs(getattr(acc, name) - want_arr)) \
+                    <= ENGINE_RTOL * np.max(np.abs(want_arr))
+        # b2 cancels in proj_a - proj_b: each pair's two rows add exactly 0.
+        assert np.any(gp.b2) == (edge is not Edge.TRANSLATION)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_gradients_match_finite_differences(self, edge):
+        proj, infer, rest = batch_case(edge, 3, seed=17)
+        _, gp, gi = engine_grads(proj, infer, edge, *rest)
+        assert_matches_finite_differences(
+            proj, infer, gp, gi, lambda: engine_grads(proj, infer, edge, *rest)[0][0])
+
+    def test_overflowing_variance_share_raises(self):
+        proj, infer, rest = batch_case(Edge.TRANSLATION, 3, seed=5)
+        d_w, d_g = proj.in_dim, proj.out_dim
+        infer.b2[2 * d_w:2 * d_w + d_g] = 800.0
+        with pytest.raises(NumericalError, match="variance share"):
+            engine_grads(proj, infer, Edge.TRANSLATION, *rest)
+
+    def test_shape_mismatch_raises(self):
+        proj, infer, rest = batch_case(Edge.TRANSLATION, 3, seed=6)
+        kg_a, bg_a, kg_b, bg_b, prior_a, prior_b, noise = rest
+        too_wide = DiffNet.zeros(infer.in_dim, 4, infer.out_dim + 1)
+        for net, kg, bg, eps, what in (
+                (too_wide, kg_a, bg_b, noise, "net output"),
+                (infer, kg_a[:, 1:], bg_b, noise, "input dimensions"),
+                (infer, kg_a[:2], bg_b, noise, "input dimensions"),
+                (infer, kg_a, bg_b[:, 1:], noise, "input dimensions"),
+                (infer, kg_a, bg_b, noise[:, 1:], "pair noise")):
+            with pytest.raises(ShapeError, match=what):
+                engine_grads(proj, net, Edge.TRANSLATION, kg, bg_a, kg_b, bg,
+                             prior_a, prior_b, eps)

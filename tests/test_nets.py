@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bem.elbo import BatchPrior, Edge, elbo_pair_accumulate_grads
+from bem.elbo import BatchPrior, Edge
 from bem.errors import ShapeError, TrainingError
-from bem.nets import (GRAD_ROWS, ROW_BLOCK, AdamState, DiffNet, NetGrads,
-                      _backward_from_cache, _forward_cached, adam_step, net_forward_rows,
-                      sigmoid)
+from bem.nets import (GRAD_ROWS, ROW_BLOCK, AdamState, DiffNet, NetGrads, adam_step,
+                      net_forward_rows, sigmoid)
+from pair_oracle import _backward_from_cache, _forward_cached, elbo_pair_accumulate_grads
 
 # Largest allowed gap between a blocked row and the explicit-loop oracle for
 # order-one values: a few dozen ulps (8.9e-16 measured).
@@ -295,44 +297,51 @@ class TestNetGrads:
 
 
 class TestBufferedWeightGradients:
-    """``NetGrads`` sums weight gradients as one product per GRAD_ROWS node
-    rows; the oracle is the per-node ``np.outer`` loop."""
+    """``NetGrads._add_rows`` sums weight gradients as one product per
+    GRAD_ROWS node rows and each bias pair by pair; the oracle is the
+    per-node ``np.outer`` loop."""
 
     @staticmethod
-    def nodes(net, count, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            x = rng.normal(size=net.in_dim)
-            _, pre, hid = _forward_cached(net, x)
-            yield x, pre, hid, rng.normal(size=net.out_dim)
+    def pair_rows(net, n_pairs, rng):
+        """2n node rows, side a then side b: inputs, hidden deltas, hidden
+        activations and output upstreams."""
+        x = rng.normal(size=(2 * n_pairs, net.in_dim))
+        hid = np.maximum(x @ net.W1.T + net.b1, 0.0)
+        up = rng.normal(size=(2 * n_pairs, net.out_dim))
+        return x, (up @ net.W2) * (hid > 0), hid, up
 
     @staticmethod
     def assert_matches_loop(acc, loop):
-        for name in ("W1", "W2"):
+        for name in ("W1", "b1", "W2", "b2"):
             want = loop[name]
             assert np.allclose(getattr(acc, name), want, rtol=0,
                                atol=GRAD_RTOL * np.max(np.abs(want)))
-        for name in ("b1", "b2"):
-            assert np.array_equal(getattr(acc, name), loop[name])
 
+    # Pairs in all, added in calls of 1, 2, 5 and 13 pairs in turn, so that
+    # calls end short of, at and past a flush and cross flushes.
     @pytest.mark.parametrize("count", [1, GRAD_ROWS - 1, GRAD_ROWS, GRAD_ROWS + 1,
                                        3 * GRAD_ROWS + 5])
     def test_matches_outer_product_loop(self, count):
-        net = DiffNet.random(5, 30, 7, np.random.default_rng(count))
-        net.b1 = np.random.default_rng(1).normal(size=30) * 0.3
+        rng = np.random.default_rng(count)
+        net = DiffNet.random(5, 30, 7, rng)
+        net.b1 = rng.normal(size=30) * 0.3
         acc = NetGrads.zeros_like(net)
         loop = {k: np.zeros_like(v) for k, v in net.param_dict().items()}
-        for n_added, (x, pre, hid, up) in enumerate(self.nodes(net, count, seed=count), 1):
-            _, dx = _backward_from_cache(net, x, pre, hid, up, acc)
-            dpre = (net.W2.T @ up) * (pre > 0)
-            loop["W1"] += np.outer(dpre, x)
-            loop["b1"] += dpre
-            loop["W2"] += np.outer(up, hid)
-            loop["b2"] += up
-            assert np.array_equal(dx, net.W1.T @ dpre)
-            if n_added == count // 2:
-                # A read mid-run sees every node added so far.
+        added, sizes, read_mid_run = 0, itertools.cycle((1, 2, 5, 13)), False
+        while added < count:
+            n_pairs = min(next(sizes), count - added)
+            x, dpre, hid, up = self.pair_rows(net, n_pairs, rng)
+            acc._add_rows(x, dpre, hid, up)
+            added += n_pairs
+            for r in range(len(x)):
+                loop["W1"] += np.outer(dpre[r], x[r])
+                loop["b1"] += dpre[r]
+                loop["W2"] += np.outer(up[r], hid[r])
+                loop["b2"] += up[r]
+            if not read_mid_run and added >= count // 2:
+                # A read mid-run sees every row added so far.
                 self.assert_matches_loop(acc, loop)
+                read_mid_run = True
         # scale_ flushes the rows still buffered before it scales.
         acc.scale_(-0.5)
         self.assert_matches_loop(acc, {k: -0.5 * v for k, v in loop.items()})

@@ -1,6 +1,6 @@
-"""Every public top-level function and class of ``src/bem`` is used by
-``src/bem`` code: a name that only tests call belongs in ``tests/`` or behind
-the code it wraps."""
+"""Every top-level function and class of ``src/bem``, public or private, is
+used by ``src/bem`` code: a name that only tests call belongs in ``tests/``
+(as the per-pair oracle does) or behind the code it wraps."""
 import ast
 from pathlib import Path
 
@@ -11,13 +11,12 @@ def test_every_public_definition_is_referenced_in_src():
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
     unused = sorted(defined - used)
-    assert not unused, f"public but never referenced in src/bem: {unused}"
+    assert not unused, f"defined but never referenced in src/bem: {unused}"
 
 
 def test_package_top_level_imports_nothing():
