@@ -7,7 +7,8 @@ Exit codes: 0 success, 2 usage, 3 data/validation, 4 numerical failure.
 Every file-writing command drops a ``key = value`` manifest alongside its
 outputs recording the exact argv, the effective configuration and the
 SHA-256 of each deterministic output, so a run can be replayed and
-verified bit for bit. Timing fields (and the step log, which contains
+verified bit for bit; a replay leaves the manifest it reads as it found
+it. Timing fields (and the step log, which contains
 per-step wall-clock) are excluded from that guarantee. The bits also depend
 on numpy, its BLAS and the BLAS thread settings: the manifest records them,
 and replay does not compare them.
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .dataio import (EmbeddingTable, align, load_labels, load_model,
                      load_table, save_model, write_labels, write_table,
-                     _atomic_write_text, _frozen, _lines)
+                     _atomic_open, _atomic_write_text, _frozen, _lines)
 from .elbo import Edge
 from .errors import (BemError, ConfigError, DataError, EvalError,
                      NumericalError, ShapeError, TrainingError)
@@ -110,10 +111,11 @@ def write_manifest(target, command: str, argv: list[str], seed,
     return path
 
 
-def _key_values(path, sep: str, error):
-    """Yield ``(lineno, key, value)`` per line that is neither blank nor a
-    ``#`` comment, split at its first ``sep``; ``error`` names a line without."""
-    for lineno, line in _lines(path):
+def _key_values(path, sep: str, error, raw: bytes | None = None):
+    """Yield ``(lineno, key, value)`` per line of ``path`` (of ``raw``, its
+    bytes, when given) that is neither blank nor a ``#`` comment, split at
+    its first ``sep``; ``error`` names a line without."""
+    for lineno, line in _lines(path, raw):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if sep not in line:
@@ -122,8 +124,8 @@ def _key_values(path, sep: str, error):
         yield lineno, key.strip(), value
 
 
-def read_manifest(path) -> dict:
-    return {key: value for _, key, value in _key_values(path, " = ", DataError)}
+def read_manifest(path, raw: bytes | None = None) -> dict:
+    return {key: value for _, key, value in _key_values(path, " = ", DataError, raw)}
 
 
 def read_config_file(path, allowed: set[str]) -> dict[str, str]:
@@ -459,7 +461,8 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_replay(args, argv) -> int:
-    entries = read_manifest(args.manifest)
+    recorded_bytes = Path(args.manifest).read_bytes()
+    entries = read_manifest(args.manifest, recorded_bytes)
     if "argv" not in entries:
         raise DataError(f"{args.manifest}: manifest lacks an argv record")
     try:
@@ -480,12 +483,19 @@ def cmd_replay(args, argv) -> int:
         hashed[name] = (Path(entries[f"output.{name}"]), value)
     if recorded and recorded[0] == "synth" and "--force" not in recorded:
         recorded.append("--force")
+    # The replayed command may rewrite this manifest; if it did, the recorded
+    # bytes go back whatever the outcome, so a failed replay keeps its evidence.
     print(f"replaying: {shlex.join(recorded)}")
-    code = main(recorded)
-    if code != EXIT_OK:
-        return code
-    mismatches = [name for name, (out_path, value) in hashed.items()
-                  if _sha256_file(out_path) != value]
+    try:
+        code = main(recorded)
+        if code != EXIT_OK:
+            return code
+        mismatches = [name for name, (out_path, value) in hashed.items()
+                      if _sha256_file(out_path) != value]
+    finally:
+        if Path(args.manifest).read_bytes() != recorded_bytes:
+            with _atomic_open(args.manifest) as fh:
+                fh.write(recorded_bytes)
     if mismatches:
         print(f"replay mismatch for: {', '.join(mismatches)}", file=sys.stderr)
         return EXIT_DATA

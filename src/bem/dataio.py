@@ -33,6 +33,7 @@ tensors, trailing CRC32 over everything before it.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -46,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .elbo import edge_output_dim
 from .errors import AlignmentError, ConfigError, DataError, ModelFormatError, ShapeError
 from .nets import DiffNet
 
@@ -92,11 +94,13 @@ def _atomic_write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _lines(path):
-    """Yield ``(lineno, line)`` per line of a UTF-8 text file, without its
-    newline; DataError names the first line that does not decode (the
-    surrogateescape handler defers a decode error to the line that holds it)."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+def _lines(path, raw: bytes | None = None):
+    """Yield ``(lineno, line)`` per line of a UTF-8 text file (of ``raw``, the
+    file's bytes, when given), without its newline; DataError names the first
+    line that does not decode (the surrogateescape handler defers a decode
+    error to the line that holds it)."""
+    stream = open(path, "rb") if raw is None else io.BytesIO(raw)
+    with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -445,13 +449,23 @@ class _Reader:
             raise ModelFormatError(f"unsupported tensor shape ({exc})")
 
 
+def _model_dims_consistent(proj_net: DiffNet, infer_net: DiffNet, cfg, kg_dim: int,
+                           bg_dim: int, edge_dim: int) -> bool:
+    """The shape contract of a model file, which save and load both hold."""
+    return (proj_net.in_dim == kg_dim and proj_net.out_dim == bg_dim
+            and infer_net.in_dim == kg_dim + bg_dim
+            and edge_dim == edge_output_dim(cfg.edge, bg_dim)
+            and infer_net.out_dim == 2 * kg_dim + 2 * edge_dim
+            and cfg.hidden_dim == proj_net.hidden_dim == infer_net.hidden_dim)
+
+
 def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
-    """Serialize both nets plus the training config, losslessly."""
+    """Serialize both nets plus the training config, losslessly. Nets that
+    ``load_model`` would refuse raise before anything is written."""
     from .trainer import TrainConfig  # deferred: avoids an import cycle
 
     if not isinstance(cfg, TrainConfig):
         raise ModelFormatError("cfg must be a TrainConfig")
-    from .elbo import edge_output_dim
     header = {
         "kg_dim": proj_net.in_dim,
         "bg_dim": proj_net.out_dim,
@@ -460,6 +474,9 @@ def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
         "infer": [infer_net.in_dim, infer_net.hidden_dim, infer_net.out_dim],
         "config": cfg.to_dict(),
     }
+    if not _model_dims_consistent(proj_net, infer_net, cfg, header["kg_dim"],
+                                  header["bg_dim"], header["edge_dim"]):
+        raise ModelFormatError(f"{path}: the nets do not fit each other and the config")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     body = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
             struct.pack("<I", len(header_bytes)), header_bytes]
@@ -479,7 +496,6 @@ def load_model(path):
     corrupted file never yields a partial model.
     """
     from .trainer import TrainConfig  # deferred: avoids an import cycle
-    from .elbo import edge_output_dim
 
     payload = Path(path).read_bytes()
     if len(payload) < len(MODEL_MAGIC) + 8 or payload[:4] != MODEL_MAGIC:
@@ -513,10 +529,6 @@ def load_model(path):
         infer_net = DiffNet(*infer_dims, *tensors[4:])
     except (ShapeError, TypeError) as exc:  # TypeError: not three net dims
         raise ModelFormatError(f"{path}: tensor shapes disagree with header ({exc})")
-    if (proj_net.in_dim != kg_dim or proj_net.out_dim != bg_dim
-            or infer_net.in_dim != kg_dim + bg_dim
-            or edge_dim != edge_output_dim(cfg.edge, bg_dim)
-            or infer_net.out_dim != 2 * kg_dim + 2 * edge_dim
-            or not cfg.hidden_dim == proj_net.hidden_dim == infer_net.hidden_dim):
+    if not _model_dims_consistent(proj_net, infer_net, cfg, kg_dim, bg_dim, edge_dim):
         raise ModelFormatError(f"{path}: header dimensions are inconsistent")
     return proj_net, infer_net, cfg

@@ -152,8 +152,8 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
     # Forward: the posterior of each node, one draw, its projection.
     infer_hid = np.empty((2, n, infer_net.hidden_dim))
     raw = np.empty((2, n, infer_net.out_dim))
-    _block_forward(infer_in.reshape(2 * n, -1), infer_net.W1, infer_net.b1, infer_net.W2,
-                   infer_net.b2, infer_hid.reshape(2 * n, -1), raw.reshape(2 * n, -1))
+    _block_forward(infer_net, infer_in.reshape(2 * n, -1), infer_hid.reshape(2 * n, -1),
+                   raw.reshape(2 * n, -1))
     m_shift, r_shift = raw[..., :kg_dim], raw[..., kg_dim:2 * kg_dim]
     m_log, r_log = raw[..., 2 * kg_dim:kg_dim + node_dim], raw[..., kg_dim + node_dim:]
     s_shift = softplus(r_shift) + STD_FLOOR
@@ -166,8 +166,8 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
             raise NumericalError("variance share overflows") from None
     proj_hid = np.empty((2, n, proj_net.hidden_dim))
     proj = np.empty((2, n, bg_dim))
-    _block_forward(proj_in.reshape(2 * n, -1), proj_net.W1, proj_net.b1, proj_net.W2,
-                   proj_net.b2, proj_hid.reshape(2 * n, -1), proj.reshape(2 * n, -1))
+    _block_forward(proj_net, proj_in.reshape(2 * n, -1), proj_hid.reshape(2 * n, -1),
+                   proj.reshape(2 * n, -1))
 
     # Gaussian fit of each edge residual with variance res_var_a + res_var_b,
     # additive constant dropped, minus both nodes' closed-form KL.

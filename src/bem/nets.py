@@ -1,9 +1,8 @@
 """Two-layer perceptrons with hand-written gradients and the Adam update.
 
-Everything is float64. Inference runs row-wise as matrix products over fixed
-blocks of ``ROW_BLOCK`` rows, one ``_block_forward`` per block, in
-``net_forward_rows`` and in ``trainer.refine`` (which passes only the
-shift-mean rows of the inference output layer), so a row can differ from an
+Everything is float64. Inference runs row-wise in ``net_forward_rows`` alone
+(``trainer.refine`` and ``synthgen`` call it): one ``_block_forward(net, ...)``
+per fixed block of ``ROW_BLOCK`` rows, so a row can differ from an
 explicit-loop evaluation in the last bits (summation order; 8.9e-16
 measured). It is bit-identical from run to run, and a row's output does not
 depend on how many rows follow it. Training runs ``_block_forward`` over each
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError, TrainingError
 
-# Rows per matrix product in ``net_forward_rows`` and ``trainer.refine``.
+# Rows per matrix product in ``net_forward_rows``.
 # Blocks start at row 0 and the last one is padded to full height, because
 # the BLAS result for one row may change with the height of the matrix it
 # sits in (not with the other rows' values): with fixed blocks, the first m
@@ -173,32 +172,37 @@ class NetGrads:
                 f"{prefix}W2": self.W2, f"{prefix}b2": self.b2}
 
 
-def net_forward_rows(net: DiffNet, X) -> np.ndarray:
-    """Row-wise forward pass over a matrix of inputs."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.in_dim:
-        raise ShapeError(f"input matrix has shape {X.shape}, expected (*, {net.in_dim})")
-    n = X.shape[0]
+def net_forward_rows(net: DiffNet, *columns) -> np.ndarray:
+    """Row-wise forward pass over a matrix of inputs, or over column blocks
+    that each padded block takes side by side (no joined copy is built)."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if (not columns or any(c.ndim != 2 or len(c) != len(columns[0]) for c in columns)
+            or sum(c.shape[1] for c in columns) != net.in_dim):
+        raise ShapeError(f"inputs of shapes {[c.shape for c in columns]} do not make "
+                         f"rows of width {net.in_dim}")
+    n = len(columns[0])
     out = np.empty((n, net.out_dim))
     block = np.zeros((ROW_BLOCK, net.in_dim))
+    targets = np.split(block, np.cumsum([c.shape[1] for c in columns])[:-1], axis=1)
     hidden, result = np.empty((ROW_BLOCK, net.hidden_dim)), np.empty((ROW_BLOCK, net.out_dim))
     for start in range(0, n, ROW_BLOCK):
         rows = min(ROW_BLOCK, n - start)
-        block[:rows] = X[start:start + rows]
+        for target, c in zip(targets, columns):
+            target[:rows] = c[start:start + rows]
         block[rows:] = 0.0
-        _block_forward(block, net.W1, net.b1, net.W2, net.b2, hidden, result)
+        _block_forward(net, block, hidden, result)
         out[start:start + rows] = result[:rows]
     return out
 
 
-def _block_forward(block, W1, b1, W2, b2, hidden, out) -> None:
+def _block_forward(net: DiffNet, block, hidden, out) -> None:
     """``out = relu(block @ W1.T + b1) @ W2.T + b2`` for one block of rows,
     into the caller's ``hidden`` and ``out`` buffers."""
-    np.matmul(block, W1.T, out=hidden)
-    hidden += b1
+    np.matmul(block, net.W1.T, out=hidden)
+    hidden += net.b1
     np.maximum(hidden, 0.0, out=hidden)
-    np.matmul(hidden, W2.T, out=out)
-    out += b2
+    np.matmul(hidden, net.W2.T, out=out)
+    out += net.b2
 
 
 @dataclass(eq=False)

@@ -27,7 +27,7 @@ from .elbo import (Edge, edge_allows_self_pairs, edge_output_dim,
                    elbo_batch_grads, estimate_prior)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
                      TrainingError)
-from .nets import ROW_BLOCK, AdamState, DiffNet, NetGrads, _block_forward, adam_step
+from .nets import AdamState, DiffNet, NetGrads, adam_step, net_forward_rows
 from .rng import named_rng
 
 
@@ -238,10 +238,12 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
     """Posterior-mean refinement of both tables; no sampling, inputs untouched.
 
     Each KG row moves by its inferred shift mean: the first ``kg.dim``
-    inference-net outputs on (bg row, kg row), the only second-layer rows
-    refine computes. The refined BG row is the deterministic projection of
-    the shifted KG row. The tables are taken as the nets see them
-    (``TrainConfig.model_inputs``), and the refined tables are in that space.
+    inference-net outputs on (bg row, kg row), the only output rows refine
+    computes. The refined BG row is the deterministic projection of the
+    shifted KG row. Both are ``nets.net_forward_rows`` passes, so a row's
+    bits do not depend on the table's height. The tables are taken as the
+    nets see them (``TrainConfig.model_inputs``), and the refined tables are
+    in that space.
     """
     _check_aligned(kg, bg)
     if proj_net.in_dim != kg.dim:
@@ -250,26 +252,10 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
         raise ShapeError(f"projection net emits dim {proj_net.out_dim}, bg table has {bg.dim}")
     if infer_net.in_dim != kg.dim + bg.dim:
         raise ShapeError("inference net input does not match the table dimensions")
-    n, kg_dim, bg_dim = len(kg), kg.dim, bg.dim
-    kg_out, bg_out = np.empty((n, kg_dim)), np.empty((n, bg_dim))
-    # One pass over fixed ROW_BLOCK blocks (see nets.ROW_BLOCK): the last
-    # block's padding rows are zero inputs whose outputs are never read.
-    inputs = np.zeros((ROW_BLOCK, infer_net.in_dim))
-    infer_hidden, shifted, proj_hidden, projected = (
-        np.empty((ROW_BLOCK, width))
-        for width in (infer_net.hidden_dim, kg_dim, proj_net.hidden_dim, bg_dim))
-    for start in range(0, n, ROW_BLOCK):
-        rows = min(ROW_BLOCK, n - start)
-        stop = start + rows
-        inputs[:rows, :bg_dim] = bg.matrix[start:stop]
-        inputs[:rows, bg_dim:] = kg.matrix[start:stop]
-        inputs[rows:] = 0.0
-        _block_forward(inputs, infer_net.W1, infer_net.b1, infer_net.W2[:kg_dim],
-                       infer_net.b2[:kg_dim], infer_hidden, shifted)
-        shifted += inputs[:, bg_dim:]
-        kg_out[start:stop] = shifted[:rows]
-        _block_forward(shifted, proj_net.W1, proj_net.b1, proj_net.W2, proj_net.b2,
-                       proj_hidden, projected)
-        bg_out[start:stop] = projected[:rows]
+    shift_net = DiffNet(infer_net.in_dim, infer_net.hidden_dim, kg.dim, infer_net.W1,
+                        infer_net.b1, infer_net.W2[:kg.dim], infer_net.b2[:kg.dim])
+    kg_out = net_forward_rows(shift_net, bg.matrix, kg.matrix)
+    kg_out += kg.matrix
+    bg_out = net_forward_rows(proj_net, kg_out)
     return (EmbeddingTable(ids=kg.ids, matrix=_frozen(kg_out)),
             EmbeddingTable(ids=kg.ids, matrix=_frozen(bg_out)))

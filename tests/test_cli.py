@@ -29,6 +29,22 @@ def synth_manifest(tmp_path, name="synth"):
     return out / "manifest.txt"
 
 
+def command_manifest(tmp_path, command):
+    """The manifest of a small synth, train or refine run."""
+    synth = synth_manifest(tmp_path)
+    if command == "synth":
+        return synth
+    data, model = synth.parent, tmp_path / "m.bem"
+    tables = ["--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv")]
+    assert main(["train", *tables, "--out", str(model), "--nB", "10", "--nh", "4",
+                 "--epochs", "1"]) == EXIT_OK
+    if command == "train":
+        return tmp_path / "m.bem.manifest.txt"
+    out = tmp_path / "refined"
+    assert main(["refine", *tables, "--model", str(model), "--out", str(out)]) == EXIT_OK
+    return out / "manifest.txt"
+
+
 class TestReplay:
     def test_replay_verifies_synth_outputs(self, tmp_path, capsys):
         manifest = synth_manifest(tmp_path)
@@ -90,6 +106,51 @@ class TestReplay:
             ("numpy_version", "blas_", "env."))), encoding="utf-8")
         assert main(["replay", str(manifest)]) == EXIT_OK
         assert "bit-identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["synth", "train", "refine"])
+    def test_replay_leaves_its_manifest_byte_identical(self, tmp_path, command, capsys):
+        manifest = command_manifest(tmp_path, command)
+        recorded = manifest.read_bytes()
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert manifest.read_bytes() == recorded
+
+    def test_replay_of_a_read_only_manifest_copy(self, tmp_path, monkeypatch, capsys):
+        # The replay writes the recorded output path's manifest, not this
+        # copy, so the copy is only read. A read-only directory does not stop
+        # root from writing, so writing the copy is refused outright as well.
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        manifest = shutil.copy(synth_manifest(tmp_path), kept / "manifest.txt")
+        recorded = Path(manifest).read_bytes()
+
+        def refuse(path):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setattr(cli, "_atomic_open", refuse)
+        kept.chmod(0o555)
+        try:
+            assert main(["replay", str(manifest)]) == EXIT_OK
+        finally:
+            kept.chmod(0o755)
+        assert "bit-identical" in capsys.readouterr().out
+        assert Path(manifest).read_bytes() == recorded
+
+    @pytest.mark.parametrize("command", ["synth", "train", "refine"])
+    def test_failed_replay_keeps_its_evidence(self, tmp_path, command, capsys):
+        # The replayed command rewrites the manifest with the new hashes;
+        # the recorded (here corrupted) hash must survive, so a second replay
+        # fails as the first did.
+        manifest = command_manifest(tmp_path, command)
+        text = manifest.read_text(encoding="utf-8")
+        key, value = re.search(r"(?m)^(sha256\.\S+) = (\w+)$", text).groups()
+        flipped = ("1" if value[0] == "0" else "0") + value[1:]
+        manifest.write_text(text.replace(f"{key} = {value}", f"{key} = {flipped}"),
+                            encoding="utf-8")
+        corrupted = manifest.read_bytes()
+        for _ in range(2):
+            assert main(["replay", str(manifest)]) == EXIT_DATA
+            assert "replay mismatch" in capsys.readouterr().err
+            assert manifest.read_bytes() == corrupted
 
     @pytest.mark.parametrize("argv", ["[not json", "5", '["synth", 3]'])
     def test_malformed_argv_record_is_a_data_error(self, tmp_path, argv):
@@ -405,8 +466,8 @@ def fake_train(kg, bg, cfg):
     """Nets of the right shapes without training: manifests record the config."""
     rng = np.random.default_rng(0)
     edge_dim = edge_output_dim(cfg.edge, bg.dim)
-    proj = DiffNet.random(kg.dim, 2, bg.dim, rng)
-    infer = DiffNet.random(kg.dim + bg.dim, 2, 2 * kg.dim + 2 * edge_dim, rng)
+    proj = DiffNet.random(kg.dim, cfg.hidden_dim, bg.dim, rng)
+    infer = DiffNet.random(kg.dim + bg.dim, cfg.hidden_dim, 2 * kg.dim + 2 * edge_dim, rng)
     return proj, infer, TrainReport(records=[StepRecord(1, 0.0, 0.0, 0.0, 0.0)])
 
 

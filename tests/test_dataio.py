@@ -551,6 +551,17 @@ def write_huge_tensor_model(path):
     path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
+def rewrite_model(path, header_change, tensors):
+    """Replace a saved model's header fields and tensors under a fresh CRC."""
+    payload = path.read_bytes()[:-4]
+    hlen = struct.unpack("<I", payload[8:12])[0]
+    header = {**json.loads(payload[12:12 + hlen]), **header_change}
+    new_header = json.dumps(header, sort_keys=True).encode()
+    payload = (payload[:8] + struct.pack("<I", len(new_header)) + new_header
+               + b"".join(dataio._pack_tensor(t) for t in tensors))
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
 class TestModelFile:
     def test_round_trip_is_bit_identical(self, tmp_path):
         proj, infer, cfg = make_model(seed=5)
@@ -624,15 +635,31 @@ class TestModelFile:
 
     @pytest.mark.parametrize("hidden", [(4, 7), (7, 4)], ids=["infer-wider", "proj-wider"])
     def test_hidden_width_of_either_net_must_match_the_config(self, tmp_path, hidden):
-        # A CRC-valid file whose two nets disagree on the hidden width.
-        rng = np.random.default_rng(0)
+        # A CRC-valid file whose two nets disagree on the hidden width:
+        # save_model refuses such nets, so a good file's header dims and
+        # tensors are rewritten.
         proj_h, infer_h = hidden
-        proj = DiffNet.random(3, proj_h, 4, rng)
-        infer = DiffNet.random(7, infer_h, 14, rng)
+        proj = make_model(hidden=proj_h)[0]
+        infer = make_model(hidden=infer_h)[1]
         p = tmp_path / "m.bem"
-        save_model(proj, infer, TrainConfig(hidden_dim=4), p)
+        save_model(*make_model(hidden=4), p)
+        rewrite_model(p, {"proj": [3, proj_h, 4], "infer": [7, infer_h, 14]},
+                      [*proj.param_dict().values(), *infer.param_dict().values()])
         with pytest.raises(ModelFormatError, match="inconsistent"):
             load_model(p)
+
+    @pytest.mark.parametrize("proj_dims,infer_dims,edge", [
+        ((3, 5, 4), (7, 6, 14), Edge.TRANSLATION), ((3, 6, 4), (7, 5, 14), Edge.TRANSLATION),
+        ((3, 6, 4), (8, 6, 14), Edge.TRANSLATION), ((3, 6, 4), (7, 6, 13), Edge.TRANSLATION),
+        ((3, 6, 4), (7, 6, 14), Edge.INNER_PRODUCT),
+    ], ids=["proj-hidden", "infer-hidden", "infer-input", "infer-output", "edge-output"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, proj_dims, infer_dims, edge):
+        rng = np.random.default_rng(0)
+        proj, infer = DiffNet.random(*proj_dims, rng), DiffNet.random(*infer_dims, rng)
+        cfg = TrainConfig(hidden_dim=6, edge=edge)
+        with pytest.raises(ModelFormatError, match="do not fit"):
+            save_model(proj, infer, cfg, tmp_path / "m.bem")
+        assert list(tmp_path.iterdir()) == []
 
     def test_tensor_dims_past_int64_are_a_format_error(self, tmp_path):
         p = tmp_path / "m.bem"

@@ -89,6 +89,18 @@ class TestForward:
                                rtol=0, atol=ROWS_ATOL)
         assert np.array_equal(net_forward_rows(net, X), batched)
 
+    def test_column_blocks_match_the_joined_matrix_bit_for_bit(self):
+        net = DiffNet.random(5, 50, 3, np.random.default_rng(2))
+        X = np.random.default_rng(3).normal(size=(ROW_BLOCK + 7, 5))
+        assert np.array_equal(net_forward_rows(net, X[:, :2], X[:, 2:]),
+                              net_forward_rows(net, X))
+        with pytest.raises(ShapeError):
+            net_forward_rows(net, X[:, :2], X[1:, 2:])
+        with pytest.raises(ShapeError):
+            net_forward_rows(net, X[:, :2], X)
+        with pytest.raises(ShapeError):
+            net_forward_rows(net)
+
     def test_rows_helper_ignores_input_memory_layout(self):
         net = DiffNet.random(4, 50, 3, np.random.default_rng(2))
         X = np.random.default_rng(3).normal(size=(ROW_BLOCK + 7, 4))

@@ -359,3 +359,8 @@ class TestRefine:
         infer = DiffNet.zeros(kg.dim + bg.dim, 4, 2 * kg.dim + 2 * bg.dim)
         with pytest.raises(ShapeError):
             refine(kg, bg, proj, infer)
+        # An inference net with fewer outputs than kg.dim shift-mean rows.
+        proj = DiffNet.zeros(kg.dim, 4, bg.dim)
+        infer = DiffNet.zeros(kg.dim + bg.dim, 4, kg.dim - 1)
+        with pytest.raises(ShapeError, match="W2 has shape"):
+            refine(kg, bg, proj, infer)
