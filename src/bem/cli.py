@@ -39,7 +39,7 @@ from .evalkit import (cluster_ratio_detail, classify_accuracy, concat_tables,
                       hit_recall, make_split, random_project,
                       similarity_histogram, train_classifier)
 from .rng import named_rng
-from .synthgen import SynthSpec, generate, load_truth, oracle_error, write_truth
+from .synthgen import SynthSpec, generate, oracle_error
 from .trainer import TrainConfig, refine, train
 
 EXIT_OK = 0
@@ -230,7 +230,7 @@ def cmd_synth(args, argv) -> int:
     write_table(truth.kg, paths["kg.tsv"])
     write_table(truth.bg, paths["bg.tsv"])
     write_labels(truth.labels, paths["labels.tsv"])
-    write_truth(truth, paths["truth.tsv"])
+    write_table(truth.clean_bg, paths["truth.tsv"])
     write_manifest(out_dir, "synth", argv, spec.seed,
                    config=vars(spec).copy(), inputs={},
                    outputs=list(paths.values()),
@@ -418,7 +418,7 @@ def cmd_sweep(args, argv) -> int:
     if args.metric == "oracle-error":
         if not args.truth:
             raise UsageError("--metric oracle-error needs --truth")
-        truth_table, _ = load_truth(args.truth)
+        truth_table = load_table(args.truth)
         oracle_error(bg, truth_table)  # fail on missing truth rows before training
         # Normalization is not a sweep parameter: one preparation serves all runs.
         kg_in, bg_in, bg_norms = base_cfg.model_inputs(kg, bg)
@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True, nargs="+", type=float)
     p.add_argument("--metric", choices=("elbo", "oracle-error"), default="elbo")
-    p.add_argument("--truth", default=None, help="truth sidecar for oracle-error")
+    p.add_argument("--truth", default=None,
+                   help="the clean BG table that synth writes as truth.tsv (for oracle-error)")
     _add_train_flags(p, with_out=False)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)

@@ -3,18 +3,19 @@
 Embedding table format: UTF-8 text, one row per entity, fields separated by
 a single tab: the entity id, then d decimal floats (17 significant digits on
 write, so values round-trip exactly). An optional first line ``#dim=<d>``
-pins the dimension. A truth file (``synthgen``) is the same format with a
-label column between the id and the values.
+pins the dimension. Every table file is in this format, the synthetic
+truth (``truth.tsv``) included.
 
-Tables stream through one codec in both directions. The writer formats
-``CHUNK_ROWS`` rows at a time with one ``%.17g`` template per row (the same
-bytes as ``format(v, ".17g")`` per value) into a temp file beside the
-target, then renames it over the target. The reader checks each line's
-structure in Python, with line numbers, and hands each chunk's value
-fields to numpy's C parser; a chunk that parser rejects, or that holds a
-non-finite value, is parsed again field by field with ``float()``, so the
-accepted files, the values and the line-numbered errors are those of a
-plain per-field ``float()`` loop.
+``write_table`` and ``load_table`` are the one writer and the one reader of
+tables, each streamed ``CHUNK_ROWS`` rows at a time. The writer formats a
+chunk with one ``%.17g`` template per row (the same bytes as
+``format(v, ".17g")`` per value) into a temp file beside the target, then
+renames it over the target. The reader checks each line's structure in
+Python, with line numbers, and hands each chunk's value fields to numpy's C
+parser; a chunk that parser rejects, or that holds a non-finite value, is
+parsed again field by field with ``float()``, so the accepted files, the
+values and the line-numbered errors are those of a plain per-field
+``float()`` loop.
 
 An ``EmbeddingTable`` copies any matrix but a read-only float64 array that
 owns its data. Code that builds a fresh matrix for a table hands it over
@@ -23,8 +24,8 @@ owns its data. Code that builds a fresh matrix for a table hands it over
 Label file: ``id<TAB>class1,class2,...`` with a non-empty id and a
 non-empty class list.
 
-Every text reader (tables, truth and label files; ``cli`` manifests and
-config files) reads UTF-8 lines with universal newlines: a line ends at
+Every text reader (table and label files; ``cli`` manifests and config
+files) reads UTF-8 lines with universal newlines: a line ends at
 ``\n``, ``\r\n`` or ``\r`` and nowhere else. Every error names its 1-based
 line, an undecodable line's included.
 
@@ -110,15 +111,15 @@ def _lines(path, raw: bytes | None = None):
             yield lineno, line.rstrip("\n")
 
 
-def _keyed_rows(path, lines, n_keys: int, missing: str):
-    """Yield ``(lineno, parts)`` per line, split at its first ``n_keys`` tabs.
-    DataError names a blank line, an empty or duplicate id, a line with nothing
-    after its keys (the text ``missing``), and a file without lines."""
+def _keyed_rows(path, lines, missing: str):
+    """Yield ``(lineno, (id, rest))`` per line, split at its first tab.
+    DataError names a blank line, an empty or duplicate id, a line without a
+    tab (the text ``missing``), and a file without lines."""
     seen: dict[str, int] = {}
     for lineno, line in lines:
         if line == "":
             raise DataError(f"{path}:{lineno}: blank line")
-        parts = line.split("\t", n_keys)
+        parts = line.split("\t", 1)
         eid = parts[0]
         if eid == "":
             raise DataError(f"{path}:{lineno}: empty entity id")
@@ -127,7 +128,7 @@ def _keyed_rows(path, lines, n_keys: int, missing: str):
                 f"{path}:{lineno}: duplicate id {eid!r} "
                 f"(first seen on line {seen[eid]})")
         seen[eid] = lineno
-        if len(parts) <= n_keys:
+        if len(parts) == 1:
             raise DataError(f"{path}:{lineno}: {missing}")
         yield lineno, parts
     if not seen:
@@ -229,22 +230,6 @@ class LabelTable:
         return dict(zip(self.ids, self.label_sets))
 
 
-def _write_rows(path, keys, matrix: np.ndarray) -> None:
-    """Write ``#dim=<d>``, then ``key<TAB>v1<TAB>...<TAB>vd`` per row.
-
-    ``keys`` holds one string per row: the id, or the id and its label
-    joined by a tab. Streamed in chunks of ``CHUNK_ROWS`` rows.
-    """
-    row_format = "%s\t" + "\t".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with _atomic_open(path) as fh:
-        fh.write(f"#dim={matrix.shape[1]}\n".encode("utf-8"))
-        for start in range(0, len(keys), CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
-            chunk = "".join([row_format % (key, *row) for key, row in
-                             zip(keys[start:stop], matrix[start:stop].tolist())])
-            fh.write(chunk.encode("utf-8"))
-
-
 def _parse_values(path, first_lineno: int, rests: list[str], dim: int) -> np.ndarray:
     """Parse value fields, one line of ``dim`` tab-separated fields per row."""
     # loadtxt skips empty lines (and warns when all are), so they go to float().
@@ -273,19 +258,16 @@ def _parse_values(path, first_lineno: int, rests: list[str], dim: int) -> np.nda
     return np.array(rows, dtype=float)
 
 
-def _read_rows(path, label_column: bool = False):
-    """Parse a table (or, with ``label_column``, a truth file) line by line.
+def load_table(path) -> EmbeddingTable:
+    """Parse an embedding table line by line, rejecting anything malformed.
 
-    Returns ``(ids, labels, matrix)``; ``labels`` is empty without a label
-    column. Besides the ``_lines`` and ``_keyed_rows`` errors, raises
-    DataError naming the line of a bad header, a ragged row or an unparsable
-    or non-finite value (the earliest line's error wins), and ShapeError when
+    Besides the ``_lines`` and ``_keyed_rows`` errors, raises DataError
+    naming the line of a bad header, a ragged row or an unparsable or
+    non-finite value (the earliest line's error wins), and ShapeError when
     the ``#dim=`` header disagrees with the rows.
     """
     path = Path(path)
-    n_keys = 2 if label_column else 1
     ids: list[str] = []
-    labels: list[str] = []
     rests: list[str] = []
     matrix = np.empty((0, 0))  # grows geometrically; no parsed chunk outlives its copy
     dim: int | None = None
@@ -312,8 +294,7 @@ def _read_rows(path, label_column: bool = False):
     elif head:
         lines = itertools.chain([head], lines)
     try:
-        for lineno, parts in _keyed_rows(path, lines, n_keys, "row has no values"):
-            rest = parts[n_keys]
+        for lineno, (eid, rest) in _keyed_rows(path, lines, "row has no values"):
             width = rest.count("\t") + 1
             dim = dim or width
             if width != dim:
@@ -322,9 +303,7 @@ def _read_rows(path, label_column: bool = False):
             if not rests:
                 first = lineno
             rests.append(rest)
-            ids.append(parts[0])
-            if label_column:
-                labels.append(parts[1])
+            ids.append(eid)
             if len(rests) == CHUNK_ROWS:
                 flush()
     except DataError:
@@ -334,24 +313,19 @@ def _read_rows(path, label_column: bool = False):
     if header_dim is not None and header_dim != dim:
         raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
     matrix.resize((len(ids), dim), refcheck=False)
-    return ids, labels, _frozen(matrix)
-
-
-def load_table(path, expected_dim: int | None = None) -> EmbeddingTable:
-    """Parse an embedding table, rejecting anything malformed.
-
-    Raises DataError with the offending line number for ragged rows,
-    unparsable or non-finite values and duplicate ids; ShapeError when the
-    dimension disagrees with ``expected_dim`` or the ``#dim=`` header.
-    """
-    ids, _, matrix = _read_rows(path)
-    if expected_dim is not None and matrix.shape[1] != expected_dim:
-        raise ShapeError(f"{path}: dimension {matrix.shape[1]}, expected {expected_dim}")
-    return EmbeddingTable(ids=tuple(ids), matrix=matrix)
+    return EmbeddingTable(ids=tuple(ids), matrix=_frozen(matrix))
 
 
 def write_table(table: EmbeddingTable, path) -> None:
-    _write_rows(path, table.ids, table.matrix)
+    """Write ``#dim=<d>``, then ``id<TAB>v1<TAB>...<TAB>vd`` per row."""
+    row_format = "%s\t" + "\t".join(["%.17g"] * table.dim) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write(f"#dim={table.dim}\n".encode("utf-8"))
+        for start in range(0, len(table), CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            chunk = "".join([row_format % (eid, *row) for eid, row in
+                             zip(table.ids[start:stop], table.matrix[start:stop].tolist())])
+            fh.write(chunk.encode("utf-8"))
 
 
 def load_labels(path) -> LabelTable:
@@ -359,7 +333,7 @@ def load_labels(path) -> LabelTable:
     path = Path(path)
     mapping: dict[str, tuple[str, ...]] = {}
     expected = "expected 'id<TAB>labels'"
-    for lineno, (eid, labels) in _keyed_rows(path, _lines(path), 1, expected):
+    for lineno, (eid, labels) in _keyed_rows(path, _lines(path), expected):
         if "\t" in labels:
             raise DataError(f"{path}:{lineno}: {expected}")
         classes = tuple(c for c in labels.split(",") if c != "")

@@ -70,8 +70,8 @@ def train_classifier(table: EmbeddingTable, labels: LabelTable,
     step is rolled back), so the recorded loss is non-increasing. Zero
     initialization makes training deterministic.
     """
-    if epochs < 1 or not lr > 0 or not reg >= 0:
-        raise ConfigError("classifier needs epochs >= 1, lr > 0 and reg >= 0")
+    if epochs < 1 or not 0.0 < lr < np.inf or not 0.0 <= reg < np.inf:
+        raise ConfigError("classifier needs epochs >= 1, finite lr > 0 and finite reg >= 0")
     mapping = labels.mapping
     train_ids = [eid for eid in split.train_ids
                  if eid in table.id_index and eid in mapping]
@@ -163,8 +163,9 @@ def similarity_histogram(table: EmbeddingTable, n_pairs: int, bins: int,
                          rng: np.random.Generator) -> Histogram:
     """|cosine| over uniformly sampled distinct index pairs.
 
-    Pairs touching a zero-norm row are dropped from the histogram and
-    counted in ``n_skipped``; the remaining mass sums to 1.
+    Pairs whose norm product is zero or not finite (a zero-norm row, or
+    entries past about 1e154) are dropped from the histogram and counted in
+    ``n_skipped``; the remaining mass sums to 1.
     """
     if n_pairs < 1 or bins < 1:
         raise ConfigError("n_pairs and bins must be positive")
@@ -178,13 +179,14 @@ def similarity_histogram(table: EmbeddingTable, n_pairs: int, bins: int,
         ii, jj = np.concatenate([ii, a[a != b]]), np.concatenate([jj, b[a != b]])
     # Only the sampled rows are read: no norm pass over the whole table.
     rows_i, rows_j = table.matrix[ii], table.matrix[jj]
-    norms_i, norms_j = np.linalg.norm(rows_i, axis=1), np.linalg.norm(rows_j, axis=1)
-    ok = (norms_i > 0.0) & (norms_j > 0.0)
-    n_skipped = int(n_pairs - np.sum(ok))
-    if n_skipped == n_pairs:
-        raise EvalError("every sampled pair touched a zero-norm row")
-    rows_i *= rows_j
-    cos = np.abs(np.sum(rows_i, axis=1)[ok] / (norms_i * norms_j)[ok])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow only marks a skip
+        scale = np.linalg.norm(rows_i, axis=1) * np.linalg.norm(rows_j, axis=1)
+        ok = (scale > 0.0) & (scale < np.inf)
+        n_skipped = int(n_pairs - np.sum(ok))
+        if n_skipped == n_pairs:
+            raise EvalError("every sampled pair touched a zero-norm or overflowing row")
+        rows_i *= rows_j
+        cos = np.abs(np.sum(rows_i, axis=1)[ok] / scale[ok])
     counts, edges = np.histogram(np.clip(cos, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
     return Histogram(edges=edges, mass=counts / len(cos), n_pairs=n_pairs,
                      n_used=len(cos), n_skipped=n_skipped)
@@ -213,24 +215,31 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
     Within-class scatter is the mean distance to the class centroid;
     between-class gap is the closest cross-class point pair. Multi-label
     entities count under their first listed class. A zero gap yields an
-    infinite ratio with a warning rather than an error.
+    infinite ratio with a warning rather than an error; a distance that
+    overflows float64 raises EvalError.
     """
     groups = _first_label_groups(table, labels)
     if sum(1 for pts in groups.values() if len(pts) >= 2) < 2:
         raise EvalError("need at least two classes with at least two members each")
+    overflow = EvalError("a within-class or between-class distance overflows float64")
     max_within = 0.0
-    for pts in groups.values():
-        centroid = pts.mean(axis=0)
-        max_within = max(max_within, float(np.mean(np.linalg.norm(pts - centroid, axis=1))))
     classes = sorted(groups)
     min_between = np.inf
-    for a in range(len(classes)):
-        pa = groups[classes[a]]
-        for b in range(a + 1, len(classes)):
-            pb = groups[classes[b]]
-            d2 = (np.sum(pa ** 2, axis=1)[:, None] + np.sum(pb ** 2, axis=1)[None, :]
-                  - 2.0 * pa @ pb.T)
-            min_between = min(min_between, float(np.sqrt(max(d2.min(), 0.0))))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        for pts in groups.values():
+            within = float(np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+            if not np.isfinite(within):
+                raise overflow
+            max_within = max(max_within, within)
+        for a in range(len(classes)):
+            pa = groups[classes[a]]
+            for b in range(a + 1, len(classes)):
+                pb = groups[classes[b]]
+                d2 = (np.sum(pa ** 2, axis=1)[:, None] + np.sum(pb ** 2, axis=1)[None, :]
+                      - 2.0 * pa @ pb.T)
+                if not np.isfinite(d2).all():
+                    raise overflow
+                min_between = min(min_between, float(np.sqrt(max(d2.min(), 0.0))))
     if min_between == 0.0:
         warnings.warn("between-class distance is zero; cluster ratio is infinite")
         ratio = np.inf

@@ -12,6 +12,9 @@ trivially. The net's output layer folds in a dataset-wide centering and
 scaling, which makes the clean table zero-mean with entry std
 ``signal_std``; the clean row is still exactly the net applied to
 (kg row + shift).
+
+``bem synth`` writes the clean table as ``truth.tsv`` in the plain table
+format, and the cluster labels to ``labels.tsv`` only.
 """
 from __future__ import annotations
 
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (EmbeddingTable, LabelTable, _frozen, _read_rows, _write_rows,
-                     unit_rows)
+from .dataio import EmbeddingTable, LabelTable, _frozen, unit_rows
 from .errors import ConfigError, DataError, ShapeError
 from .nets import DiffNet, net_forward_rows
 from .rng import named_rng
@@ -112,10 +114,10 @@ def oracle_error(refined_bg: EmbeddingTable,
                  truth: SynthTruth | EmbeddingTable) -> float:
     """Mean squared entry-wise error against the clean projection.
 
-    ``truth`` is the generator's SynthTruth or a clean table read back by
-    ``load_truth``. Rows are matched by id, so the truth may be in any
-    order and hold extra rows; a refined id without a truth row raises
-    DataError.
+    ``truth`` is the generator's SynthTruth or a clean table, such as
+    ``truth.tsv`` read back by ``load_table``. Rows are matched by id, so
+    the truth may be in any order and hold extra rows; a refined id without
+    a truth row raises DataError.
     """
     clean = truth.clean_bg if isinstance(truth, SynthTruth) else truth
     if refined_bg.dim != clean.dim:
@@ -132,22 +134,3 @@ def oracle_error(refined_bg: EmbeddingTable,
     diff = refined_bg.matrix - rows
     return float(np.mean(np.square(diff, out=diff)))
 
-
-def write_truth(truth: SynthTruth, path) -> None:
-    """Sidecar with the clean BG table and the cluster label per entity:
-    the table format with a label column after the id."""
-    keys = [f"{eid}\t{truth.labels.mapping[eid][0]}" for eid in truth.clean_bg.ids]
-    _write_rows(path, keys, truth.clean_bg.matrix)
-
-
-def load_truth(path) -> tuple[EmbeddingTable, dict[str, str]]:
-    """Read a truth sidecar back as (clean table, id -> cluster label).
-
-    Raises DataError for every malformed file, a ``#dim=`` header that
-    disagrees with the rows included.
-    """
-    try:
-        ids, labels, matrix = _read_rows(path, label_column=True)
-    except ShapeError as exc:
-        raise DataError(str(exc)) from None
-    return EmbeddingTable(ids=tuple(ids), matrix=matrix), dict(zip(ids, labels))

@@ -14,7 +14,7 @@ from bem.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, build_parser,
 from bem.dataio import EmbeddingTable, load_table
 from bem.elbo import Edge, edge_output_dim
 from bem.nets import DiffNet
-from bem.synthgen import load_truth, oracle_error
+from bem.synthgen import oracle_error
 from bem.trainer import StepRecord, TrainReport
 
 
@@ -277,7 +277,7 @@ class TestEvalUsage:
         assert "must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--epochs", "0"], ["--lr", "-1"],
-                                       ["--reg", "-1"]])
+                                       ["--reg", "-1"], ["--reg", "inf"], ["--lr", "inf"]])
     def test_meaningless_classifier_settings_exit_with_data_code(self, tmp_path, capsys,
                                                                  flags):
         data = synth_manifest(tmp_path).parent
@@ -322,7 +322,7 @@ class TestSweepOracleError:
         code, out = self.sweep(tmp_path, data / "truth.tsv", "sweep")
         assert code == EXIT_OK
         norms = np.linalg.norm(load_table(data / "bg.tsv").matrix, axis=1, keepdims=True)
-        truth, _ = load_truth(data / "truth.tsv")
+        truth = load_table(data / "truth.tsv")
         for row in load_sweep(out).splitlines()[1:]:
             _, value, _, metric, _ = row.split("\t")
             refined = tmp_path / f"refined_{value}"

@@ -64,13 +64,6 @@ class TestLoadTable:
         with pytest.raises(ShapeError):
             load_table(p)
 
-    def test_expected_dim_enforced(self, tmp_path):
-        p = tmp_path / "t.tsv"
-        p.write_text("e1\t1.0\t2.0\n")
-        with pytest.raises(ShapeError):
-            load_table(p, expected_dim=5)
-        assert load_table(p, expected_dim=2).dim == 2
-
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "t.tsv"
         p.write_text("")
@@ -120,14 +113,14 @@ class TestTableMatrix:
         p = tmp_path / "t.tsv"
         p.write_text("e1\t1.0\t2.0\n")
         parsed = []
-        read_rows = dataio._read_rows
+        frozen = dataio._frozen
 
-        def capture(*args, **kwargs):
-            parsed.append(read_rows(*args, **kwargs))
+        def capture(matrix):
+            parsed.append(frozen(matrix))
             return parsed[-1]
 
-        monkeypatch.setattr(dataio, "_read_rows", capture)
-        assert load_table(p).matrix is parsed[0][2]
+        monkeypatch.setattr(dataio, "_frozen", capture)
+        assert load_table(p).matrix is parsed[0]
 
     def test_subset_matrix_is_not_copied_again(self):
         t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
@@ -183,7 +176,7 @@ class TestRoundTrip:
         assert back.ids == t.ids and np.array_equal(back.matrix, t.matrix)
 
 
-def loop_load_table(path, expected_dim=None):
+def loop_load_table(path):
     """Reference reader: one float() per field, the codec's accepted language."""
     path = Path(path)
     ids, rows, seen = [], [], {}
@@ -232,8 +225,6 @@ def loop_load_table(path, expected_dim=None):
         raise DataError(f"{path}: no data rows")
     if header_dim is not None and header_dim != dim:
         raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
-    if expected_dim is not None and dim != expected_dim:
-        raise ShapeError(f"{path}: dimension {dim}, expected {expected_dim}")
     return EmbeddingTable(ids=tuple(ids), matrix=np.array(rows, dtype=float))
 
 
@@ -245,9 +236,9 @@ def loop_table_bytes(ids, matrix) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def outcome(reader, path, expected_dim):
+def outcome(reader, path):
     try:
-        t = reader(path, expected_dim)
+        t = reader(path)
     except (DataError, ShapeError) as exc:
         return type(exc), str(exc)
     return t.ids, t.matrix.shape, t.matrix.tobytes()
@@ -291,16 +282,14 @@ def table_texts(draw):
 
 class TestStreamedCodec:
     @settings(max_examples=400, deadline=None)
-    @given(text=table_texts(), chunk=st.sampled_from([1, 2, 3, 5, CHUNK_ROWS]),
-           expected_dim=st.sampled_from([None, 1, 2]))
-    def test_reader_matches_per_field_loop(self, tmp_path_factory, text, chunk,
-                                           expected_dim):
+    @given(text=table_texts(), chunk=st.sampled_from([1, 2, 3, 5, CHUNK_ROWS]))
+    def test_reader_matches_per_field_loop(self, tmp_path_factory, text, chunk):
         path = tmp_path_factory.mktemp("rd") / "t.tsv"
         path.write_bytes(text.encode("utf-8"))
-        want = outcome(loop_load_table, path, expected_dim)
+        want = outcome(loop_load_table, path)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "CHUNK_ROWS", chunk)
-            got = outcome(load_table, path, expected_dim)
+            got = outcome(load_table, path)
         assert got == want
 
     @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11", " +1.5\u2003",
@@ -308,7 +297,7 @@ class TestStreamedCodec:
     def test_float_language_is_kept(self, tmp_path, field):
         path = tmp_path / "t.tsv"
         path.write_text(f"e0\t2.5\ne1\t{field}\ne2\t0.5\n", encoding="utf-8")
-        assert outcome(load_table, path, None) == outcome(loop_load_table, path, None)
+        assert outcome(load_table, path) == outcome(loop_load_table, path)
 
     def test_earliest_error_wins_across_chunks(self, tmp_path):
         path = tmp_path / "t.tsv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,7 +235,8 @@ class TestClassifier:
 
     @pytest.mark.parametrize("setting", [{"epochs": 0}, {"epochs": -1}, {"lr": 0.0},
                                          {"lr": -1.0}, {"lr": float("nan")},
-                                         {"reg": -1.0}, {"reg": float("nan")}])
+                                         {"reg": -1.0}, {"reg": float("nan")},
+                                         {"lr": float("inf")}, {"reg": float("inf")}])
     def test_meaningless_settings_raise(self, setting):
         with pytest.raises(ConfigError):
             train_classifier(self.table, self.labels, self.split, **setting)
@@ -297,6 +300,23 @@ class TestSimilarityHistogram:
         assert hist.mass[7] == 1.0
         assert hist.mass.sum() == 1.0
 
+    @pytest.mark.parametrize("big", [1e300, 1.7e308])
+    def test_overflowing_row_is_skipped_like_a_zero_row(self, big):
+        # Its norm overflows, so its pairs are skipped as a zero row's are.
+        matrix = np.random.default_rng(4).normal(size=(30, 3))
+        zeroed = matrix.copy()
+        matrix[5], zeroed[5] = big, 0.0
+        ids = tuple(f"i{j}" for j in range(30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = similarity_histogram(EmbeddingTable(ids=ids, matrix=matrix), n_pairs=600,
+                                        bins=10, rng=np.random.default_rng(5))
+        want = similarity_histogram(EmbeddingTable(ids=ids, matrix=zeroed), n_pairs=600,
+                                    bins=10, rng=np.random.default_rng(5))
+        assert np.array_equal(hist.mass, want.mass) and np.array_equal(hist.edges, want.edges)
+        assert (hist.n_used, hist.n_skipped) == (want.n_used, want.n_skipped)
+        assert hist.n_skipped > 0 and hist.mass.sum() == pytest.approx(1.0)
+
     def test_every_pair_skipped_raises(self):
         table = EmbeddingTable(ids=("a", "y", "z"),
                                matrix=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -331,6 +351,27 @@ class TestClusterRatio:
             detail = cluster_ratio_detail(table, labels)
         assert detail.min_between == 0.0
         assert detail.ratio == np.inf
+
+    @pytest.mark.parametrize("case", ["one-huge-row", "two-huge-clusters",
+                                      "huge-singleton-class"])
+    def test_overflowing_distance_raises(self, case):
+        rng = np.random.default_rng(6)
+        ids = tuple(f"e{i}" for i in range(50))
+        classes = [f"c{i % 2}" for i in range(50)]
+        if case == "two-huge-clusters":
+            matrix = rng.normal(size=(50, 4)) * 1e199
+            matrix[::2] += 1e200
+            matrix[1::2] -= 1e200
+        else:
+            matrix = rng.normal(size=(50, 4))
+            matrix[7] = 1e300
+            if case == "huge-singleton-class":  # its scatter is 0: only its gaps overflow
+                classes[7] = "huge"
+        labels = LabelTable(ids=ids, label_sets=[(c,) for c in classes])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError, match="overflows float64"):
+                cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix), labels)
 
 
 class TestRandomProject:

@@ -12,7 +12,6 @@ from bem.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main,
                      read_config_file, read_manifest)
 from bem.dataio import load_labels, load_model, load_table
 from bem.errors import BemError
-from bem.synthgen import load_truth
 
 # Bytes that each reader treats specially, or that a line splitter might.
 TOKENS = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x80\xa8", b"\xe2\x80\xa9", b"\xc2\x85",
@@ -92,7 +91,7 @@ FILES = {"kg": "kg.tsv", "bg": "bg.tsv", "model": "m.bem", "labels": "labels.tsv
 READERS = {
     "kg": load_table,
     "labels": load_labels,
-    "truth": load_truth,
+    "truth": load_table,
     "manifest": read_manifest,
     "config": lambda path: read_config_file(path, {"nB", "nh", "epochs"}),
 }
