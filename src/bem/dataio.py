@@ -190,12 +190,30 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _row_norms(rows: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """The L2 norms of ``rows``: ``norms``, by default ``np.linalg.norm(rows,
+    axis=1)``, bit for bit, except where the squares underflow (0 despite a
+    nonzero entry) or overflow (not finite). Those are recomputed in place as
+    s * ||row / s||, s the row's largest |entry|."""
+    if norms is None:
+        with np.errstate(over="ignore"):  # an overflowed square is mended below
+            norms = np.linalg.norm(rows, axis=1)
+    flagged = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if len(flagged) == 0:
+        return norms
+    scale = np.max(np.abs(rows[flagged]), axis=1, initial=0.0)
+    mend = (scale > 0.0) & (scale < np.inf)
+    flagged, scale = flagged[mend], scale[mend]
+    norms[flagged] = scale * np.linalg.norm(rows[flagged] / scale[:, None], axis=1)
+    return norms
+
+
 def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows divided by their L2 norms (zero-norm rows kept), and the norms:
-    ``np.linalg.norm`` bit for bit, CHUNK_ROWS rows at a time (no table-sized square)."""
+    """Rows divided by their L2 norms (zero-norm rows kept), and the norms
+    (``_row_norms``), CHUNK_ROWS rows at a time (no table-sized square)."""
     norms = np.empty(len(matrix))
     for start in range(0, len(matrix), CHUNK_ROWS):
-        norms[start:start + CHUNK_ROWS] = np.linalg.norm(matrix[start:start + CHUNK_ROWS], axis=1)
+        norms[start:start + CHUNK_ROWS] = _row_norms(matrix[start:start + CHUNK_ROWS])
     return matrix / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 

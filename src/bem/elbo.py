@@ -63,8 +63,10 @@ def edge_apply(edge: Edge, x, y) -> np.ndarray:
 
 @dataclass(eq=False)
 class BatchPrior:
-    """Per-batch prior for the shift and for the log of the variance share,
-    as the KL reads it: the shift prior has mean 0, and both variances
+    """The prior of one batch of pairs, as the KL reads it. The shift prior
+    has mean 0 and variance ``shift_var``, one row per side (a, then b). The
+    log of the variance share has mean ``log_resvar_mean`` and variance
+    ``log_resvar_var``, one estimate that both sides share. Both variances
     already carry their ``lambda1``/``lambda2`` factor."""
 
     shift_var: np.ndarray
@@ -72,52 +74,49 @@ class BatchPrior:
     log_resvar_var: np.ndarray
 
 
-def estimate_prior(kg_a, kg_b, bg_a, bg_b, edge: Edge, lambda1: float = 1.0,
-                   lambda2: float = 1.0) -> tuple[BatchPrior, BatchPrior]:
-    """Moment-based priors from one paired batch, in closed form.
+def estimate_prior(kg, bg, edge: Edge, lambda1: float = 1.0,
+                   lambda2: float = 1.0) -> BatchPrior:
+    """Moment-based prior of one batch of n pairs, in closed form, from its
+    side-stacked (2, n, dim) KG and BG rows.
 
-    The shift prior variance is ``lambda1`` times the unbiased
-    per-coordinate sample variance of each side's KG rows, floored. The
-    variance-share prior is estimated from the edge values
-    g = edge(bg_a, bg_b): its location is the per-coordinate mean of
+    Each side's shift prior variance is ``lambda1`` times the unbiased
+    per-coordinate sample variance of that side's KG rows, floored. The
+    shared variance-share prior is estimated from the edge values
+    g = edge(bg[0], bg[1]): its location is the per-coordinate mean of
     dev2 = (g - mean(g))**2 (divisor n), and its spread is that estimator's
     delta-method standard error sqrt(var(dev2) / n), the two-pass form of
     sqrt((m4 - m2**2) / n). Both are mapped to log space by the first-order
     delta method and clamped; ``lambda2`` then scales the log-space variance.
     """
-    kg_a, kg_b, bg_a, bg_b = (np.asarray(x, dtype=float) for x in (kg_a, kg_b, bg_a, bg_b))
-    n = kg_a.shape[0]
-    if n < 2 or kg_b.shape[0] != n or bg_a.shape[0] != n or bg_b.shape[0] != n:
-        raise ConfigError("prior estimation needs two aligned batches of size >= 2")
+    kg, bg = np.asarray(kg, dtype=float), np.asarray(bg, dtype=float)
+    n = kg.shape[1] if kg.ndim == 3 else 0
+    if n < 2 or len(kg) != 2 or bg.ndim != 3 or bg.shape[:2] != kg.shape[:2]:
+        raise ConfigError("prior estimation needs (2, n, dim) side rows with n >= 2")
 
-    gvals = edge_apply(edge, bg_a, bg_b)
+    gvals = edge_apply(edge, bg[0], bg[1])
     dev2 = (gvals - gvals.mean(axis=0)) ** 2
     mu_res = dev2.mean(axis=0)
     sd_res = np.sqrt(dev2.var(axis=0) / n)
 
     floored = np.maximum(mu_res, VAR_FLOOR)
-    log_mean = np.log(floored)
     log_var = lambda2 * np.clip((sd_res / floored) ** 2, LOG_RESVAR_VAR_MIN, LOG_RESVAR_VAR_MAX)
-    return tuple(
-        BatchPrior(shift_var=lambda1 * np.maximum(np.var(kg_side, axis=0, ddof=1), VAR_FLOOR),
-                   log_resvar_mean=log_mean, log_resvar_var=log_var)
-        for kg_side in (kg_a, kg_b))
+    return BatchPrior(shift_var=lambda1 * np.maximum(np.var(kg, axis=1, ddof=1), VAR_FLOOR),
+                      log_resvar_mean=np.log(floored), log_resvar_var=log_var)
 
 
-def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
-                     kg_a, bg_a, kg_b, bg_b, prior_a: BatchPrior, prior_b: BatchPrior,
-                     noise, acc_proj: NetGrads, acc_infer: NetGrads
+def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
+                     prior: BatchPrior, noise, acc_proj: NetGrads, acc_infer: NetGrads
                      ) -> tuple[float, float, float]:
     """The summed single-draw ELBO, reconstruction and KL of n pairs, adding
     their gradients into the accumulators: of the ELBO itself (ascent
     direction), pathwise through the reparametrization with ``noise`` fixed.
 
-    Pair m is row m of the (n, dim) side matrices, and row m of ``noise``
-    holds its 2*kg_dim + 2*edge_dim standard normals in the order shift_a,
-    logres_a, shift_b, logres_b. The 2n node rows are stacked side a then
-    side b, each net runs forward and backward over the stack as matrix
-    products, and the rest is row-wise. Arrays of node rows are viewed as
-    (side, pair, width), so that each side's prior broadcasts over its rows.
+    Every per-pair array is side-stacked, side a then side b: pair m is
+    [:, m] of the (2, n, kg_dim) ``kg``, the (2, n, bg_dim) ``bg`` and the
+    (2, n, kg_dim + edge_dim) ``noise``, each node's normals in the order
+    shift, logres. Each net runs forward and backward over the 2n node rows as
+    matrix products, the rest is row-wise, and the prior broadcasts: each
+    side's shift variance over its side, the variance-share prior over both.
 
     Per coordinate, the reconstruction is -(log(t)/2 + r^2 / (2t)) with r the
     edge residual and t = res_var_a + res_var_b: the Gaussian log-density
@@ -126,28 +125,26 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
     variance v and mean m (0 for the shift); the log-normal block is the KL
     of the underlying normals on the log scale.
     """
-    kg_a, bg_a, kg_b, bg_b, noise = (np.asarray(x, dtype=float)
-                                     for x in (kg_a, bg_a, kg_b, bg_b, noise))
-    n, kg_dim, bg_dim = kg_a.shape[0], proj_net.in_dim, proj_net.out_dim
+    kg, bg, noise = (np.asarray(x, dtype=float) for x in (kg, bg, noise))
+    kg_dim, bg_dim = proj_net.in_dim, proj_net.out_dim
+    n = kg.shape[1] if kg.ndim == 3 else 0
     edge_dim = edge_output_dim(edge, bg_dim)
     node_dim = kg_dim + edge_dim
     if infer_net.out_dim != 2 * node_dim:
         raise ShapeError("inference net output does not match kg/edge dimensions")
-    if (infer_net.in_dim != kg_dim + bg_dim or not kg_a.shape == kg_b.shape == (n, kg_dim)
-            or not bg_a.shape == bg_b.shape == (n, bg_dim)):
+    if (infer_net.in_dim != kg_dim + bg_dim or kg.shape != (2, n, kg_dim)
+            or bg.shape != (2, n, bg_dim)):
         raise ShapeError("pair rows do not match the nets' input dimensions")
-    if noise.shape != (n, 2 * node_dim):
-        raise ShapeError(f"pair noise has shape {noise.shape}, expected ({n}, {2 * node_dim})")
+    if noise.shape != (2, n, node_dim):
+        raise ShapeError(f"pair noise has shape {noise.shape}, expected {(2, n, node_dim)}")
+    if (prior.shift_var.shape != (2, kg_dim)
+            or not prior.log_resvar_mean.shape == prior.log_resvar_var.shape == (edge_dim,)):
+        raise ShapeError("batch prior does not match the kg/edge dimensions")
 
     infer_in = np.empty((2, n, infer_net.in_dim))
-    infer_in[0, :, :bg_dim], infer_in[0, :, bg_dim:] = bg_a, kg_a
-    infer_in[1, :, :bg_dim], infer_in[1, :, bg_dim:] = bg_b, kg_b
-    eps = noise.reshape(n, 2, node_dim).transpose(1, 0, 2)
-    eps_shift, eps_log = eps[..., :kg_dim], eps[..., kg_dim:]
-    v, mu, u = (np.concatenate(sides).reshape(2, 1, -1) for sides in (
-        (prior_a.shift_var, prior_b.shift_var),
-        (prior_a.log_resvar_mean, prior_b.log_resvar_mean),
-        (prior_a.log_resvar_var, prior_b.log_resvar_var)))
+    infer_in[..., :bg_dim], infer_in[..., bg_dim:] = bg, kg
+    eps_shift, eps_log = noise[..., :kg_dim], noise[..., kg_dim:]
+    v, mu, u = prior.shift_var[:, None], prior.log_resvar_mean, prior.log_resvar_var
 
     # Forward: the posterior of each node, one draw, its projection.
     infer_hid = np.empty((2, n, infer_net.hidden_dim))
@@ -174,7 +171,7 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
     total_var = res_var[0] + res_var[1]
     if not np.all((total_var > 0.0) & (total_var < np.inf)):
         raise NumericalError("total residual variance must be positive and finite")
-    resid = edge_apply(edge, bg_a, bg_b) - edge_apply(edge, proj[0], proj[1])
+    resid = edge_apply(edge, bg[0], bg[1]) - edge_apply(edge, proj[0], proj[1])
     recon = -np.sum(0.5 * np.log(total_var) + resid ** 2 / (2.0 * total_var))
     shift_ratio, log_ratio = s_shift ** 2 / v, s_log ** 2 / u
     log_gap = m_log - mu

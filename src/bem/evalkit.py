@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingTable, LabelTable, _frozen, align
+from .dataio import EmbeddingTable, LabelTable, _frozen, _row_norms, align
 from .errors import ConfigError, EvalError, ShapeError
 from .rng import named_rng
 
@@ -164,8 +164,8 @@ def similarity_histogram(table: EmbeddingTable, n_pairs: int, bins: int,
     """|cosine| over uniformly sampled distinct index pairs.
 
     Pairs whose norm product is zero or not finite (a zero-norm row, or
-    entries past about 1e154) are dropped from the histogram and counted in
-    ``n_skipped``; the remaining mass sums to 1.
+    norms whose product overflows float64) are dropped from the histogram
+    and counted in ``n_skipped``; the remaining mass sums to 1.
     """
     if n_pairs < 1 or bins < 1:
         raise ConfigError("n_pairs and bins must be positive")
@@ -180,7 +180,7 @@ def similarity_histogram(table: EmbeddingTable, n_pairs: int, bins: int,
     # Only the sampled rows are read: no norm pass over the whole table.
     rows_i, rows_j = table.matrix[ii], table.matrix[jj]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow only marks a skip
-        scale = np.linalg.norm(rows_i, axis=1) * np.linalg.norm(rows_j, axis=1)
+        scale = _row_norms(rows_i) * _row_norms(rows_j)
         ok = (scale > 0.0) & (scale < np.inf)
         n_skipped = int(n_pairs - np.sum(ok))
         if n_skipped == n_pairs:
@@ -213,10 +213,12 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
     """Largest within-class scatter over smallest between-class gap.
 
     Within-class scatter is the mean distance to the class centroid;
-    between-class gap is the closest cross-class point pair. Multi-label
-    entities count under their first listed class. A zero gap yields an
-    infinite ratio with a warning rather than an error; a distance that
-    overflows float64 raises EvalError.
+    between-class gap is the closest cross-class point pair, taken from the
+    expanded square on points less the table's column means, so that a table
+    far from the origin keeps its gaps. Multi-label entities count under
+    their first listed class. A zero gap yields an infinite ratio with a
+    warning rather than an error; a distance that overflows float64 raises
+    EvalError.
     """
     groups = _first_label_groups(table, labels)
     if sum(1 for pts in groups.values() if len(pts) >= 2) < 2:
@@ -226,15 +228,16 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
     classes = sorted(groups)
     min_between = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        center = table.matrix.mean(axis=0)
         for pts in groups.values():
             within = float(np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
             if not np.isfinite(within):
                 raise overflow
             max_within = max(max_within, within)
         for a in range(len(classes)):
-            pa = groups[classes[a]]
+            pa = groups[classes[a]] - center
             for b in range(a + 1, len(classes)):
-                pb = groups[classes[b]]
+                pb = groups[classes[b]] - center
                 d2 = (np.sum(pa ** 2, axis=1)[:, None] + np.sum(pb ** 2, axis=1)[None, :]
                       - 2.0 * pa @ pb.T)
                 if not np.isfinite(d2).all():
@@ -283,17 +286,22 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return near_cols[order][starts[:, None] + np.arange(k)]
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Row norms from one ``einsum`` pass, mended by ``dataio._row_norms``."""
+    return _row_norms(rows, np.sqrt(np.einsum("ij,ij->i", rows, rows)))
+
+
 def _cosine_blocks(queries: np.ndarray, matrix: np.ndarray):
     """Yield ``(Q̂ @ Mᵀ) / ‖m‖`` per ``QUERY_BLOCK`` query rows (Q̂: the rows
     over their nonzero norms), -inf where ``‖m‖ = 0``. Each block is a view
     of one buffer that the next overwrites; no table-sized temporary."""
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    norms = _norms(matrix)
     zero = norms == 0.0
     norms[zero] = 1.0
     buffer = np.empty((min(QUERY_BLOCK, len(queries)), len(matrix)))
     for start in range(0, len(queries), QUERY_BLOCK):
         block = queries[start:start + QUERY_BLOCK]
-        unit = block / np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+        unit = block / _norms(block)[:, None]
         sims = np.matmul(unit, matrix.T, out=buffer[:len(block)])
         sims /= norms
         sims[:, zero] = -np.inf
@@ -323,7 +331,7 @@ def hit_recall(query: EmbeddingTable, candidates: EmbeddingTable,
              for user in sorted(triggers_by_user) for trig in triggers_by_user[user]
              if trig in query.id_index]
     rows = query.matrix[[qidx for qidx, _, _ in found]]
-    live = np.einsum("ij,ij->i", rows, rows) > 0.0
+    live = _norms(rows) > 0.0
     skipped = sum(map(len, triggers_by_user.values())) - int(np.sum(live))
     kept = [f for f, ok in zip(found, live) if ok]
     hits = retrieved = 0

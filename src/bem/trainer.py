@@ -7,10 +7,12 @@ pair, its columns in the order shift_a, logres_a, shift_b, logres_b (the
 batch prior is a closed form and draws nothing). Identical inputs therefore
 give bit-identical reports and refined tables.
 
-Each step sums its pairs' ELBO gradients with ``elbo.elbo_batch_grads``, one
-pair per call: the engine takes any number of pairs, and the call over a
-whole batch waits on a benchmark whose peak memory does not grow with the
-number of pipelines that fit into a run.
+A step holds its batch side-stacked, side a then side b: the (2, n_batch)
+indices, the KG and BG rows they gather, and the noise viewed as
+(2, n_batch, kg_dim + edge_dim), its draw unchanged. It sums its pairs' ELBO
+gradients with ``elbo.elbo_batch_grads``, one pair per call: the engine takes
+any number of pairs, and the call over a whole batch waits on a benchmark
+whose peak memory does not grow with the number of pipelines in a run.
 """
 from __future__ import annotations
 
@@ -131,8 +133,9 @@ class TrainReport:
 
 
 def sample_paired_batches(n_entities: int, n_batch: int, rng: np.random.Generator,
-                          allow_self_pairs: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent without-replacement batches, paired by position.
+                          allow_self_pairs: bool = False) -> np.ndarray:
+    """Sides a and b, two independent without-replacement batches paired by
+    position, as one (2, n_batch) index array.
 
     When self pairs are disallowed, the second batch is redrawn whole until
     no position collides with the first.
@@ -141,16 +144,15 @@ def sample_paired_batches(n_entities: int, n_batch: int, rng: np.random.Generato
         raise ConfigError("need at least 2 entities to sample pairs")
     if not 1 <= n_batch <= n_entities:
         raise ConfigError(f"batch size {n_batch} out of range for {n_entities} entities")
-    batch_a = rng.choice(n_entities, size=n_batch, replace=False)
-    batch_b = rng.choice(n_entities, size=n_batch, replace=False)
+    pairs = np.stack([rng.choice(n_entities, size=n_batch, replace=False) for _ in range(2)])
     if not allow_self_pairs:
         for _ in range(10_000):
-            if not np.any(batch_a == batch_b):
+            if not np.any(pairs[0] == pairs[1]):
                 break
-            batch_b = rng.choice(n_entities, size=n_batch, replace=False)
+            pairs[1] = rng.choice(n_entities, size=n_batch, replace=False)
         else:  # pragma: no cover - astronomically unlikely
             raise TrainingError("could not draw collision-free paired batches")
-    return batch_a, batch_b
+    return pairs
 
 
 def _check_aligned(kg: EmbeddingTable, bg: EmbeddingTable) -> None:
@@ -176,15 +178,13 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
     n = len(kg)
     cfg.validate(n)
     kg, bg, _ = cfg.model_inputs(kg, bg)
-    W = kg.matrix
-    Z = bg.matrix
+    W, Z = kg.matrix, bg.matrix
     kg_dim, bg_dim = kg.dim, bg.dim
-    edge_dim = edge_output_dim(cfg.edge, bg_dim)
+    node_dim = kg_dim + edge_output_dim(cfg.edge, bg_dim)
 
     rng = named_rng(cfg.seed, "train")
     proj_net = DiffNet.random(kg_dim, cfg.hidden_dim, bg_dim, rng)
-    infer_net = DiffNet.random(kg_dim + bg_dim, cfg.hidden_dim,
-                               2 * kg_dim + 2 * edge_dim, rng)
+    infer_net = DiffNet.random(kg_dim + bg_dim, cfg.hidden_dim, 2 * node_dim, rng)
     params = {**proj_net.param_dict("proj."), **infer_net.param_dict("infer.")}
     state = AdamState.for_params(params, cfg.learning_rate)
 
@@ -193,11 +193,10 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
     report = TrainReport()
     for step in range(1, n_steps + 1):
         t0 = time.perf_counter()
-        batch_a, batch_b = sample_paired_batches(n, cfg.n_batch, rng, allow_self)
-        kg_a, kg_b, bg_a, bg_b = W[batch_a], W[batch_b], Z[batch_a], Z[batch_b]
-        prior_a, prior_b = estimate_prior(kg_a, kg_b, bg_a, bg_b,
-                                          cfg.edge, cfg.lambda1, cfg.lambda2)
-        noise = rng.standard_normal((cfg.n_batch, 2 * kg_dim + 2 * edge_dim))
+        pairs = sample_paired_batches(n, cfg.n_batch, rng, allow_self)
+        kg_rows, bg_rows = W[pairs], Z[pairs]
+        prior = estimate_prior(kg_rows, bg_rows, cfg.edge, cfg.lambda1, cfg.lambda2)
+        noise = rng.standard_normal((cfg.n_batch, 2, node_dim)).transpose(1, 0, 2)
         elbo_sum = recon_sum = kl_sum = 0.0
         try:
             for _ in range(cfg.n_iter):
@@ -209,9 +208,8 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
                 for m in range(cfg.n_batch):
                     rows = slice(m, m + 1)
                     elbo, recon, kl = elbo_batch_grads(
-                        proj_net, infer_net, cfg.edge, kg_a[rows], bg_a[rows],
-                        kg_b[rows], bg_b[rows], prior_a, prior_b, noise[rows],
-                        acc_proj, acc_infer)
+                        proj_net, infer_net, cfg.edge, kg_rows[:, rows], bg_rows[:, rows],
+                        prior, noise[:, rows], acc_proj, acc_infer)
                     elbo_sum += elbo
                     recon_sum += recon
                     kl_sum += kl

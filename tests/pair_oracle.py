@@ -242,6 +242,13 @@ def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
         _backward_from_cache(infer_net, *node.infer_cache, upstream, acc_infer)
 
 
+def node_priors(prior: BatchPrior) -> list[BatchPrior]:
+    """A batch prior as the oracle takes it: one node prior per side, each
+    with that side's ``shift_var`` row and the shared variance-share prior."""
+    return [BatchPrior(shift_var, prior.log_resvar_mean, prior.log_resvar_var)
+            for shift_var in prior.shift_var]
+
+
 def elbo_pair_accumulate_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
                                kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
                                prior_j: BatchPrior, eps,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bem import dataio
 from bem.dataio import (CHUNK_ROWS, AlignResult, EmbeddingTable, LabelTable,
                         align, load_labels, load_model, load_table,
-                        normalize_rows, save_model, write_labels, write_table)
+                        normalize_rows, save_model, unit_rows, write_labels, write_table)
 from bem.elbo import Edge, edge_output_dim
 from bem.errors import (AlignmentError, DataError, ModelFormatError,
                         ShapeError)
@@ -518,6 +518,12 @@ class TestNormalizeRows:
         assert np.allclose(out.matrix[0], [0.6, 0.8])
         assert np.array_equal(out.matrix[1], [0.0, 0.0])
         assert np.array_equal(t.matrix[0], [3.0, 4.0])  # input untouched
+
+    def test_rows_whose_squares_underflow_or_overflow_still_normalize(self):
+        # Plain norms read 0 and inf here: the squares leave float64's range.
+        unit, norms = unit_rows(np.array([[1e-200, 2e-200], [1e200, 2e200]]))
+        assert np.allclose(unit, np.array([[1.0, 2.0]] * 2) / np.sqrt(5.0), rtol=1e-15, atol=0)
+        assert np.allclose(norms, np.sqrt(5.0) * np.array([1e-200, 1e200]), rtol=1e-15, atol=0)
 
 
 def make_model(seed=0, edge=Edge.TRANSLATION, d_w=3, d_z=4, hidden=6):

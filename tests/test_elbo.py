@@ -8,7 +8,8 @@ from bem.elbo import (BatchPrior, Edge, LOG_RESVAR_VAR_MIN, STD_FLOOR, VAR_FLOOR
 from bem.errors import ConfigError, NumericalError, ShapeError
 from bem.nets import GRAD_ROWS, DiffNet, NetGrads
 from pair_oracle import (PosteriorStats, _forward_cached, _reconstruction,
-                         elbo_pair_accumulate_grads, kl_penalty, reparametrize)
+                         elbo_pair_accumulate_grads, kl_penalty, node_priors,
+                         reparametrize)
 
 EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
 
@@ -120,17 +121,17 @@ class TestEstimatePrior:
         rng = np.random.default_rng(0)
         kg = np.ones((4, 3))
         bg = rng.normal(size=(4, 5))
-        prior_a, _ = estimate_prior(kg, kg.copy(), bg, bg.copy(), Edge.TRANSLATION)
-        assert np.array_equal(prior_a.shift_var, np.full(3, VAR_FLOOR))
+        prior = estimate_prior(np.stack([kg, kg]), np.stack([bg, bg]), Edge.TRANSLATION)
+        assert np.array_equal(prior.shift_var[0], np.full(3, VAR_FLOOR))
 
     def test_two_point_sample_variance(self):
         rng = np.random.default_rng(1)
         kg_a = np.array([[0.0, 0.0], [2.0, 0.0]])
         kg_b = np.array([[1.0, 1.0], [3.0, 1.0]])
         bg = rng.normal(size=(2, 2))
-        prior_a, _ = estimate_prior(kg_a, kg_b, bg, bg, Edge.TRANSLATION)
-        assert prior_a.shift_var[0] == pytest.approx(2.0)
-        assert prior_a.shift_var[1] == pytest.approx(VAR_FLOOR)
+        prior = estimate_prior(np.stack([kg_a, kg_b]), np.stack([bg, bg]), Edge.TRANSLATION)
+        assert prior.shift_var[0, 0] == pytest.approx(2.0)
+        assert prior.shift_var[0, 1] == pytest.approx(VAR_FLOOR)
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_matches_straight_loop_recomputation(self, edge):
@@ -143,7 +144,8 @@ class TestEstimatePrior:
         bg_a = data_rng.normal(size=(n, d_z))
         bg_b = data_rng.normal(size=(n, d_z))
 
-        prior_a, prior_b = estimate_prior(kg_a, kg_b, bg_a, bg_b, edge, lam1, lam2)
+        prior = estimate_prior(np.stack([kg_a, kg_b]), np.stack([bg_a, bg_b]), edge,
+                               lam1, lam2)
 
         g_rows = [edge_apply(edge, bg_a[m], bg_b[m]) for m in range(n)]
         d_g = len(g_rows[0])
@@ -154,17 +156,17 @@ class TestEstimatePrior:
         for k in range(d_g):
             floored = max(m2[k], VAR_FLOOR)
             sd_res = np.sqrt((m4[k] - m2[k] ** 2) / n)
-            assert prior_a.log_resvar_mean[k] == pytest.approx(np.log(floored), abs=1e-12)
+            assert prior.log_resvar_mean[k] == pytest.approx(np.log(floored), abs=1e-12)
             expected_var = lam2 * min(max((sd_res / floored) ** 2, 1e-6), 10.0)
-            for side in (prior_a, prior_b):
-                assert side.log_resvar_var[k] == pytest.approx(expected_var, abs=1e-12)
-        for side, kg_side in ((prior_a, kg_a), (prior_b, kg_b)):
+            assert prior.log_resvar_var[k] == pytest.approx(expected_var, abs=1e-12)
+        for side, kg_side in enumerate((kg_a, kg_b)):
             for k in range(d_w):
                 mean_k = sum(kg_side[m, k] for m in range(n)) / n
                 var_k = sum((kg_side[m, k] - mean_k) ** 2 for m in range(n)) / (n - 1)
-                assert side.shift_var[k] == pytest.approx(lam1 * max(var_k, VAR_FLOOR),
-                                                          abs=1e-12)
-        assert np.array_equal(prior_a.log_resvar_mean, prior_b.log_resvar_mean)
+                assert prior.shift_var[side, k] == pytest.approx(
+                    lam1 * max(var_k, VAR_FLOOR), abs=1e-12)
+        assert prior.shift_var.shape == (2, d_w)
+        assert prior.log_resvar_mean.shape == prior.log_resvar_var.shape == (d_g,)
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_spread_agrees_with_a_large_bootstrap(self, edge):
@@ -174,7 +176,7 @@ class TestEstimatePrior:
         rng = np.random.default_rng(5)
         kg = rng.normal(size=(n, 2))
         bg_a, bg_b = rng.normal(size=(n, d_z)), rng.standard_t(5, size=(n, d_z))
-        prior, _ = estimate_prior(kg, kg, bg_a, bg_b, edge)
+        prior = estimate_prior(np.stack([kg, kg]), np.stack([bg_a, bg_b]), edge)
         g = edge_apply(edge, bg_a, bg_b)
         boot = np.array([np.var(g[idx], axis=0)
                          for idx in rng.integers(0, n, size=(n_boot, n))])
@@ -185,15 +187,21 @@ class TestEstimatePrior:
     def test_constant_edge_coordinate_clamps_to_the_floor(self, edge):
         bg = np.full((6, 2), 0.5)
         with np.errstate(all="raise"):
-            prior, _ = estimate_prior(np.eye(6, 2), np.eye(6, 2), bg, bg.copy(), edge)
+            prior = estimate_prior(np.stack([np.eye(6, 2)] * 2), np.stack([bg, bg]), edge)
         assert not np.any(np.isnan(prior.log_resvar_var))
         assert np.all(prior.log_resvar_var == LOG_RESVAR_VAR_MIN)
         assert np.all(prior.log_resvar_mean == np.log(VAR_FLOOR))
 
     def test_batch_of_one_rejected(self):
-        one = np.ones((1, 2))
+        one = np.ones((2, 1, 2))
         with pytest.raises(ConfigError):
-            estimate_prior(one, one, one, one, Edge.TRANSLATION)
+            estimate_prior(one, one, Edge.TRANSLATION)
+
+    def test_rows_not_side_stacked_rejected(self):
+        rows = np.ones((2, 4, 3))
+        for kg, bg in ((rows[0], rows), (rows, rows[:, :3]), (np.ones((3, 4, 3)),) * 2):
+            with pytest.raises(ConfigError, match="side rows"):
+                estimate_prior(kg, bg, Edge.TRANSLATION)
 
 
 class TestInferPosterior:
@@ -537,8 +545,8 @@ ENGINE_RTOL = 1e-13
 
 
 def batch_case(edge, n, seed, d_w=3, d_z=4, n_h=6):
-    """Nets with nonzero biases, n pairs as the rows of the side matrices, two
-    priors and the noise matrix: the arguments of ``elbo_batch_grads``."""
+    """Nets with nonzero biases, n pairs as side-stacked (2, n, dim) rows, a
+    batch prior and the noise: the arguments of ``elbo_batch_grads``."""
     rng = np.random.default_rng(seed)
     d_g = edge_output_dim(edge, d_z)
     proj = DiffNet.random(d_w, n_h, d_z, rng)
@@ -546,11 +554,13 @@ def batch_case(edge, n, seed, d_w=3, d_z=4, n_h=6):
     for net in (proj, infer):
         net.b1 = 0.3 * rng.normal(size=net.hidden_dim)
         net.b2 = 0.3 * rng.normal(size=net.out_dim)
-    kg_a, kg_b = rng.normal(size=(2, n, d_w))
-    bg_a, bg_b = rng.normal(size=(2, n, d_z))
-    priors = (random_prior(rng, d_w, d_g, 1.0, 1.0), random_prior(rng, d_w, d_g, 1.0, 1.0))
-    noise = rng.standard_normal((n, 2 * d_w + 2 * d_g))
-    return proj, infer, (kg_a, bg_a, kg_b, bg_b, *priors, noise)
+    kg = rng.normal(size=(2, n, d_w))
+    bg = rng.normal(size=(2, n, d_z))
+    sides = (random_prior(rng, d_w, d_g, 1.0, 1.0), random_prior(rng, d_w, d_g, 1.0, 1.0))
+    prior = BatchPrior(np.stack([side.shift_var for side in sides]),
+                       sides[0].log_resvar_mean, sides[0].log_resvar_var)
+    noise = rng.standard_normal((n, 2, d_w + d_g)).transpose(1, 0, 2)
+    return proj, infer, (kg, bg, prior, noise)
 
 
 def engine_grads(proj, infer, edge, *rest):
@@ -560,13 +570,13 @@ def engine_grads(proj, infer, edge, *rest):
     return values, acc_proj, acc_infer
 
 
-def oracle_grads(proj, infer, edge, kg_a, bg_a, kg_b, bg_b, prior_a, prior_b, noise):
+def oracle_grads(proj, infer, edge, kg, bg, prior, noise):
     """The same sums and gradients from the per-pair oracle, pair by pair."""
     acc_proj, acc_infer = NetGrads.zeros_like(proj), NetGrads.zeros_like(infer)
     elbo = recon = kl = 0.0
-    for m in range(len(noise)):
-        parts = elbo_pair_accumulate_grads(proj, infer, edge, kg_a[m], bg_a[m], kg_b[m],
-                                           bg_b[m], prior_a, prior_b, noise[m],
+    for m in range(noise.shape[1]):
+        parts = elbo_pair_accumulate_grads(proj, infer, edge, kg[0, m], bg[0, m], kg[1, m],
+                                           bg[1, m], *node_priors(prior), noise[:, m].ravel(),
                                            acc_proj, acc_infer)
         elbo, recon, kl = elbo + parts.elbo, recon + parts.recon, kl + parts.kl_i + parts.kl_j
     return (elbo, recon, kl), acc_proj, acc_infer
@@ -611,14 +621,15 @@ class TestElboBatch:
 
     def test_shape_mismatch_raises(self):
         proj, infer, rest = batch_case(Edge.TRANSLATION, 3, seed=6)
-        kg_a, bg_a, kg_b, bg_b, prior_a, prior_b, noise = rest
+        kg, bg, prior, noise = rest
         too_wide = DiffNet.zeros(infer.in_dim, 4, infer.out_dim + 1)
-        for net, kg, bg, eps, what in (
-                (too_wide, kg_a, bg_b, noise, "net output"),
-                (infer, kg_a[:, 1:], bg_b, noise, "input dimensions"),
-                (infer, kg_a[:2], bg_b, noise, "input dimensions"),
-                (infer, kg_a, bg_b[:, 1:], noise, "input dimensions"),
-                (infer, kg_a, bg_b, noise[:, 1:], "pair noise")):
+        for net, kg_in, bg_in, prior_in, eps, what in (
+                (too_wide, kg, bg, prior, noise, "net output"),
+                (infer, kg[..., 1:], bg, prior, noise, "input dimensions"),
+                (infer, kg[:, :2], bg, prior, noise, "input dimensions"),
+                (infer, kg[0], bg, prior, noise, "input dimensions"),
+                (infer, kg, bg[..., 1:], prior, noise, "input dimensions"),
+                (infer, kg, bg, prior, noise[..., 1:], "pair noise"),
+                (infer, kg, bg, node_priors(prior)[0], noise, "batch prior")):
             with pytest.raises(ShapeError, match=what):
-                engine_grads(proj, net, Edge.TRANSLATION, kg, bg_a, kg_b, bg,
-                             prior_a, prior_b, eps)
+                engine_grads(proj, net, Edge.TRANSLATION, kg_in, bg_in, prior_in, eps)

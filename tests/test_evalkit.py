@@ -187,6 +187,13 @@ class TestHitRecall:
                 result = hit_recall(table, table, {"u": ["a"]}, {"u": {"x"}}, attrs, k)
                 assert (result.hits, result.retrieved) == (min(k, 2), min(k, 2))
 
+    def test_trigger_whose_squares_underflow_retrieves(self):
+        table = EmbeddingTable(ids=("t", "a", "b"),
+                               matrix=[[1e-200, 2e-200], [1.0, 2.0], [2.0, -1.0]])
+        result = hit_recall(table, table, {"u": ["t"]}, {"u": {"x"}},
+                            {"a": "x", "b": "y"}, k=1)
+        assert (result.hits, result.retrieved, result.skipped_triggers) == (1, 1, 0)
+
     def test_missing_triggers_are_counted(self):
         table = EmbeddingTable(ids=("a", "b"), matrix=[[1.0, 0.0], [0.0, 1.0]])
         result = hit_recall(table, table, {"u": ["a", "nope"], "v": ["gone"]},
@@ -300,7 +307,19 @@ class TestSimilarityHistogram:
         assert hist.mass[7] == 1.0
         assert hist.mass.sum() == 1.0
 
-    @pytest.mark.parametrize("big", [1e300, 1.7e308])
+    @pytest.mark.parametrize("size", [1e-200, 1e200, 1e300])
+    def test_rows_whose_squares_leave_the_range_are_scored(self, size):
+        # The row's squares underflow or overflow, but its norm is finite:
+        # with a parallel row |cos| is 1, with an orthogonal one 0.
+        table = EmbeddingTable(ids=("t", "a", "b"),
+                               matrix=[[size, 2.0 * size], [1.0, 2.0], [2.0, -1.0]])
+        hist = similarity_histogram(table, n_pairs=300, bins=10,
+                                    rng=np.random.default_rng(0))
+        assert (hist.n_used, hist.n_skipped) == (300, 0)
+        assert hist.mass[0] + hist.mass[-1] == pytest.approx(1.0)
+        assert hist.mass[-1] == pytest.approx(1 / 3, abs=0.1)
+
+    @pytest.mark.parametrize("big", [1.1e308, 1.7e308])
     def test_overflowing_row_is_skipped_like_a_zero_row(self, big):
         # Its norm overflows, so its pairs are skipped as a zero row's are.
         matrix = np.random.default_rng(4).normal(size=(30, 3))
@@ -351,6 +370,23 @@ class TestClusterRatio:
             detail = cluster_ratio_detail(table, labels)
         assert detail.min_between == 0.0
         assert detail.ratio == np.inf
+
+    def test_gap_survives_a_shift_far_from_the_origin(self):
+        # Two classes 0.1 apart: the expanded square on the shifted points
+        # would cancel to 0; on centred points it keeps the gap.
+        rng = np.random.default_rng(0)
+        ids = tuple(f"e{i}" for i in range(40))
+        matrix = np.zeros((40, 2))
+        matrix[20:, 0] = 0.1
+        matrix += rng.normal(0.0, 0.01, size=(40, 2))
+        labels = LabelTable(ids=ids, label_sets=[("A",)] * 20 + [("B",)] * 20)
+        near = cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix), labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix + 1e8), labels)
+        assert near.min_between == pytest.approx(0.0743, abs=1e-4)
+        assert far.min_between == pytest.approx(near.min_between, rel=1e-5, abs=0)
+        assert far.ratio < np.inf
 
     @pytest.mark.parametrize("case", ["one-huge-row", "two-huge-clusters",
                                       "huge-singleton-class"])
