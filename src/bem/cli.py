@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -295,17 +296,18 @@ def cmd_refine(args, argv) -> int:
     return EXIT_OK
 
 
-def _eval_classify(args, table):
-    labels = load_labels(args.labels)
+def _eval_classify(args, table, labels):
     ids = tuple(eid for eid in table.ids if eid in labels.mapping)
     if not ids:
         raise EvalError("no labeled entities overlap the table")
-    accs = []
-    for offset in range(args.splits):
-        split = make_split(ids, args.seed + offset, args.train_frac)
-        model = train_classifier(table, labels, split, reg=args.reg,
+
+    def accuracy(tab, seed):
+        split = make_split(ids, seed, args.train_frac)
+        model = train_classifier(tab, labels, split, reg=args.reg,
                                  epochs=args.epochs, lr=args.lr)
-        accs.append(classify_accuracy(model, table, labels, split.test_ids))
+        return classify_accuracy(model, tab, labels, split.test_ids)
+
+    accs = [accuracy(table, args.seed + offset) for offset in range(args.splits)]
     pairs = [("task", "classify"), ("n_labeled", len(ids)),
              ("splits", args.splits),
              ("accuracy_mean", float(np.mean(accs))),
@@ -313,14 +315,10 @@ def _eval_classify(args, table):
     for s, acc in enumerate(accs):
         pairs.append((f"accuracy.split{s}", acc))
     if args.project_dim is not None:
-        proj_accs = []
-        split = make_split(ids, args.seed, args.train_frac)
-        for p in range(args.n_proj):
-            projected = random_project(table, args.project_dim,
-                                       named_rng(args.seed, f"eval.proj.{p}"))
-            model = train_classifier(projected, labels, split, reg=args.reg,
-                                     epochs=args.epochs, lr=args.lr)
-            proj_accs.append(classify_accuracy(model, projected, labels, split.test_ids))
+        proj_accs = [accuracy(random_project(table, args.project_dim,
+                                             named_rng(args.seed, f"eval.proj.{p}")),
+                              args.seed)
+                     for p in range(args.n_proj)]
         pairs += [("project_dim", args.project_dim), ("n_proj", args.n_proj),
                   ("proj_accuracy_mean", float(np.mean(proj_accs))),
                   ("proj_accuracy_stderr",
@@ -347,8 +345,7 @@ def _eval_histogram(args, table, out_dir):
     return pairs, extra
 
 
-def _eval_cluster_ratio(args, table):
-    labels = load_labels(args.labels)
+def _eval_cluster_ratio(table, labels):
     detail = cluster_ratio_detail(table, labels)
     return [("task", "cluster-ratio"), ("cluster_ratio", detail.ratio),
             ("max_within", detail.max_within),
@@ -356,8 +353,7 @@ def _eval_cluster_ratio(args, table):
             ("n_classes", detail.n_classes)], []
 
 
-def _eval_recall(args, table):
-    labels = load_labels(args.labels)
+def _eval_recall(args, table, labels):
     attrs = {eid: ls[0] for eid, ls in labels.mapping.items()}
     users = [eid for eid in table.ids if eid in attrs]
     if not users:
@@ -383,15 +379,16 @@ def cmd_eval(args, argv) -> int:
     table = load_table(args.table)
     if args.table2:
         table = concat_tables(table, load_table(args.table2))
+    labels = None if args.task == "histogram" else load_labels(args.labels)
     out_dir = Path(args.out) if args.out else None
     if args.task == "classify":
-        pairs, extra = _eval_classify(args, table)
+        pairs, extra = _eval_classify(args, table, labels)
     elif args.task == "histogram":
         pairs, extra = _eval_histogram(args, table, out_dir)
     elif args.task == "cluster-ratio":
-        pairs, extra = _eval_cluster_ratio(args, table)
+        pairs, extra = _eval_cluster_ratio(table, labels)
     else:
-        pairs, extra = _eval_recall(args, table)
+        pairs, extra = _eval_recall(args, table, labels)
     written = _emit_report(pairs, out_dir)
     if out_dir is not None:
         inputs = {key: getattr(args, key) for key in ("table", "table2", "labels")
@@ -427,11 +424,11 @@ def cmd_sweep(args, argv) -> int:
     for cfg in cfgs:
         cfg.validate(len(kg))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     model_paths = []
     for value, cfg in zip(values, cfgs):
         proj_net, infer_net, report = train(kg, bg, cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.metric == "elbo":
             window = min(50, report.n_steps)
             metric = float(np.mean(report.elbo_trace()[-window:]))
@@ -559,11 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("classify", "histogram", "cluster-ratio", "recall"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="directory for report files")
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=float,
+                   default=inspect.signature(make_split).parameters["train_fraction"].default)
     p.add_argument("--splits", type=int, default=1)
-    p.add_argument("--reg", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.1)
+    classifier = inspect.signature(train_classifier).parameters
+    for name in ("reg", "epochs", "lr"):
+        default = classifier[name].default
+        p.add_argument("--" + name, type=type(default), default=default)
     p.add_argument("--project-dim", type=int, default=None)
     p.add_argument("--n-proj", type=int, default=10)
     p.add_argument("--n-pairs", type=int, default=100_000)

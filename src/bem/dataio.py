@@ -171,9 +171,6 @@ class EmbeddingTable:
     def id_index(self) -> dict[str, int]:
         return {eid: i for i, eid in enumerate(self.ids)}
 
-    def row(self, entity_id: str) -> np.ndarray:
-        return self.matrix[self.id_index[entity_id]]
-
     def subset(self, indices) -> "EmbeddingTable":
         """The rows at ``indices``, in that order, as a new table; the table
         itself when ``indices`` is ``range(len(self))`` (tables are immutable)."""

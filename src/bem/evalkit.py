@@ -56,19 +56,15 @@ class ClassifierModel:
     bias: np.ndarray
 
 
-def _stable_bce(scores: np.ndarray, targets: np.ndarray) -> float:
-    # summed over classes, averaged over samples: softplus(s) - y*s
-    return float(np.sum(np.mean(np.logaddexp(0.0, scores) - targets * scores, axis=0)))
-
-
 def train_classifier(table: EmbeddingTable, labels: LabelTable,
                      split: EvalSplit, reg: float = 1e-4,
                      epochs: int = 300, lr: float = 0.1) -> ClassifierModel:
     """Full-batch gradient descent with L2 regularization.
 
-    The learning rate halves whenever a step would increase the loss (the
-    step is rolled back), so the recorded loss is non-increasing. Zero
-    initialization makes training deterministic.
+    Each epoch proposes one step from the best weights so far and keeps it
+    unless the loss rises; a rejected step halves the learning rate, so the
+    returned weights have the lowest loss seen. Zero initialization makes
+    training deterministic.
     """
     if epochs < 1 or not 0.0 < lr < np.inf or not 0.0 <= reg < np.inf:
         raise ConfigError("classifier needs epochs >= 1, finite lr > 0 and finite reg >= 0")
@@ -81,34 +77,30 @@ def train_classifier(table: EmbeddingTable, labels: LabelTable,
     if len(classes) < 2:
         raise EvalError(f"degenerate training labels: only {classes} present")
     class_index = {c: k for k, c in enumerate(classes)}
-    X = np.stack([table.row(eid) for eid in train_ids])
+    X = table.matrix[[table.id_index[eid] for eid in train_ids]]
     Y = np.zeros((len(train_ids), len(classes)))
     for r, eid in enumerate(train_ids):
-        for c in mapping[eid]:
-            Y[r, class_index[c]] = 1.0
+        Y[r, [class_index[c] for c in mapping[eid]]] = 1.0
 
-    n, d = X.shape
-    W = np.zeros((len(classes), d))
+    def loss(W, scores):
+        # summed over classes, averaged over samples: softplus(s) - y*s, plus the L2 term
+        return (float(np.sum(np.mean(np.logaddexp(0.0, scores) - Y * scores, axis=0)))
+                + 0.5 * reg * float(np.sum(W * W)))
+
+    W = np.zeros((len(classes), table.dim))
     B = np.zeros(len(classes))
-    cur_lr = lr
-    prev_loss = np.inf
-    snapshot = (W.copy(), B.copy())
+    scores = X @ W.T + B
+    best = loss(W, scores)
     for _ in range(epochs):
-        scores = X @ W.T + B
-        loss = _stable_bce(scores, Y) + 0.5 * reg * float(np.sum(W * W))
-        if loss > prev_loss:
-            W, B = snapshot[0].copy(), snapshot[1].copy()
-            cur_lr *= 0.5
-            scores = X @ W.T + B
+        G = (1.0 / (1.0 + np.exp(-scores)) - Y) / len(X)
+        W_new = W - lr * (G.T @ X + reg * W)
+        B_new = B - lr * G.sum(axis=0)
+        scores_new = X @ W_new.T + B_new
+        loss_new = loss(W_new, scores_new)
+        if loss_new > best:
+            lr *= 0.5
         else:
-            prev_loss = loss
-            snapshot = (W.copy(), B.copy())
-        probs = 1.0 / (1.0 + np.exp(-scores))
-        G = (probs - Y) / n
-        W -= cur_lr * (G.T @ X + reg * W)
-        B -= cur_lr * G.sum(axis=0)
-    if _stable_bce(X @ W.T + B, Y) + 0.5 * reg * float(np.sum(W * W)) > prev_loss:
-        W, B = snapshot
+            W, B, scores, best = W_new, B_new, scores_new, loss_new
     return ClassifierModel(classes=classes, weights=W, bias=B)
 
 
@@ -122,14 +114,12 @@ def classify_accuracy(model: ClassifierModel, table: EmbeddingTable,
         raise ShapeError(
             f"classifier expects dim {model.weights.shape[1]}, table has {table.dim}")
     mapping = labels.mapping
-    hits = 0
     for eid in test_ids:
         if eid not in table.id_index or eid not in mapping:
             raise EvalError(f"test id {eid!r} lacks an embedding or a label")
-        scores = model.weights @ table.row(eid) + model.bias
-        predicted = model.classes[int(np.argmax(scores))]
-        if predicted in mapping[eid]:
-            hits += 1
+    rows = table.matrix[[table.id_index[eid] for eid in test_ids]]
+    predicted = np.argmax(rows @ model.weights.T + model.bias, axis=1)
+    hits = sum(model.classes[k] in mapping[eid] for k, eid in zip(predicted.tolist(), test_ids))
     return hits / len(test_ids)
 
 
@@ -215,8 +205,11 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
     Within-class scatter is the mean distance to the class centroid;
     between-class gap is the closest cross-class point pair, taken from the
     expanded square on points less the table's column means, so that a table
-    far from the origin keeps its gaps. Multi-label entities count under
-    their first listed class. A zero gap yields an infinite ratio with a
+    far from the origin keeps its gaps. Distances are taken in units of a
+    power of two at most 1 near the largest |entry|, so that a table near the
+    origin keeps them too; scaling by a power of two is exact, so a table
+    whose squares stay in range gets the bits of unscaled distances.
+    Multi-label entities count under their first listed class. A zero gap yields an infinite ratio with a
     warning rather than an error; a distance that overflows float64 raises
     EvalError.
     """
@@ -227,9 +220,12 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
     max_within = 0.0
     classes = sorted(groups)
     min_between = np.inf
+    exponent = np.frexp(np.max(np.abs(table.matrix)))[1]
+    unit = float(np.ldexp(1.0, min(exponent, 0)))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        center = table.matrix.mean(axis=0)
+        center = table.matrix.mean(axis=0) / unit
         for pts in groups.values():
+            pts /= unit
             within = float(np.mean(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
             if not np.isfinite(within):
                 raise overflow
@@ -248,8 +244,8 @@ def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRa
         ratio = np.inf
     else:
         ratio = max_within / min_between
-    return ClusterRatioDetail(ratio=ratio, max_within=max_within,
-                              min_between=min_between, n_classes=len(classes))
+    return ClusterRatioDetail(ratio=ratio, max_within=max_within * unit,
+                              min_between=min_between * unit, n_classes=len(classes))
 
 
 @dataclass

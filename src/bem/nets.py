@@ -89,12 +89,6 @@ class DiffNet:
             b2=np.zeros(out_dim),
         )
 
-    @classmethod
-    def zeros(cls, in_dim: int, hidden_dim: int, out_dim: int) -> "DiffNet":
-        return cls(in_dim, hidden_dim, out_dim,
-                   W1=np.zeros((hidden_dim, in_dim)), b1=np.zeros(hidden_dim),
-                   W2=np.zeros((out_dim, hidden_dim)), b2=np.zeros(out_dim))
-
     def param_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
         return {f"{prefix}W1": self.W1, f"{prefix}b1": self.b1,
                 f"{prefix}W2": self.W2, f"{prefix}b2": self.b2}

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import shutil
@@ -13,6 +14,7 @@ from bem.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, build_parser,
                      main, resolve_train_options)
 from bem.dataio import EmbeddingTable, load_table
 from bem.elbo import Edge, edge_output_dim
+from bem.evalkit import make_split, train_classifier
 from bem.nets import DiffNet
 from bem.synthgen import oracle_error
 from bem.trainer import StepRecord, TrainReport
@@ -210,6 +212,31 @@ class TestTrainUsage:
         assert not model.exists()
 
 
+class TestSeedRange:
+    """Seeds outside [0, 2**64) would share another seed's stream: refused
+    before anything is written."""
+
+    def test_negative_train_seed_exits_with_data_code(self, tmp_path, capsys):
+        data = synth_manifest(tmp_path).parent
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", "--seed", "-1",
+                     "--out", str(tmp_path / "m.bem")]) == EXIT_DATA
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["synth"]
+
+    def test_synth_seed_past_64_bits_exits_with_data_code(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--n", "30",
+                     "--seed", str(2 ** 64)]) == EXIT_DATA
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--n", "30",
+                     "--seed", str(2 ** 64 - 1)]) == EXIT_OK
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("target", ["table", "labels", "truth", "manifest", "config"])
     def test_exit_code_is_data(self, tmp_path, capsys, target):
@@ -254,6 +281,16 @@ class TestLineBreaks:
 
 
 class TestEvalUsage:
+    def test_classifier_flag_defaults_are_the_signature_defaults(self):
+        args = build_parser().parse_args(["eval", "--table", "t", "--task", "classify"])
+        for flag, function, name in [("train_frac", make_split, "train_fraction"),
+                                     ("reg", train_classifier, "reg"),
+                                     ("epochs", train_classifier, "epochs"),
+                                     ("lr", train_classifier, "lr")]:
+            default = inspect.signature(function).parameters[name].default
+            assert getattr(args, flag) == default
+            assert type(getattr(args, flag)) is type(default)
+
     @pytest.mark.parametrize("task", ["classify", "cluster-ratio", "recall"])
     def test_task_without_labels_is_a_usage_error(self, tmp_path, capsys, task):
         data = synth_manifest(tmp_path).parent

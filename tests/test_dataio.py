@@ -495,7 +495,7 @@ class TestAlign:
         assert kg2.ids == tuple(ids)
         assert bg2.ids == tuple(ids)
         for eid in ids:
-            assert np.array_equal(bg2.row(eid), bg.row(eid))
+            assert np.array_equal(bg2.matrix[bg2.id_index[eid]], bg.matrix[bg.id_index[eid]])
 
     def test_disjoint_tables_fail(self):
         kg = table_of(["a"], [[1.0]])

@@ -10,6 +10,7 @@ from bem.nets import GRAD_ROWS, DiffNet, NetGrads
 from pair_oracle import (PosteriorStats, _forward_cached, _reconstruction,
                          elbo_pair_accumulate_grads, kl_penalty, node_priors,
                          reparametrize)
+from test_nets import zero_net
 
 EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
 
@@ -211,7 +212,7 @@ class TestInferPosterior:
         d_w, d_z, d_g = 3, 4, 4
         rng = np.random.default_rng(0)
         proj = DiffNet.random(d_w, 5, d_z, rng)
-        net = DiffNet.zeros(d_w + d_z, 5, 2 * d_w + 2 * d_g)
+        net = zero_net(d_w + d_z, 5, 2 * d_w + 2 * d_g)
         prior = random_prior(rng, d_w, d_g)
         parts, _, _ = pair_grads(proj, net, Edge.TRANSLATION, np.ones(d_w), np.ones(d_z),
                                  -np.ones(d_w), np.zeros(d_z), prior, prior,
@@ -263,8 +264,8 @@ class TestInferPosterior:
 
     def test_dimension_mismatch_raises(self):
         # An inference net for 5 inputs against kg and bg vectors of 3 each.
-        proj = DiffNet.zeros(3, 4, 3)
-        net = DiffNet.zeros(5, 4, 12)
+        proj = zero_net(3, 4, 3)
+        net = zero_net(5, 4, 12)
         prior = BatchPrior(np.ones(3), np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError, match="input dimension"):
             pair_grads(proj, net, Edge.TRANSLATION, np.ones(3), np.ones(3),
@@ -622,7 +623,7 @@ class TestElboBatch:
     def test_shape_mismatch_raises(self):
         proj, infer, rest = batch_case(Edge.TRANSLATION, 3, seed=6)
         kg, bg, prior, noise = rest
-        too_wide = DiffNet.zeros(infer.in_dim, 4, infer.out_dim + 1)
+        too_wide = zero_net(infer.in_dim, 4, infer.out_dim + 1)
         for net, kg_in, bg_in, prior_in, eps, what in (
                 (too_wide, kg, bg, prior, noise, "net output"),
                 (infer, kg[..., 1:], bg, prior, noise, "input dimensions"),

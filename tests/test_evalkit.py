@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from bem.errors import ConfigError, EvalError, ShapeError
 from bem.evalkit import (QUERY_BLOCK, _cosine_blocks, _top_k, classify_accuracy,
                          cluster_ratio_detail, concat_tables, hit_recall, make_split,
                          random_project, similarity_histogram, train_classifier)
+from bem.synthgen import SynthSpec, generate
 
 
 def loop_cosines(candidates, qvec):
@@ -78,7 +80,7 @@ def multi_block_case(seed):
     table = EmbeddingTable(ids=table.ids + ("zero",),
                            matrix=np.vstack([table.matrix, np.zeros(table.dim)]))
     attrs = {**attrs, "zero": "a0"}
-    live = [eid for eid in table.ids if np.any(table.row(eid))]
+    live = [eid for eid, row in zip(table.ids, table.matrix) if np.any(row)]
     triggers = [live[j] for j in rng.integers(0, len(live), size=2 * QUERY_BLOCK + 5)]
     for at in (2 * QUERY_BLOCK + 2, QUERY_BLOCK + 7, QUERY_BLOCK // 2):
         triggers[at:at] = ["zero", "missing"]
@@ -148,9 +150,10 @@ class TestHitRecall:
 
             separated = []
             for t in picks:
-                if not np.any(table.row(t)):
+                row = table.matrix[table.id_index[t]]
+                if not np.any(row):
                     continue
-                sims = loop_cosines(table, table.row(t))
+                sims = loop_cosines(table, row)
                 sims[table.id_index[t]] = -np.inf
                 top = np.sort(sims)[::-1]
                 if top[k - 1] - top[k] > 1e-12:
@@ -250,6 +253,20 @@ class TestClassifier:
 
     def test_zero_regularization_is_allowed(self):
         train_classifier(self.table, self.labels, self.split, reg=0.0, epochs=1)
+
+    @pytest.mark.parametrize("lr, pinned", [
+        (0.1, "5180188cbee007dc5a3c948c28dd7bcd6cda6bb7ab4b1cd54fa7038f0c1ea48f"),
+        # This step size has three of its 300 steps rejected.
+        (10.0, "392c8c03738cd4d863f56b0aea9446249dddd22658840e52c2d048c6c1fbefde"),
+    ])
+    def test_weights_are_pinned(self, lr, pinned):
+        # Any change to how the inputs are gathered or a step is kept must
+        # leave the weights alone. Hashes taken at tool_version 0.3.2, the
+        # same with one and with two BLAS threads.
+        truth = generate(SynthSpec(n_entities=300, signal_std=1.0, seed=7))
+        model = train_classifier(truth.bg, truth.labels, make_split(truth.bg.ids, 0), lr=lr)
+        digest = hashlib.sha256(model.weights.tobytes() + model.bias.tobytes()).hexdigest()
+        assert digest == pinned
 
 
 def whole_table_histogram(table, n_pairs, bins, rng):
@@ -387,6 +404,25 @@ class TestClusterRatio:
         assert near.min_between == pytest.approx(0.0743, abs=1e-4)
         assert far.min_between == pytest.approx(near.min_between, rel=1e-5, abs=0)
         assert far.ratio < np.inf
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200])
+    def test_figures_survive_near_the_origin(self, scale):
+        # The squares of these distances underflow float64; in units of the
+        # largest entry they do not, and the figures scale with the table.
+        rng = np.random.default_rng(5)
+        ids = tuple(f"e{i}" for i in range(40))
+        matrix = np.zeros((40, 2))
+        matrix[20:, 0] = 0.1
+        matrix += rng.normal(0.0, 0.01, size=(40, 2))
+        labels = LabelTable(ids=ids, label_sets=[("A",)] * 20 + [("B",)] * 20)
+        plain = cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix), labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix * scale), labels)
+        assert plain.ratio == pytest.approx(0.16585, abs=1e-5)
+        assert tiny.ratio == pytest.approx(plain.ratio, rel=1e-15, abs=0)
+        assert tiny.max_within == pytest.approx(plain.max_within * scale, rel=1e-15, abs=0)
+        assert tiny.min_between == pytest.approx(plain.min_between * scale, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("case", ["one-huge-row", "two-huge-clusters",
                                       "huge-singleton-class"])

@@ -37,6 +37,12 @@ def straight_line_forward(net, x):
     return np.array(out)
 
 
+def zero_net(in_dim, hidden_dim, out_dim):
+    return DiffNet(in_dim, hidden_dim, out_dim, W1=np.zeros((hidden_dim, in_dim)),
+                   b1=np.zeros(hidden_dim), W2=np.zeros((out_dim, hidden_dim)),
+                   b2=np.zeros(out_dim))
+
+
 def identity_net(dim):
     return DiffNet(dim, dim, dim, W1=np.eye(dim), b1=np.zeros(dim),
                    W2=np.eye(dim), b2=np.zeros(dim))
@@ -44,7 +50,7 @@ def identity_net(dim):
 
 class TestForward:
     def test_zero_net_maps_everything_to_zero(self):
-        net = DiffNet.zeros(3, 5, 2)
+        net = zero_net(3, 5, 2)
         x = np.array([1.0, -2.0, 0.5])
         assert np.array_equal(net_forward_rows(net, [x]), np.zeros((1, 2)))
         assert np.array_equal(_forward_cached(net, x)[0], np.zeros(2))
@@ -72,7 +78,7 @@ class TestForward:
             assert np.array_equal(_forward_cached(net, x)[0], first)
 
     def test_dimension_mismatch_raises(self):
-        net = DiffNet.zeros(3, 4, 2)
+        net = zero_net(3, 4, 2)
         with pytest.raises(ShapeError):
             net_forward_rows(net, [[1.0, 2.0]])
         with pytest.raises(ShapeError):
@@ -211,9 +217,9 @@ class TestBackward:
         # The pair objective, the backward pass's one caller, checks the
         # shapes first: inference-net output, node input and noise length.
         d_w, d_z = 3, 2
-        proj = DiffNet.zeros(d_w, 4, d_z)
-        fits = DiffNet.zeros(d_w + d_z, 4, 2 * d_w + 2 * d_z)
-        too_wide = DiffNet.zeros(d_w + d_z, 4, 2 * d_w + 2 * d_z + 1)
+        proj = zero_net(d_w, 4, d_z)
+        fits = zero_net(d_w + d_z, 4, 2 * d_w + 2 * d_z)
+        too_wide = zero_net(d_w + d_z, 4, 2 * d_w + 2 * d_z + 1)
         prior = BatchPrior(np.ones(d_w), np.zeros(d_z), np.ones(d_z))
         eps = np.zeros(2 * d_w + 2 * d_z)
         for infer, kg_i, noise, what in (
@@ -302,7 +308,7 @@ class TestNetGrads:
         assert np.array_equal(g.W1, 0.5 * w1)
 
     def test_zeros_like_matches_shapes(self):
-        net = DiffNet.zeros(2, 3, 4)
+        net = zero_net(2, 3, 4)
         g = NetGrads.zeros_like(net)
         assert g.W1.shape == (3, 2) and g.W2.shape == (4, 3)
         assert g.b1.shape == (3,) and g.b2.shape == (4,)

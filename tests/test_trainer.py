@@ -11,7 +11,7 @@ from bem.rng import named_rng
 from bem.synthgen import SynthSpec, generate
 from bem.trainer import TrainConfig, refine, sample_paired_batches, train
 from pair_oracle import elbo_pair_accumulate_grads, node_priors
-from test_nets import ROWS_ATOL, straight_line_forward
+from test_nets import ROWS_ATOL, straight_line_forward, zero_net
 
 
 def tiny_tables(seed=0, n=6, d_w=2, d_z=3):
@@ -303,10 +303,11 @@ def assert_rows_match_loop_oracle(edge, d_w, d_z, hidden):
     # product than the whole net's, which moves the last bits at some widths
     # (kg 8, bg 8, hidden 50). Repeated refines agree bit for bit.
     for eid in kg.ids:
-        raw = straight_line_forward(infer, np.concatenate([bg.row(eid), kg.row(eid)]))
-        assert np.allclose(kg_r.row(eid), kg.row(eid) + raw[:kg.dim],
-                           rtol=0, atol=ROWS_ATOL)
-        assert np.allclose(bg_r.row(eid), straight_line_forward(proj, kg_r.row(eid)),
+        kg_row, bg_row, kg_r_row, bg_r_row = (t.matrix[t.id_index[eid]]
+                                              for t in (kg, bg, kg_r, bg_r))
+        raw = straight_line_forward(infer, np.concatenate([bg_row, kg_row]))
+        assert np.allclose(kg_r_row, kg_row + raw[:kg.dim], rtol=0, atol=ROWS_ATOL)
+        assert np.allclose(bg_r_row, straight_line_forward(proj, kg_r_row),
                            rtol=0, atol=ROWS_ATOL)
     kg_again, bg_again = refine(kg, bg, proj, infer)
     assert np.array_equal(kg_again.matrix, kg_r.matrix)
@@ -326,7 +327,7 @@ class TestRefine:
         kg, bg = tiny_tables(seed=4)
         d_g = edge_output_dim(Edge.TRANSLATION, bg.dim)
         proj = DiffNet.random(kg.dim, 4, bg.dim, np.random.default_rng(0))
-        infer = DiffNet.zeros(kg.dim + bg.dim, 4, 2 * kg.dim + 2 * d_g)
+        infer = zero_net(kg.dim + bg.dim, 4, 2 * kg.dim + 2 * d_g)
         kg_r, bg_r = refine(kg, bg, proj, infer)
         assert np.array_equal(kg_r.matrix, kg.matrix)
         assert kg_r.ids == kg.ids and bg_r.ids == kg.ids
@@ -372,12 +373,12 @@ class TestRefine:
 
     def test_dimension_mismatch(self):
         kg, bg = tiny_tables(seed=1)
-        proj = DiffNet.zeros(kg.dim + 1, 4, bg.dim)
-        infer = DiffNet.zeros(kg.dim + bg.dim, 4, 2 * kg.dim + 2 * bg.dim)
+        proj = zero_net(kg.dim + 1, 4, bg.dim)
+        infer = zero_net(kg.dim + bg.dim, 4, 2 * kg.dim + 2 * bg.dim)
         with pytest.raises(ShapeError):
             refine(kg, bg, proj, infer)
         # An inference net with fewer outputs than kg.dim shift-mean rows.
-        proj = DiffNet.zeros(kg.dim, 4, bg.dim)
-        infer = DiffNet.zeros(kg.dim + bg.dim, 4, kg.dim - 1)
+        proj = zero_net(kg.dim, 4, bg.dim)
+        infer = zero_net(kg.dim + bg.dim, 4, kg.dim - 1)
         with pytest.raises(ShapeError, match="W2 has shape"):
             refine(kg, bg, proj, infer)
