@@ -3,7 +3,7 @@
 Training flags (and ``--config`` keys) and ``synth`` flags come from the
 ``TrainConfig`` and ``SynthSpec`` fields, with their types and defaults.
 
-Exit codes: 0 success, 2 usage, 3 data/validation, 4 numerical failure.
+Exit codes: 0 success, 2 usage, 3 data/validation/memory, 4 numerical failure.
 Every file-writing command drops a ``key = value`` manifest alongside its
 outputs recording the exact argv, the effective configuration and the
 SHA-256 of each deterministic output, so a run can be replayed and
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import (EmbeddingTable, align, load_labels, load_model,
+from .dataio import (ALIGN_POLICIES, EmbeddingTable, align, load_labels, load_model,
                      load_table, save_model, write_labels, write_table,
                      _atomic_open, _atomic_write_text, _frozen, _lines)
 from .elbo import Edge
@@ -57,7 +57,6 @@ TRAIN_KEYS = {
 }
 TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 SWEEP_PARAMS = ["lambda1", "lambda2", "lr", "nB", "nh", "epochs"]
-ALIGN_POLICIES = ("strict", "intersect")
 
 # Environment variables that set the BLAS thread count.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -297,7 +296,7 @@ def cmd_refine(args, argv) -> int:
 
 
 def _eval_classify(args, table, labels):
-    ids = tuple(eid for eid in table.ids if eid in labels.mapping)
+    ids = tuple(eid for eid in table.ids if eid in labels)
     if not ids:
         raise EvalError("no labeled entities overlap the table")
 
@@ -354,7 +353,7 @@ def _eval_cluster_ratio(table, labels):
 
 
 def _eval_recall(args, table, labels):
-    attrs = {eid: ls[0] for eid, ls in labels.mapping.items()}
+    attrs = {eid: ls[0] for eid, ls in labels.items()}
     users = [eid for eid in table.ids if eid in attrs]
     if not users:
         raise EvalError("no labeled entities overlap the table")
@@ -608,6 +607,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (BemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an allocation the input asked for and the host cannot meet
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -54,6 +54,7 @@ from .nets import DiffNet
 
 MODEL_MAGIC = b"BEM1"
 MODEL_VERSION = 1
+ALIGN_POLICIES = ("strict", "intersect")  # see ``align``
 
 # Rows formatted or parsed at a time: bounds the text and Python objects
 # alive at once. Output bytes and parsed values do not depend on it.
@@ -219,32 +220,6 @@ def normalize_rows(table: EmbeddingTable) -> EmbeddingTable:
     return EmbeddingTable(ids=table.ids, matrix=_frozen(unit_rows(table.matrix)[0]))
 
 
-@dataclass(eq=False)
-class LabelTable:
-    """Per-entity non-empty class lists; list order is meaningful."""
-
-    ids: tuple[str, ...]
-    label_sets: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        self.ids = tuple(str(i) for i in self.ids)
-        self.label_sets = tuple(tuple(ls) for ls in self.label_sets)
-        if len(self.ids) != len(self.label_sets):
-            raise DataError("id and label counts differ")
-        if len(set(self.ids)) != len(self.ids):
-            raise DataError("duplicate entity ids in label table")
-        for eid, ls in zip(self.ids, self.label_sets):
-            if len(ls) == 0:
-                raise DataError(f"empty label set for {eid!r}")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def mapping(self) -> dict[str, tuple[str, ...]]:
-        return dict(zip(self.ids, self.label_sets))
-
-
 def _parse_values(path, first_lineno: int, rests: list[str], dim: int) -> np.ndarray:
     """Parse value fields, one line of ``dim`` tab-separated fields per row."""
     # loadtxt skips empty lines (and warns when all are), so they go to float().
@@ -343,8 +318,9 @@ def write_table(table: EmbeddingTable, path) -> None:
             fh.write(chunk.encode("utf-8"))
 
 
-def load_labels(path) -> LabelTable:
-    """Parse a label file; DataError names the line of each malformed row."""
+def load_labels(path) -> dict[str, tuple[str, ...]]:
+    """Each id's class tuple, in file order; DataError names the line of each
+    malformed row."""
     path = Path(path)
     mapping: dict[str, tuple[str, ...]] = {}
     expected = "expected 'id<TAB>labels'"
@@ -355,11 +331,11 @@ def load_labels(path) -> LabelTable:
         if not classes:
             raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
         mapping[eid] = classes
-    return LabelTable(ids=tuple(mapping), label_sets=tuple(mapping.values()))
+    return mapping
 
 
-def write_labels(labels: LabelTable, path) -> None:
-    lines = [f"{eid}\t{','.join(ls)}" for eid, ls in zip(labels.ids, labels.label_sets)]
+def write_labels(labels: dict[str, tuple[str, ...]], path) -> None:
+    lines = [f"{eid}\t{','.join(ls)}" for eid, ls in labels.items()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -388,7 +364,7 @@ def align(kg: EmbeddingTable, bg: EmbeddingTable,
     ``strict`` raises on any id-set difference (listing up to 10 examples
     per side); ``intersect`` keeps the common ids. Aligned tables come back uncopied.
     """
-    if policy not in ("strict", "intersect"):
+    if policy not in ALIGN_POLICIES:
         raise AlignmentError(f"unknown alignment policy {policy!r}")
     if len(kg) and kg.ids == bg.ids:
         return kg, bg, AlignResult(kept=len(kg), dropped_kg=0, dropped_bg=0)

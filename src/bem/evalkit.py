@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingTable, LabelTable, _frozen, _row_norms, align
+from .dataio import EmbeddingTable, _frozen, _row_norms, align
 from .errors import ConfigError, EvalError, ShapeError
 from .rng import named_rng
 
@@ -56,7 +56,7 @@ class ClassifierModel:
     bias: np.ndarray
 
 
-def train_classifier(table: EmbeddingTable, labels: LabelTable,
+def train_classifier(table: EmbeddingTable, labels: dict[str, tuple[str, ...]],
                      split: EvalSplit, reg: float = 1e-4,
                      epochs: int = 300, lr: float = 0.1) -> ClassifierModel:
     """Full-batch gradient descent with L2 regularization.
@@ -68,19 +68,18 @@ def train_classifier(table: EmbeddingTable, labels: LabelTable,
     """
     if epochs < 1 or not 0.0 < lr < np.inf or not 0.0 <= reg < np.inf:
         raise ConfigError("classifier needs epochs >= 1, finite lr > 0 and finite reg >= 0")
-    mapping = labels.mapping
     train_ids = [eid for eid in split.train_ids
-                 if eid in table.id_index and eid in mapping]
+                 if eid in table.id_index and eid in labels]
     if not train_ids:
         raise EvalError("no labeled entities overlap the embedding table")
-    classes = tuple(sorted({c for eid in train_ids for c in mapping[eid]}))
+    classes = tuple(sorted({c for eid in train_ids for c in labels[eid]}))
     if len(classes) < 2:
         raise EvalError(f"degenerate training labels: only {classes} present")
     class_index = {c: k for k, c in enumerate(classes)}
     X = table.matrix[[table.id_index[eid] for eid in train_ids]]
     Y = np.zeros((len(train_ids), len(classes)))
     for r, eid in enumerate(train_ids):
-        Y[r, [class_index[c] for c in mapping[eid]]] = 1.0
+        Y[r, [class_index[c] for c in labels[eid]]] = 1.0
 
     def loss(W, scores):
         # summed over classes, averaged over samples: softplus(s) - y*s, plus the L2 term
@@ -105,7 +104,7 @@ def train_classifier(table: EmbeddingTable, labels: LabelTable,
 
 
 def classify_accuracy(model: ClassifierModel, table: EmbeddingTable,
-                      labels: LabelTable, test_ids) -> float:
+                      labels: dict[str, tuple[str, ...]], test_ids) -> float:
     """Argmax prediction counts as a hit when it lies in the label set."""
     test_ids = tuple(test_ids)
     if not test_ids:
@@ -113,13 +112,12 @@ def classify_accuracy(model: ClassifierModel, table: EmbeddingTable,
     if model.weights.shape[1] != table.dim:
         raise ShapeError(
             f"classifier expects dim {model.weights.shape[1]}, table has {table.dim}")
-    mapping = labels.mapping
     for eid in test_ids:
-        if eid not in table.id_index or eid not in mapping:
+        if eid not in table.id_index or eid not in labels:
             raise EvalError(f"test id {eid!r} lacks an embedding or a label")
     rows = table.matrix[[table.id_index[eid] for eid in test_ids]]
     predicted = np.argmax(rows @ model.weights.T + model.bias, axis=1)
-    hits = sum(model.classes[k] in mapping[eid] for k, eid in zip(predicted.tolist(), test_ids))
+    hits = sum(model.classes[k] in labels[eid] for k, eid in zip(predicted.tolist(), test_ids))
     return hits / len(test_ids)
 
 
@@ -190,16 +188,18 @@ class ClusterRatioDetail:
     n_classes: int
 
 
-def _first_label_groups(table: EmbeddingTable, labels: LabelTable) -> dict[str, np.ndarray]:
+def _first_label_groups(table: EmbeddingTable,
+                        labels: dict[str, tuple[str, ...]]) -> dict[str, np.ndarray]:
     groups: dict[str, list[int]] = {}
-    for eid, ls in labels.mapping.items():
+    for eid, ls in labels.items():
         idx = table.id_index.get(eid)
         if idx is not None:
             groups.setdefault(ls[0], []).append(idx)
     return {c: table.matrix[sorted(rows)] for c, rows in groups.items()}
 
 
-def cluster_ratio_detail(table: EmbeddingTable, labels: LabelTable) -> ClusterRatioDetail:
+def cluster_ratio_detail(table: EmbeddingTable,
+                         labels: dict[str, tuple[str, ...]]) -> ClusterRatioDetail:
     """Largest within-class scatter over smallest between-class gap.
 
     Within-class scatter is the mean distance to the class centroid;

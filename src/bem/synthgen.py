@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingTable, LabelTable, _frozen, unit_rows
+from .dataio import EmbeddingTable, _frozen, unit_rows
 from .errors import ConfigError, DataError, ShapeError
 from .nets import DiffNet, net_forward_rows
 from .rng import named_rng
@@ -30,7 +30,7 @@ from .rng import named_rng
 
 @dataclass
 class SynthSpec:
-    """Desk-scale defaults; all fields positive, n_clusters <= n_entities."""
+    """Desk-scale defaults; ``validate`` states the allowed values."""
 
     n_entities: int = 2000
     kg_dim: int = 16
@@ -48,10 +48,13 @@ class SynthSpec:
             raise ConfigError("entity count and dimensions must be positive")
         if not 1 <= self.n_clusters <= self.n_entities:
             raise ConfigError("n_clusters must be in [1, n_entities]")
-        if self.delta_scale < 0 or self.noise_scale < 0 or self.jitter_scale < 0:
-            raise ConfigError("scales must be non-negative")
-        if self.true_hidden < 1 or self.signal_std <= 0:
-            raise ConfigError("true_hidden and signal_std must be positive")
+        for name in ("delta_scale", "noise_scale", "jitter_scale"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
+        if not 0 < self.signal_std < np.inf:
+            raise ConfigError("signal_std must be positive and finite")
+        if self.true_hidden < 1:
+            raise ConfigError("true_hidden must be positive")
 
 
 @dataclass(eq=False)
@@ -62,7 +65,7 @@ class SynthTruth:
     shift: np.ndarray
     clean_bg: EmbeddingTable
     bg: EmbeddingTable
-    labels: LabelTable
+    labels: dict[str, tuple[str, ...]]
     attributes: dict[str, str]
     true_net: DiffNet
 
@@ -83,6 +86,9 @@ def generate(spec: SynthSpec) -> SynthTruth:
     raw = net_forward_rows(true_net, kg_mat + shift)
     col_means = raw.mean(axis=0)
     scale = float(np.std(raw - col_means)) / spec.signal_std
+    if not scale < np.inf:
+        raise ConfigError(f"standardization scale is {scale}: signal_std "
+                          f"{spec.signal_std!r} is too small or a scale too large")
     if scale < 1e-12:
         scale = 1.0
     # Fold the standardization into the output layer so the clean table is
@@ -104,7 +110,7 @@ def generate(spec: SynthSpec) -> SynthTruth:
         shift=shift,
         clean_bg=EmbeddingTable(ids=ids, matrix=_frozen(clean)),
         bg=EmbeddingTable(ids=ids, matrix=_frozen(noisy)),
-        labels=LabelTable(ids=ids, label_sets=tuple(singles[c] for c in labels.tolist())),
+        labels=dict(zip(ids, (singles[c] for c in labels.tolist()))),
         attributes=dict(zip(ids, (singles[c][0] for c in labels.tolist()))),
         true_net=true_net,
     )

@@ -237,6 +237,28 @@ class TestSeedRange:
                      "--seed", str(2 ** 64 - 1)]) == EXIT_OK
 
 
+class TestSynthScales:
+    """Scales must be finite and non-negative, signal_std finite and positive,
+    and the standardization scale they give finite: a bad one is named
+    before anything is written."""
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--signal-std", "inf", "signal_std"),
+        ("--signal-std", "nan", "signal_std"),
+        ("--signal-std", "0", "signal_std"),
+        ("--signal-std", "1e-320", "signal_std"),
+        ("--delta-scale", "inf", "delta_scale"),
+        ("--jitter", "inf", "jitter_scale"),
+        ("--noise-scale", "nan", "noise_scale"),
+        ("--noise-scale", "-1", "noise_scale"),
+    ])
+    def test_bad_scale_exits_with_data_code(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--n", "50", flag, value]) == EXIT_DATA
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("target", ["table", "labels", "truth", "manifest", "config"])
     def test_exit_code_is_data(self, tmp_path, capsys, target):
@@ -321,6 +343,27 @@ class TestEvalUsage:
         assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
                      str(data / "labels.tsv"), "--task", "classify", *flags]) == EXIT_DATA
         assert "classifier needs" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    # A real huge allocation fails at once or later depending on the host's
+    # overcommit setting, so the task raises the error numpy would.
+    @pytest.mark.parametrize("task, function", [("histogram", "similarity_histogram"),
+                                                ("classify", "random_project")])
+    def test_failed_allocation_exits_with_data_code(self, tmp_path, capsys, monkeypatch,
+                                                    task, function):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                              "(1099511627776,) and data type float64")
+
+        monkeypatch.setattr(cli, function, fail)
+        data = synth_manifest(tmp_path).parent
+        out = tmp_path / "eval"
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
+                     str(data / "labels.tsv"), "--task", task, "--project-dim", "4",
+                     "--out", str(out)]) == EXIT_DATA
+        assert "error: out of memory (Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepOracleError:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bem import dataio
-from bem.dataio import (CHUNK_ROWS, AlignResult, EmbeddingTable, LabelTable,
+from bem.dataio import (CHUNK_ROWS, AlignResult, EmbeddingTable,
                         align, load_labels, load_model, load_table,
                         normalize_rows, save_model, unit_rows, write_labels, write_table)
 from bem.elbo import Edge, edge_output_dim
@@ -385,11 +385,11 @@ class TestStreamedCodec:
 
 class TestLabels:
     def test_round_trip(self, tmp_path):
-        lt = LabelTable(ids=("a", "b"), label_sets=(("x", "y"), ("z",)))
+        lt = {"b": ("x", "y"), "a": ("z",)}
         p = tmp_path / "l.tsv"
         write_labels(lt, p)
         back = load_labels(p)
-        assert back.ids == lt.ids and back.label_sets == lt.label_sets
+        assert list(back.items()) == list(lt.items())
 
     def test_empty_label_set_rejected(self, tmp_path):
         p = tmp_path / "l.tsv"
@@ -421,7 +421,7 @@ class TestLabels:
 
 def loop_load_labels(path):
     """Reference label reader: one plain loop over the lines."""
-    ids, label_sets, seen = [], [], {}
+    labels, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -440,11 +440,10 @@ def loop_load_labels(path):
             classes = tuple(c for c in fields[1].split(",") if c != "")
             if not classes:
                 raise DataError(f"{path}:{lineno}: empty label set for {eid!r}")
-            ids.append(eid)
-            label_sets.append(classes)
-    if not ids:
+            labels[eid] = classes
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return LabelTable(ids=tuple(ids), label_sets=tuple(label_sets))
+    return labels
 
 
 def label_outcome(reader, path):
@@ -452,7 +451,7 @@ def label_outcome(reader, path):
         labels = reader(path)
     except DataError as exc:
         return str(exc)
-    return labels.ids, labels.label_sets
+    return list(labels.items())
 
 
 class TestAlign:

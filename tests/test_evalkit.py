@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bem.dataio import EmbeddingTable, LabelTable
+from bem.dataio import EmbeddingTable
 from bem.errors import ConfigError, EvalError, ShapeError
 from bem.evalkit import (QUERY_BLOCK, _cosine_blocks, _top_k, classify_accuracy,
                          cluster_ratio_detail, concat_tables, hit_recall, make_split,
@@ -236,7 +236,7 @@ class TestClassifier:
         classes = np.arange(20) % 2
         matrix = rng.normal(size=(20, 3)) + 4.0 * classes[:, None]
         self.table = EmbeddingTable(ids=ids, matrix=matrix)
-        self.labels = LabelTable(ids=ids, label_sets=[(f"c{c}",) for c in classes])
+        self.labels = dict(zip(ids, [(f"c{c}",) for c in classes]))
         self.split = make_split(ids, 0)
 
     def test_separable_classes_are_learned(self):
@@ -370,8 +370,7 @@ class TestClusterRatio:
         ids = ("a1", "a2", "e", "b1", "b2")
         table = EmbeddingTable(ids=ids, matrix=[[0.0, 0.0], [2.0, 0.0], [1.0, 0.0],
                                                 [10.0, 0.0], [10.0, 4.0]])
-        labels = LabelTable(ids=ids, label_sets=(("A",), ("A",), ("A", "B"),
-                                                 ("B",), ("B",)))
+        labels = dict(zip(ids, (("A",), ("A",), ("A", "B"), ("B",), ("B",))))
         detail = cluster_ratio_detail(table, labels)
         assert detail.max_within == pytest.approx(2.0)
         assert detail.min_between == pytest.approx(8.0)
@@ -382,7 +381,7 @@ class TestClusterRatio:
         ids = ("a1", "a2", "b1", "b2")
         table = EmbeddingTable(ids=ids, matrix=[[0.0, 0.0], [1.0, 0.0],
                                                 [1.0, 0.0], [5.0, 5.0]])
-        labels = LabelTable(ids=ids, label_sets=(("A",), ("A",), ("B",), ("B",)))
+        labels = dict(zip(ids, (("A",), ("A",), ("B",), ("B",))))
         with pytest.warns(UserWarning, match="between-class distance is zero"):
             detail = cluster_ratio_detail(table, labels)
         assert detail.min_between == 0.0
@@ -396,7 +395,7 @@ class TestClusterRatio:
         matrix = np.zeros((40, 2))
         matrix[20:, 0] = 0.1
         matrix += rng.normal(0.0, 0.01, size=(40, 2))
-        labels = LabelTable(ids=ids, label_sets=[("A",)] * 20 + [("B",)] * 20)
+        labels = dict(zip(ids, [("A",)] * 20 + [("B",)] * 20))
         near = cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix), labels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -414,7 +413,7 @@ class TestClusterRatio:
         matrix = np.zeros((40, 2))
         matrix[20:, 0] = 0.1
         matrix += rng.normal(0.0, 0.01, size=(40, 2))
-        labels = LabelTable(ids=ids, label_sets=[("A",)] * 20 + [("B",)] * 20)
+        labels = dict(zip(ids, [("A",)] * 20 + [("B",)] * 20))
         plain = cluster_ratio_detail(EmbeddingTable(ids=ids, matrix=matrix), labels)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -439,7 +438,7 @@ class TestClusterRatio:
             matrix[7] = 1e300
             if case == "huge-singleton-class":  # its scatter is 0: only its gaps overflow
                 classes[7] = "huge"
-        labels = LabelTable(ids=ids, label_sets=[(c,) for c in classes])
+        labels = dict(zip(ids, [(c,) for c in classes]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EvalError, match="overflows float64"):

@@ -32,7 +32,7 @@ class TestLoadTruth:
         assert table.ids == truth.clean_bg.ids
         assert np.array_equal(table.matrix, truth.clean_bg.matrix)
         labels = load_labels(out / "labels.tsv")
-        assert labels.mapping == {eid: (c,) for eid, c in truth.attributes.items()}
+        assert labels == {eid: (c,) for eid, c in truth.attributes.items()}
 
     def test_bytes_match_per_value_format(self, tmp_path):
         out, truth = self.synth(tmp_path)
