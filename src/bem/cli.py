@@ -253,12 +253,14 @@ def _load_aligned(kg_path, bg_path, policy: str):
 def cmd_train(args, argv) -> int:
     t0 = time.perf_counter()
     cfg, policy = resolve_train_options(args)
+    out = Path(args.out)
+    steplog = Path(args.log) if args.log else out.with_name(out.name + ".steplog.tsv")
+    if steplog.resolve() in (out.resolve(), _manifest_path(out).resolve()):
+        raise UsageError(f"--log {steplog} would overwrite the model or its manifest")
     kg, bg = _load_aligned(args.kg, args.bg, policy)
     proj_net, infer_net, report = train(kg, bg, cfg)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(proj_net, infer_net, cfg, out)
-    steplog = Path(args.log) if args.log else out.with_name(out.name + ".steplog.tsv")
     _atomic_write_text(steplog, _steplog_text(report))
     write_manifest(out, "train", argv, cfg.seed, config=cfg.to_dict(),
                    inputs={"kg": args.kg, "bg": args.bg},

@@ -74,8 +74,7 @@ class BatchPrior:
     log_resvar_var: np.ndarray
 
 
-def estimate_prior(kg, bg, edge: Edge, lambda1: float = 1.0,
-                   lambda2: float = 1.0) -> BatchPrior:
+def estimate_prior(kg, bg, edge: Edge, lambda1: float, lambda2: float) -> BatchPrior:
     """Moment-based prior of one batch of n pairs, in closed form, from its
     side-stacked (2, n, dim) KG and BG rows.
 

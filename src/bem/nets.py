@@ -9,10 +9,12 @@ depend on how many rows follow it. Training runs ``_block_forward`` over each
 pair's two node rows (``elbo.elbo_batch_grads``) and its backward pass as
 matrix products over the same rows; the weight gradients are one matrix
 product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``).
+Training holds parameters, gradient sums and Adam moments in four flat arrays
+with each net's tensors as views (``flat_views``): one ``adam_step`` for all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,38 +97,23 @@ class DiffNet:
 
 
 class NetGrads:
-    """Gradients for one DiffNet, same shapes as the parameters.
+    """Gradient sums for one DiffNet, in the caller's arrays of the
+    parameters' shapes (in training, views of the flat ``grad``).
 
     The biases are summed pair by pair. Each weight gradient is a sum of
     per-node outer products, kept as a running sum plus ``GRAD_ROWS``-row
     buffers of the factors: a full buffer is flushed into the sum as one
     matrix product (``W1 += D.T @ X``, ``W2 += U.T @ H``). ``W1`` and ``W2``
-    flush before they are read, and so do ``scale_`` and ``param_dict``, so
-    no caller sees a partial sum.
+    hold every added row only after ``flush()``.
     """
 
     def __init__(self, W1: np.ndarray, b1: np.ndarray, W2: np.ndarray, b2: np.ndarray):
-        self._W1, self.b1, self._W2, self.b2 = W1, b1, W2, b2
+        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
         (hidden_dim, in_dim), out_dim = W1.shape, W2.shape[0]
         # Per node: hidden delta, net input, output upstream, hidden activation.
         self._dpre, self._x, self._up, self._hid = (
             np.empty((GRAD_ROWS, width)) for width in (hidden_dim, in_dim, out_dim, hidden_dim))
         self._filled = 0
-
-    @classmethod
-    def zeros_like(cls, net: DiffNet) -> "NetGrads":
-        return cls(np.zeros_like(net.W1), np.zeros_like(net.b1),
-                   np.zeros_like(net.W2), np.zeros_like(net.b2))
-
-    @property
-    def W1(self) -> np.ndarray:
-        self._flush()
-        return self._W1
-
-    @property
-    def W2(self) -> np.ndarray:
-        self._flush()
-        return self._W2
 
     def _add_rows(self, x: np.ndarray, dpre: np.ndarray, hid: np.ndarray,
                   upstream: np.ndarray) -> None:
@@ -147,23 +134,24 @@ class NetGrads:
                 buf[k:k + take] = rows[start:start + take]
             self._filled, start = k + take, start + take
             if self._filled == GRAD_ROWS:
-                self._flush()
+                self.flush()
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
+        """Add the buffered rows to W1 and W2."""
         k = self._filled
         if k:
-            self._W1 += self._dpre[:k].T @ self._x[:k]
-            self._W2 += self._up[:k].T @ self._hid[:k]
+            self.W1 += self._dpre[:k].T @ self._x[:k]
+            self.W2 += self._up[:k].T @ self._hid[:k]
             self._filled = 0
 
-    def scale_(self, c: float) -> "NetGrads":
-        for arr in (self.W1, self.b1, self.W2, self.b2):
-            arr *= c
-        return self
 
-    def param_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {f"{prefix}W1": self.W1, f"{prefix}b1": self.b1,
-                f"{prefix}W2": self.W2, f"{prefix}b2": self.b2}
+def flat_views(flat: np.ndarray, *nets: DiffNet) -> list[dict[str, np.ndarray]]:
+    """Per net, its ``param_dict`` as views of consecutive slices of
+    ``flat``, net after net: the flat training layout."""
+    parts = iter(np.split(flat, np.cumsum([p.size for net in nets
+                                           for p in net.param_dict().values()])))
+    return [{name: next(parts).reshape(p.shape) for name, p in net.param_dict().items()}
+            for net in nets]
 
 
 def net_forward_rows(net: DiffNet, *columns) -> np.ndarray:
@@ -199,49 +187,19 @@ def _block_forward(net: DiffNet, block, hidden, out) -> None:
     out += net.b2
 
 
-@dataclass(eq=False)
-class AdamState:
-    """Moment estimates for a named parameter set."""
-
-    learning_rate: float
-    step_count: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float) -> "AdamState":
-        state = cls(learning_rate=learning_rate)
-        for name, p in params.items():
-            state.first_moment[name] = np.zeros_like(p)
-            state.second_moment[name] = np.zeros_like(p)
-        return state
-
-
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState):
-    """One bias-corrected Adam update, in place. Returns (params, state)."""
-    if set(params) != set(state.first_moment):
-        raise ShapeError("parameter names do not match the optimizer state")
-    for name, g in grads.items():
-        if name not in params:
-            raise ShapeError(f"gradient for unknown parameter {name!r}")
-        if g.shape != params[name].shape:
-            raise ShapeError(f"gradient shape mismatch for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name!r}")
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if not np.all(np.isfinite(p)):
-            raise TrainingError(f"non-finite parameter {name!r} after update")
-    return params, state
+def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray,
+              second: np.ndarray, t: int, learning_rate: float) -> None:
+    """Update ``t`` (counted from 1) of bias-corrected Adam, in place, on
+    equal-shape arrays: the parameters, the loss gradient and the two moment
+    estimates. Raises TrainingError on a non-finite gradient or update."""
+    if not np.all(np.isfinite(grad)):
+        raise TrainingError("non-finite gradient")
+    first *= ADAM_BETA1
+    first += (1.0 - ADAM_BETA1) * grad
+    second *= ADAM_BETA2
+    second += (1.0 - ADAM_BETA2) * (grad * grad)
+    denom = np.sqrt(second / (1.0 - ADAM_BETA2 ** t))  # two state-sized temporaries at most
+    denom += ADAM_EPS
+    theta -= learning_rate * (first / (1.0 - ADAM_BETA1 ** t)) / denom
+    if not np.all(np.isfinite(theta)):
+        raise TrainingError("non-finite parameter after update")

@@ -70,6 +70,12 @@ class SynthTruth:
     true_net: DiffNet
 
 
+def _check_finite(values, spec: SynthSpec, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{name} {getattr(spec, name)!r} makes the data overflow")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # each overflow is refused by setting
 def generate(spec: SynthSpec) -> SynthTruth:
     """Sample one dataset; deterministic given the spec."""
     spec.validate()
@@ -78,19 +84,19 @@ def generate(spec: SynthSpec) -> SynthTruth:
 
     centers, _ = unit_rows(rng.standard_normal((k, spec.kg_dim)))
     labels = rng.permutation(np.arange(n) % k)
-    kg_mat, _ = unit_rows(centers[labels]
-                          + spec.jitter_scale * rng.standard_normal((n, spec.kg_dim)))
+    kg_mat = spec.jitter_scale * rng.standard_normal((n, spec.kg_dim))  # the jitter first
+    _check_finite(kg_mat, spec, "jitter_scale")
+    kg_mat, _ = unit_rows(centers[labels] + kg_mat)
     shift = spec.delta_scale * rng.standard_normal((n, spec.kg_dim))
 
     true_net = DiffNet.random(spec.kg_dim, spec.true_hidden, spec.bg_dim, rng)
     raw = net_forward_rows(true_net, kg_mat + shift)
     col_means = raw.mean(axis=0)
-    scale = float(np.std(raw - col_means)) / spec.signal_std
-    if not scale < np.inf:
-        raise ConfigError(f"standardization scale is {scale}: signal_std "
-                          f"{spec.signal_std!r} is too small or a scale too large")
-    if scale < 1e-12:
-        scale = 1.0
+    raw_std = float(np.std(raw - col_means))
+    _check_finite(raw_std, spec, "delta_scale")  # kg rows are unit: the shift overflowed
+    # A constant net (raw std near 0) is left unscaled.
+    scale = raw_std / spec.signal_std if raw_std >= 1e-12 else 1.0
+    _check_finite(scale, spec, "signal_std")
     # Fold the standardization into the output layer so the clean table is
     # exactly the net applied to (kg + shift).
     true_net.W2 /= scale
@@ -98,10 +104,12 @@ def generate(spec: SynthSpec) -> SynthTruth:
     true_net.b2 /= scale
     del raw
     clean = net_forward_rows(true_net, kg_mat + shift)
+    _check_finite(clean, spec, "signal_std")
 
     noisy = rng.standard_normal((n, spec.bg_dim))
     noisy *= spec.noise_scale
     noisy += clean
+    _check_finite(noisy, spec, "noise_scale")
     width = max(5, len(str(max(n - 1, 0))))
     ids = tuple(f"e{i:0{width}d}" for i in range(n))
     singles = [(f"c{c}",) for c in range(k)]  # one name and one 1-tuple per cluster

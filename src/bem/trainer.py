@@ -13,6 +13,13 @@ indices, the KG and BG rows they gather, and the noise viewed as
 gradients with ``elbo.elbo_batch_grads``, one pair per call: the engine takes
 any number of pairs, and the call over a whole batch waits on a benchmark
 whose peak memory does not grow with the number of pipelines in a run.
+
+The state is four flat arrays made once per call: the nets' tensors are
+views of ``theta``, the two ``NetGrads`` sum into views of ``grad``
+(``nets.flat_views``). Each ``n_iter`` pass clears ``grad``, sums its pairs,
+flushes both sums (only then are they whole) and takes one ``adam_step``.
+Steps call the module global ``sample_paired_batches``, not a local binding,
+so a caller who swaps it (the benchmark, to time steps) sees every step.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from .elbo import (Edge, edge_allows_self_pairs, edge_output_dim,
                    elbo_batch_grads, estimate_prior)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
                      TrainingError)
-from .nets import AdamState, DiffNet, NetGrads, adam_step, net_forward_rows
+from .nets import DiffNet, NetGrads, adam_step, flat_views, net_forward_rows
 from .rng import named_rng
 
 
@@ -183,10 +190,14 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
     node_dim = kg_dim + edge_output_dim(cfg.edge, bg_dim)
 
     rng = named_rng(cfg.seed, "train")
-    proj_net = DiffNet.random(kg_dim, cfg.hidden_dim, bg_dim, rng)
-    infer_net = DiffNet.random(kg_dim + bg_dim, cfg.hidden_dim, 2 * node_dim, rng)
-    params = {**proj_net.param_dict("proj."), **infer_net.param_dict("infer.")}
-    state = AdamState.for_params(params, cfg.learning_rate)
+    nets = (DiffNet.random(kg_dim, cfg.hidden_dim, bg_dim, rng),
+            DiffNet.random(kg_dim + bg_dim, cfg.hidden_dim, 2 * node_dim, rng))
+    proj_net, infer_net = nets
+    theta = np.concatenate([p.ravel() for net in nets for p in net.param_dict().values()])
+    grad, first, second = (np.zeros_like(theta) for _ in range(3))
+    for net, views in zip(nets, flat_views(theta, *nets)):
+        vars(net).update(views)
+    acc_proj, acc_infer = (NetGrads(**views) for views in flat_views(grad, *nets))
 
     n_steps = cfg.n_steps(n)
     allow_self = edge_allows_self_pairs(cfg.edge)
@@ -197,11 +208,9 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
         kg_rows, bg_rows = W[pairs], Z[pairs]
         prior = estimate_prior(kg_rows, bg_rows, cfg.edge, cfg.lambda1, cfg.lambda2)
         noise = rng.standard_normal((cfg.n_batch, 2, node_dim)).transpose(1, 0, 2)
-        elbo_sum = recon_sum = kl_sum = 0.0
         try:
-            for _ in range(cfg.n_iter):
-                acc_proj = NetGrads.zeros_like(proj_net)
-                acc_infer = NetGrads.zeros_like(infer_net)
+            for i in range(cfg.n_iter):
+                grad.fill(0.0)
                 elbo_sum = recon_sum = kl_sum = 0.0
                 # One pair (rows m:m+1) per engine call until the benchmark
                 # holds its peak memory flat (see the module docstring).
@@ -213,21 +222,29 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
                     elbo_sum += elbo
                     recon_sum += recon
                     kl_sum += kl
+                acc_proj.flush()
+                acc_infer.flush()
                 # Batch objective is the mean over pairs; Adam minimizes, so
                 # the loss gradient is the negated ELBO gradient.
-                scale = -1.0 / cfg.n_batch
-                grads = {**acc_proj.scale_(scale).param_dict("proj."),
-                         **acc_infer.scale_(scale).param_dict("infer.")}
-                adam_step(params, grads, state)
-        except (NumericalError, TrainingError) as exc:
+                grad *= -1.0 / cfg.n_batch
+                t = (step - 1) * cfg.n_iter + i + 1  # Adam's count runs across passes
+                adam_step(theta, grad, first, second, t, cfg.learning_rate)
+        except NumericalError as exc:
             raise TrainingError(f"step {step}: {exc}") from exc
+        except TrainingError as exc:
+            # adam_step checks grad, then theta: name the first non-finite tensor.
+            bad = next(prefix + key for flat in (grad, theta)
+                       for prefix, views in zip(("proj.", "infer."), flat_views(flat, *nets))
+                       for key, view in views.items() if not np.all(np.isfinite(view)))
+            raise TrainingError(f"step {step}: {exc} in {bad}") from exc
         elbo_mean = elbo_sum / cfg.n_batch
         if not math.isfinite(elbo_mean):
             raise TrainingError(f"non-finite ELBO at step {step}")
         report.records.append(StepRecord(
             step=step, elbo=elbo_mean, recon=recon_sum / cfg.n_batch,
             kl=kl_sum / cfg.n_batch, wall_s=time.perf_counter() - t0))
-    report.param_checksum = _param_checksum(params)
+    report.param_checksum = _param_checksum(
+        {**proj_net.param_dict("proj."), **infer_net.param_dict("infer.")})
     return proj_net, infer_net, report
 
 

@@ -4,8 +4,9 @@
 Each net runs forward and backward as matrix-vector products on one node,
 the posterior, the draw, the reconstruction and the KL are kept as named
 vectors, and the weight gradients are per-node outer products added straight
-into the ``NetGrads`` sums (no row buffers). The math is the engine's; only
-the evaluation order differs, so the two agree to rounding.
+into the ``NetGrads`` sums (no row buffers, so no ``flush()`` is needed before
+a read). The math is the engine's; only the evaluation order differs, so the
+two agree to rounding.
 """
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ import numpy as np
 from bem.elbo import STD_FLOOR, BatchPrior, Edge, edge_apply, edge_output_dim
 from bem.errors import NumericalError, ShapeError
 from bem.nets import DiffNet, NetGrads, sigmoid, softplus
+
+
+def zero_grads(net: DiffNet) -> NetGrads:
+    """An accumulator of ``net``'s shapes holding zero gradients."""
+    return NetGrads(*(np.zeros_like(p) for p in net.param_dict().values()))
 
 
 def _forward_cached(net: DiffNet, x: np.ndarray):

@@ -211,6 +211,18 @@ class TestTrainUsage:
         assert "finite" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("log", ["m.bem", "{tmp}/m.bem", "sub/../m.bem", "m.bem.manifest.txt"])
+    def test_log_naming_the_model_or_its_manifest_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, log):
+        # The step log would replace the model (or its manifest) after it is written.
+        data = synth_manifest(tmp_path).parent
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", "--out", "m.bem",
+                     "--log", log.format(tmp=tmp_path)]) == EXIT_USAGE
+        assert "would overwrite the model or its manifest" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["synth"]
+
 
 class TestSeedRange:
     """Seeds outside [0, 2**64) would share another seed's stream: refused
@@ -239,7 +251,7 @@ class TestSeedRange:
 
 class TestSynthScales:
     """Scales must be finite and non-negative, signal_std finite and positive,
-    and the standardization scale they give finite: a bad one is named
+    and the data they give finite: a bad one (one that overflows) is named
     before anything is written."""
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -251,12 +263,25 @@ class TestSynthScales:
         ("--jitter", "inf", "jitter_scale"),
         ("--noise-scale", "nan", "noise_scale"),
         ("--noise-scale", "-1", "noise_scale"),
+        ("--signal-std", "1e308", "signal_std"),
+        ("--delta-scale", "1e308", "delta_scale"),
+        ("--jitter", "1e308", "jitter_scale"),
+        ("--noise-scale", "1e308", "noise_scale"),
     ])
     def test_bad_scale_exits_with_data_code(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "s"
         assert main(["synth", "--out", str(out), "--n", "50", flag, value]) == EXIT_DATA
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("signal_std", [1e13, 1e300])
+    def test_large_finite_signal_std_sets_the_entry_std(self, tmp_path, signal_std):
+        # Past 1e12 times the raw net's std the standardization used to be skipped.
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--n", "200",
+                     "--signal-std", repr(signal_std)]) == EXIT_OK
+        clean = load_table(out / "truth.tsv").matrix / signal_std
+        assert abs(clean.mean()) < 1e-12 and clean.std() == pytest.approx(1.0, rel=1e-9)
 
 
 class TestNonUtf8Input:

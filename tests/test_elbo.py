@@ -6,10 +6,10 @@ from scipy import stats as sps
 from bem.elbo import (BatchPrior, Edge, LOG_RESVAR_VAR_MIN, STD_FLOOR, VAR_FLOOR,
                       edge_apply, edge_output_dim, elbo_batch_grads, estimate_prior)
 from bem.errors import ConfigError, NumericalError, ShapeError
-from bem.nets import GRAD_ROWS, DiffNet, NetGrads
+from bem.nets import GRAD_ROWS, DiffNet
 from pair_oracle import (PosteriorStats, _forward_cached, _reconstruction,
                          elbo_pair_accumulate_grads, kl_penalty, node_priors,
-                         reparametrize)
+                         reparametrize, zero_grads)
 from test_nets import zero_net
 
 EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
@@ -17,7 +17,7 @@ EDGES = (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY)
 
 def pair_grads(proj, infer, edge, *rest):
     """One pair's ELBO parts and its gradients, accumulated from zero."""
-    acc_proj, acc_infer = NetGrads.zeros_like(proj), NetGrads.zeros_like(infer)
+    acc_proj, acc_infer = zero_grads(proj), zero_grads(infer)
     parts = elbo_pair_accumulate_grads(proj, infer, edge, *rest, acc_proj, acc_infer)
     return parts, acc_proj, acc_infer
 
@@ -122,7 +122,8 @@ class TestEstimatePrior:
         rng = np.random.default_rng(0)
         kg = np.ones((4, 3))
         bg = rng.normal(size=(4, 5))
-        prior = estimate_prior(np.stack([kg, kg]), np.stack([bg, bg]), Edge.TRANSLATION)
+        prior = estimate_prior(np.stack([kg, kg]), np.stack([bg, bg]), Edge.TRANSLATION,
+                               1.0, 1.0)
         assert np.array_equal(prior.shift_var[0], np.full(3, VAR_FLOOR))
 
     def test_two_point_sample_variance(self):
@@ -130,7 +131,8 @@ class TestEstimatePrior:
         kg_a = np.array([[0.0, 0.0], [2.0, 0.0]])
         kg_b = np.array([[1.0, 1.0], [3.0, 1.0]])
         bg = rng.normal(size=(2, 2))
-        prior = estimate_prior(np.stack([kg_a, kg_b]), np.stack([bg, bg]), Edge.TRANSLATION)
+        prior = estimate_prior(np.stack([kg_a, kg_b]), np.stack([bg, bg]), Edge.TRANSLATION,
+                               1.0, 1.0)
         assert prior.shift_var[0, 0] == pytest.approx(2.0)
         assert prior.shift_var[0, 1] == pytest.approx(VAR_FLOOR)
 
@@ -177,7 +179,7 @@ class TestEstimatePrior:
         rng = np.random.default_rng(5)
         kg = rng.normal(size=(n, 2))
         bg_a, bg_b = rng.normal(size=(n, d_z)), rng.standard_t(5, size=(n, d_z))
-        prior = estimate_prior(np.stack([kg, kg]), np.stack([bg_a, bg_b]), edge)
+        prior = estimate_prior(np.stack([kg, kg]), np.stack([bg_a, bg_b]), edge, 1.0, 1.0)
         g = edge_apply(edge, bg_a, bg_b)
         boot = np.array([np.var(g[idx], axis=0)
                          for idx in rng.integers(0, n, size=(n_boot, n))])
@@ -188,7 +190,8 @@ class TestEstimatePrior:
     def test_constant_edge_coordinate_clamps_to_the_floor(self, edge):
         bg = np.full((6, 2), 0.5)
         with np.errstate(all="raise"):
-            prior = estimate_prior(np.stack([np.eye(6, 2)] * 2), np.stack([bg, bg]), edge)
+            prior = estimate_prior(np.stack([np.eye(6, 2)] * 2), np.stack([bg, bg]), edge,
+                                   1.0, 1.0)
         assert not np.any(np.isnan(prior.log_resvar_var))
         assert np.all(prior.log_resvar_var == LOG_RESVAR_VAR_MIN)
         assert np.all(prior.log_resvar_mean == np.log(VAR_FLOOR))
@@ -196,13 +199,13 @@ class TestEstimatePrior:
     def test_batch_of_one_rejected(self):
         one = np.ones((2, 1, 2))
         with pytest.raises(ConfigError):
-            estimate_prior(one, one, Edge.TRANSLATION)
+            estimate_prior(one, one, Edge.TRANSLATION, 1.0, 1.0)
 
     def test_rows_not_side_stacked_rejected(self):
         rows = np.ones((2, 4, 3))
         for kg, bg in ((rows[0], rows), (rows, rows[:, :3]), (np.ones((3, 4, 3)),) * 2):
             with pytest.raises(ConfigError, match="side rows"):
-                estimate_prior(kg, bg, Edge.TRANSLATION)
+                estimate_prior(kg, bg, Edge.TRANSLATION, 1.0, 1.0)
 
 
 class TestInferPosterior:
@@ -524,8 +527,8 @@ class TestElboPair:
         argsA = self.make_setup(Edge.TRANSLATION, seed=3)
         argsB = self.make_setup(Edge.TRANSLATION, seed=4)
         proj, infer = argsA[0], argsA[1]
-        acc_p = NetGrads.zeros_like(proj)
-        acc_i = NetGrads.zeros_like(infer)
+        acc_p = zero_grads(proj)
+        acc_i = zero_grads(infer)
         elbo_pair_accumulate_grads(proj, infer, Edge.TRANSLATION, *argsA[2:],
                                    acc_proj=acc_p, acc_infer=acc_i)
         elbo_pair_accumulate_grads(proj, infer, Edge.TRANSLATION, *argsB[2:],
@@ -566,14 +569,16 @@ def batch_case(edge, n, seed, d_w=3, d_z=4, n_h=6):
 
 def engine_grads(proj, infer, edge, *rest):
     """The engine's (elbo, recon, kl) sums and gradients, accumulated from zero."""
-    acc_proj, acc_infer = NetGrads.zeros_like(proj), NetGrads.zeros_like(infer)
+    acc_proj, acc_infer = zero_grads(proj), zero_grads(infer)
     values = elbo_batch_grads(proj, infer, edge, *rest, acc_proj, acc_infer)
+    acc_proj.flush()
+    acc_infer.flush()
     return values, acc_proj, acc_infer
 
 
 def oracle_grads(proj, infer, edge, kg, bg, prior, noise):
     """The same sums and gradients from the per-pair oracle, pair by pair."""
-    acc_proj, acc_infer = NetGrads.zeros_like(proj), NetGrads.zeros_like(infer)
+    acc_proj, acc_infer = zero_grads(proj), zero_grads(infer)
     elbo = recon = kl = 0.0
     for m in range(noise.shape[1]):
         parts = elbo_pair_accumulate_grads(proj, infer, edge, kg[0, m], bg[0, m], kg[1, m],

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from bem.elbo import BatchPrior, Edge
 from bem.errors import ShapeError, TrainingError
-from bem.nets import (GRAD_ROWS, ROW_BLOCK, AdamState, DiffNet, NetGrads, adam_step,
+from bem.nets import (GRAD_ROWS, ROW_BLOCK, DiffNet, adam_step, flat_views,
                       net_forward_rows, sigmoid)
-from pair_oracle import _backward_from_cache, _forward_cached, elbo_pair_accumulate_grads
+from pair_oracle import (_backward_from_cache, _forward_cached, elbo_pair_accumulate_grads,
+                         zero_grads)
 
 # Largest allowed gap between a blocked row and the explicit-loop oracle for
 # order-one values: a few dozen ulps (8.9e-16 measured).
@@ -157,7 +158,7 @@ class TestBackward:
         x = np.array([0.3, -0.2, 0.9])
         _, pre, hid = _forward_cached(net, x)
         grads, dx = _backward_from_cache(net, x, pre, hid, np.zeros(2),
-                                         NetGrads.zeros_like(net))
+                                         zero_grads(net))
         for arr in (grads.W1, grads.b1, grads.W2, grads.b2, dx):
             assert np.all(arr == 0.0)
 
@@ -165,7 +166,7 @@ class TestBackward:
         net = identity_net(2)
         x = np.array([1.0, -1.0])
         _, pre, hid = _forward_cached(net, x)
-        _, dx = _backward_from_cache(net, x, pre, hid, np.ones(2), NetGrads.zeros_like(net))
+        _, dx = _backward_from_cache(net, x, pre, hid, np.ones(2), zero_grads(net))
         assert np.array_equal(dx, [1.0, 0.0])
 
     def test_gradients_match_finite_differences(self):
@@ -185,7 +186,7 @@ class TestBackward:
             upstream = rng.normal(size=out)
             _, pre, hid = _forward_cached(net, x)
             grads, dx = _backward_from_cache(net, x, pre, hid, upstream,
-                                             NetGrads.zeros_like(net))
+                                             zero_grads(net))
             def value():
                 return float(upstream @ _forward_cached(net, x)[0])
             for arr, g in ((net.W1, grads.W1), (net.b1, grads.b1),
@@ -230,46 +231,48 @@ class TestBackward:
                 elbo_pair_accumulate_grads(
                     proj, infer, Edge.TRANSLATION, kg_i, np.ones(d_z), np.ones(d_w),
                     np.ones(d_z), prior, prior, noise,
-                    NetGrads.zeros_like(proj), NetGrads.zeros_like(infer))
+                    zero_grads(proj), zero_grads(infer))
 
 
 class TestAdam:
+    """``adam_step`` on flat arrays: parameters, gradient, two moments."""
+
+    @staticmethod
+    def state(theta):
+        theta = np.array(theta, dtype=float)
+        return theta, np.zeros_like(theta), np.zeros_like(theta)
+
     def test_zero_gradient_fresh_state_is_identity(self):
         net = DiffNet.random(3, 4, 2, np.random.default_rng(5))
-        params = net.param_dict()
-        before = {k: v.copy() for k, v in params.items()}
-        state = AdamState.for_params(params, learning_rate=0.01)
-        adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, state)
-        for k in params:
-            assert np.array_equal(params[k], before[k])
-        assert state.step_count == 1
+        theta, first, second = self.state(np.concatenate(
+            [p.ravel() for p in net.param_dict().values()]))
+        before = theta.copy()
+        adam_step(theta, np.zeros_like(theta), first, second, 1, 0.01)
+        assert np.array_equal(theta, before)
 
     @given(lr=st.floats(1e-5, 1.0), steps=st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_zero_gradient_identity_holds_through_repeated_steps(self, lr, steps):
-        params = {"p": np.array([0.3, -0.7])}
-        state = AdamState.for_params(params, learning_rate=lr)
-        for _ in range(steps):
-            adam_step(params, {"p": np.zeros(2)}, state)
-        assert np.array_equal(params["p"], [0.3, -0.7])
+        theta, first, second = self.state([0.3, -0.7])
+        for t in range(1, steps + 1):
+            adam_step(theta, np.zeros(2), first, second, t, lr)
+        assert np.array_equal(theta, [0.3, -0.7])
 
     def test_first_step_moves_by_learning_rate(self):
         # Bias-corrected first step: p -= lr * g / (|g| + eps), so a unit
         # gradient moves the scalar by ~ -lr.
-        params = {"p": np.array([0.0])}
-        state = AdamState.for_params(params, learning_rate=0.001)
-        adam_step(params, {"p": np.array([1.0])}, state)
+        theta, first, second = self.state([0.0])
+        adam_step(theta, np.array([1.0]), first, second, 1, 0.001)
         expected = -0.001 * 1.0 / (1.0 + 1e-8)
-        assert params["p"][0] == pytest.approx(expected, rel=1e-12)
+        assert theta[0] == pytest.approx(expected, rel=1e-12)
 
     def test_two_identical_steps_shrink_the_move(self):
         # Evaluate the update formulas by hand for t = 1, 2.
-        params = {"p": np.array([0.0])}
-        state = AdamState.for_params(params, learning_rate=0.001)
-        adam_step(params, {"p": np.array([1.0])}, state)
-        p1 = params["p"][0]
-        adam_step(params, {"p": np.array([1.0])}, state)
-        p2 = params["p"][0]
+        theta, first, second = self.state([0.0])
+        adam_step(theta, np.array([1.0]), first, second, 1, 0.001)
+        p1 = theta[0]
+        adam_step(theta, np.array([1.0]), first, second, 2, 0.001)
+        p2 = theta[0]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         m2 = (beta1 * 0.1 + 0.1) / (1 - beta1 ** 2)
         v2 = (beta2 * 0.001 + 0.001) / (1 - beta2 ** 2)
@@ -277,41 +280,38 @@ class TestAdam:
         assert p2 - p1 == pytest.approx(expected_step2, rel=1e-12)
         assert abs(p2 - p1) <= abs(p1 - 0.0) + 1e-15
 
-    def test_non_finite_gradient_names_the_tensor(self):
-        params = {"weights": np.zeros(2)}
-        state = AdamState.for_params(params, learning_rate=0.1)
-        with pytest.raises(TrainingError, match="weights"):
-            adam_step(params, {"weights": np.array([np.nan, 0.0])}, state)
+    def test_non_finite_gradient_raises_before_any_update(self):
+        # The trainer names the tensor (test_trainer); here only the flat check.
+        for bad in (np.nan, np.inf):
+            theta, first, second = self.state([0.5, 0.5])
+            with pytest.raises(TrainingError, match="non-finite gradient"):
+                adam_step(theta, np.array([bad, 0.0]), first, second, 1, 0.1)
+            assert np.array_equal(theta, [0.5, 0.5]) and not np.any(first)
 
     def test_parameters_stay_finite_after_updates(self):
         rng = np.random.default_rng(8)
         net = DiffNet.random(4, 6, 3, rng)
-        params = net.param_dict()
-        state = AdamState.for_params(params, learning_rate=0.05)
-        for _ in range(50):
-            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-            adam_step(params, grads, state)
-        for v in params.values():
-            assert np.all(np.isfinite(v))
-        assert all(np.all(v >= 0) for v in state.second_moment.values())
+        theta, first, second = self.state(np.concatenate(
+            [p.ravel() for p in net.param_dict().values()]))
+        for t in range(1, 51):
+            adam_step(theta, rng.normal(size=theta.shape), first, second, t, 0.05)
+        assert np.all(np.isfinite(theta))
+        assert np.all(second >= 0)
 
 
-class TestNetGrads:
-    def test_scale_in_place(self):
-        net = DiffNet.random(2, 3, 2, np.random.default_rng(0))
-        x = np.array([1.0, 2.0])
-        _, pre, hid = _forward_cached(net, x)
-        g, _ = _backward_from_cache(net, x, pre, hid, np.array([1.0, -1.0]),
-                                    NetGrads.zeros_like(net))
-        w1 = g.W1.copy()
-        g.scale_(0.5)
-        assert np.array_equal(g.W1, 0.5 * w1)
-
-    def test_zeros_like_matches_shapes(self):
-        net = zero_net(2, 3, 4)
-        g = NetGrads.zeros_like(net)
-        assert g.W1.shape == (3, 2) and g.W2.shape == (4, 3)
-        assert g.b1.shape == (3,) and g.b2.shape == (4,)
+class TestFlatViews:
+    def test_views_tile_the_array_in_param_dict_order(self):
+        nets = (zero_net(2, 3, 4), zero_net(5, 3, 1))
+        sizes = [p.size for net in nets for p in net.param_dict().values()]
+        flat = np.arange(float(sum(sizes)))
+        views = flat_views(flat, *nets)
+        for net, net_views in zip(nets, views):
+            assert list(net_views) == list(net.param_dict())
+            for name, view in net_views.items():
+                assert view.shape == getattr(net, name).shape
+                assert np.shares_memory(view, flat)
+        joined = np.concatenate([v.ravel() for net_views in views for v in net_views.values()])
+        assert np.array_equal(joined, flat)
 
 
 class TestBufferedWeightGradients:
@@ -343,7 +343,7 @@ class TestBufferedWeightGradients:
         rng = np.random.default_rng(count)
         net = DiffNet.random(5, 30, 7, rng)
         net.b1 = rng.normal(size=30) * 0.3
-        acc = NetGrads.zeros_like(net)
+        acc = zero_grads(net)
         loop = {k: np.zeros_like(v) for k, v in net.param_dict().items()}
         added, sizes, read_mid_run = 0, itertools.cycle((1, 2, 5, 13)), False
         while added < count:
@@ -357,9 +357,9 @@ class TestBufferedWeightGradients:
                 loop["W2"] += np.outer(up[r], hid[r])
                 loop["b2"] += up[r]
             if not read_mid_run and added >= count // 2:
-                # A read mid-run sees every row added so far.
+                # A flush mid-run takes in every row added so far.
+                acc.flush()
                 self.assert_matches_loop(acc, loop)
                 read_mid_run = True
-        # scale_ flushes the rows still buffered before it scales.
-        acc.scale_(-0.5)
-        self.assert_matches_loop(acc, {k: -0.5 * v for k, v in loop.items()})
+        acc.flush()
+        self.assert_matches_loop(acc, loop)

@@ -3,14 +3,15 @@ import functools
 import numpy as np
 import pytest
 
+from bem import trainer
 from bem.dataio import EmbeddingTable
 from bem.elbo import Edge, edge_output_dim, estimate_prior
 from bem.errors import AlignmentError, ConfigError, ShapeError, TrainingError
-from bem.nets import GRAD_ROWS, ROW_BLOCK, DiffNet, NetGrads
+from bem.nets import GRAD_ROWS, ROW_BLOCK, DiffNet
 from bem.rng import named_rng
 from bem.synthgen import SynthSpec, generate
 from bem.trainer import TrainConfig, refine, sample_paired_batches, train
-from pair_oracle import elbo_pair_accumulate_grads, node_priors
+from pair_oracle import elbo_pair_accumulate_grads, node_priors, zero_grads
 from test_nets import ROWS_ATOL, straight_line_forward, zero_net
 
 
@@ -155,16 +156,17 @@ class TestTrain:
         sums = {}
         elbo_sum = 0.0
         for m in range(n_batch):
-            gp, gi = NetGrads.zeros_like(proj_ref), NetGrads.zeros_like(infer_ref)
+            gp, gi = zero_grads(proj_ref), zero_grads(infer_ref)
             parts = elbo_pair_accumulate_grads(
                 proj_ref, infer_ref, cfg.edge,
                 kg.matrix[a[m]], bg.matrix[a[m]],
                 kg.matrix[b[m]], bg.matrix[b[m]],
                 prior_a, prior_b, noise[m], gp, gi)
             elbo_sum += parts.elbo
-            for key, val in {**gp.param_dict("proj."),
-                             **gi.param_dict("infer.")}.items():
-                sums[key] = sums.get(key, 0.0) + val
+            for prefix, g in (("proj.", gp), ("infer.", gi)):
+                for name in ("W1", "b1", "W2", "b2"):
+                    key = prefix + name
+                    sums[key] = sums.get(key, 0.0) + getattr(g, name)
         params = {**proj_ref.param_dict("proj."), **infer_ref.param_dict("infer.")}
         lr, b1c, b2c, eps_adam = cfg.learning_rate, 0.9, 0.999, 1e-8
         for key, p in params.items():
@@ -218,22 +220,68 @@ class TestTrain:
         assert out1[2].param_checksum == out2[2].param_checksum
         assert [r.elbo for r in out1[2].records] == [r.elbo for r in out2[2].records]
 
-    @pytest.mark.parametrize("edge", list(Edge))
-    def test_param_checksum_is_pinned(self, edge):
+    @pytest.mark.parametrize("edge, n_iter", [*((edge, 1) for edge in Edge),
+                                              (Edge.TRANSLATION, 3)],
+                             ids=[*map(str, Edge), "n_iter=3"])
+    def test_param_checksum_is_pinned(self, edge, n_iter):
         # Any change to how a batch is laid out or summed must leave the
         # trained bits alone. Hashes taken at tool_version 0.3.2, the same
-        # with one and with two BLAS threads.
+        # with one and with two BLAS threads; the n_iter=3 hash, which also
+        # pins Adam's step count across passes, at tool_version 0.3.2 too.
         pinned = {
-            Edge.TRANSLATION:
+            (Edge.TRANSLATION, 1):
                 "3e5185a4fbc887e2f43b7a54ccb9be713e709d909478ad0d36dba8d54f08b7e4",
-            Edge.INNER_PRODUCT:
+            (Edge.INNER_PRODUCT, 1):
                 "bf4a2cc706a3562e0ca5e8161ea06a4841d3fe8eae7413866978ac6372f55e00",
-            Edge.IDENTITY:
+            (Edge.IDENTITY, 1):
                 "199eb4270c27784057cd2ad020ddf22a258e0f980cc7aa65be1252a844e39c9e",
+            (Edge.TRANSLATION, 3):
+                "c3cde474bdad29e4ce9584134092bdfa15dc882e99bdfb937b463bcbea82a946",
         }
         truth = generate(SynthSpec(n_entities=300, seed=7))
-        cfg = TrainConfig(n_batch=50, hidden_dim=16, epochs=2.0, edge=edge)
-        assert train(truth.kg, truth.bg, cfg)[2].param_checksum == pinned[edge]
+        cfg = TrainConfig(n_batch=50, hidden_dim=16, epochs=2.0, edge=edge, n_iter=n_iter)
+        assert train(truth.kg, truth.bg, cfg)[2].param_checksum == pinned[edge, n_iter]
+
+    @pytest.mark.parametrize("n_iter", [1, 2])
+    def test_each_step_samples_through_the_module_global(self, monkeypatch, n_iter):
+        # The benchmark times each step by swapping the module attribute
+        # trainer.sample_paired_batches; a local binding would hide the steps.
+        kg, bg = tiny_tables(seed=4, n=10)
+        cfg = TrainConfig(n_batch=4, epochs=2.0, hidden_dim=5, seed=9, n_iter=n_iter)
+        plain = train(kg, bg, cfg)[2]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_paired_batches(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "sample_paired_batches", counted)
+        report = train(kg, bg, cfg)[2]
+        assert len(calls) == report.n_steps == cfg.n_steps(len(kg))
+        assert report.param_checksum == plain.param_checksum
+
+    def test_non_finite_gradient_names_the_tensor(self, monkeypatch):
+        engine = trainer.elbo_batch_grads
+
+        def poisoned(*args):
+            values = engine(*args)
+            args[-1].W2[0, 0] = np.nan  # the inference net's accumulator
+            return values
+
+        monkeypatch.setattr(trainer, "elbo_batch_grads", poisoned)
+        kg, bg = tiny_tables(seed=2)
+        with pytest.raises(TrainingError, match=r"step 1: non-finite gradient in infer\.W2$"):
+            train(kg, bg, TrainConfig(n_batch=3, epochs=1.0, hidden_dim=4))
+
+    def test_non_finite_parameter_names_the_tensor(self):
+        # A learning rate near the float limit overflows the first update.
+        kg, bg = tiny_tables(seed=2)
+        cfg = TrainConfig(n_batch=3, epochs=1.0, hidden_dim=4, learning_rate=1e308,
+                          normalize_inputs=False)
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingError, match=r"step 1: non-finite parameter after "
+                               r"update in (proj|infer)\.(W1|b1|W2|b2)$"):
+                train(kg, bg, cfg)
 
     def test_misaligned_tables_raise_with_ids(self):
         kg, _ = tiny_tables(seed=0, n=4)
