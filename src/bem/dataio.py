@@ -20,6 +20,9 @@ values and the line-numbered errors are those of a plain per-field
 An ``EmbeddingTable`` copies any matrix but a read-only float64 array that
 owns its data. Code that builds a fresh matrix for a table hands it over
 ``_frozen`` and never writes it again, so the table holds no second copy.
+A fresh matrix over the ids of an existing table goes to that table's
+``with_matrix``, which keeps it uncopied too and checks the matrix alone:
+the ids were checked when the existing table was built.
 
 Label file: ``id<TAB>class1,class2,...`` with a non-empty id and a
 non-empty class list.
@@ -172,6 +175,20 @@ class EmbeddingTable:
     def id_index(self) -> dict[str, int]:
         return {eid: i for i, eid in enumerate(self.ids)}
 
+    def with_matrix(self, matrix: np.ndarray) -> "EmbeddingTable":
+        """A table of these ids over ``matrix``, a fresh float64 array that
+        the table keeps uncopied and makes read-only (the caller never writes
+        it again). ShapeError unless it is 2-D with a row per id, DataError on
+        a non-finite value; the ids are not checked again."""
+        if matrix.ndim != 2 or len(matrix) != len(self.ids):
+            raise ShapeError(f"{len(self.ids)} ids for a matrix of shape {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            raise DataError("non-finite values in embedding matrix")
+        matrix.flags.writeable = False
+        table = object.__new__(EmbeddingTable)  # skips __post_init__'s id checks
+        table.ids, table.matrix = self.ids, matrix
+        return table
+
     def subset(self, indices) -> "EmbeddingTable":
         """The rows at ``indices``, in that order, as a new table; the table
         itself when ``indices`` is ``range(len(self))`` (tables are immutable)."""
@@ -217,7 +234,7 @@ def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def normalize_rows(table: EmbeddingTable) -> EmbeddingTable:
     """L2-normalize each row; all-zero rows are left as they are."""
-    return EmbeddingTable(ids=table.ids, matrix=_frozen(unit_rows(table.matrix)[0]))
+    return table.with_matrix(unit_rows(table.matrix)[0])
 
 
 def _parse_values(path, first_lineno: int, rests: list[str], dim: int) -> np.ndarray:

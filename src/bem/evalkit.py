@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingTable, _frozen, _row_norms, align
+from .dataio import EmbeddingTable, _row_norms, align
 from .errors import ConfigError, EvalError, ShapeError
 from .rng import named_rng
 
@@ -370,10 +370,10 @@ def random_project(table: EmbeddingTable, target_dim: int,
             raise ShapeError(
                 f"projection matrix has shape {matrix.shape}, "
                 f"expected {(table.dim, target_dim)}")
-    return EmbeddingTable(ids=table.ids, matrix=_frozen(table.matrix @ matrix))
+    return table.with_matrix(table.matrix @ matrix)
 
 
 def concat_tables(first: EmbeddingTable, second: EmbeddingTable) -> EmbeddingTable:
     """Column-wise concatenation over the shared ids, in first-table order."""
     a, b, _ = align(first, second, policy="intersect")
-    return EmbeddingTable(ids=a.ids, matrix=_frozen(np.hstack([a.matrix, b.matrix])))
+    return a.with_matrix(np.hstack([a.matrix, b.matrix]))

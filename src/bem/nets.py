@@ -1,14 +1,18 @@
 """Two-layer perceptrons with hand-written gradients and the Adam update.
 
 Everything is float64. Inference runs row-wise in ``net_forward_rows`` alone
-(``trainer.refine`` and ``synthgen`` call it): one ``_block_forward(net, ...)``
-per fixed block of ``ROW_BLOCK`` rows, so a row can differ from an
-explicit-loop evaluation in the last bits (summation order; 8.9e-16
-measured). It is bit-identical from run to run, and a row's output does not
-depend on how many rows follow it. Training runs ``_block_forward`` over each
-pair's two node rows (``elbo.elbo_batch_grads``) and its backward pass as
-matrix products over the same rows; the weight gradients are one matrix
-product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``).
+(``trainer.refine`` and ``synthgen`` call it), one fixed block of
+``ROW_BLOCK`` rows at a time, so a row can differ from an explicit-loop
+evaluation in the last bits (summation order; 8.9e-16 measured). It is
+bit-identical from run to run, and a row's output does not depend on how
+many rows follow it. Its first product carries the bias: each block has a
+trailing column of ones and the first layer is ``[W1 | b1]``, joined once
+per call. Training runs its own forward, ``_block_forward``, over each
+pair's two node rows (``elbo.elbo_batch_grads``), adding ``b1`` in a separate
+pass: it is called once per pair, too often to join the weights per call.
+Its backward pass runs as matrix products over the same rows; the weight
+gradients are one matrix product per ``GRAD_ROWS`` buffered node rows (see
+``NetGrads``).
 Training holds parameters, gradient sums and Adam moments in four flat arrays
 with each net's tensors as views (``flat_views``): one ``adam_step`` for all.
 """
@@ -164,22 +168,32 @@ def net_forward_rows(net: DiffNet, *columns) -> np.ndarray:
                          f"rows of width {net.in_dim}")
     n = len(columns[0])
     out = np.empty((n, net.out_dim))
-    block = np.zeros((ROW_BLOCK, net.in_dim))
-    targets = np.split(block, np.cumsum([c.shape[1] for c in columns])[:-1], axis=1)
+    # A trailing column of ones meets b1 in the joined first layer.
+    block = np.zeros((ROW_BLOCK, net.in_dim + 1))
+    block[:, -1] = 1.0
+    first = np.hstack([net.W1, net.b1[:, None]]).T
+    targets = np.split(block, np.cumsum([c.shape[1] for c in columns]), axis=1)[:-1]
     hidden, result = np.empty((ROW_BLOCK, net.hidden_dim)), np.empty((ROW_BLOCK, net.out_dim))
     for start in range(0, n, ROW_BLOCK):
         rows = min(ROW_BLOCK, n - start)
         for target, c in zip(targets, columns):
             target[:rows] = c[start:start + rows]
-        block[rows:] = 0.0
-        _block_forward(net, block, hidden, result)
+        block[rows:, :-1] = 0.0
+        np.matmul(block, first, out=hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        np.matmul(hidden, net.W2.T, out=result)
+        result += net.b2
         out[start:start + rows] = result[:rows]
     return out
 
 
 def _block_forward(net: DiffNet, block, hidden, out) -> None:
     """``out = relu(block @ W1.T + b1) @ W2.T + b2`` for one block of rows,
-    into the caller's ``hidden`` and ``out`` buffers."""
+    into the caller's ``hidden`` and ``out`` buffers: training's forward over
+    a pair's node rows. It adds ``b1`` in its own pass, where
+    ``net_forward_rows`` joins it to ``W1`` once per call: training calls
+    this once per pair, and a joined copy of the first layer per call would
+    cost more than the add it saves."""
     np.matmul(block, net.W1.T, out=hidden)
     hidden += net.b1
     np.maximum(hidden, 0.0, out=hidden)
@@ -194,12 +208,13 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray,
     estimates. Raises TrainingError on a non-finite gradient or update."""
     if not np.all(np.isfinite(grad)):
         raise TrainingError("non-finite gradient")
-    first *= ADAM_BETA1
-    first += (1.0 - ADAM_BETA1) * grad
-    second *= ADAM_BETA2
-    second += (1.0 - ADAM_BETA2) * (grad * grad)
-    denom = np.sqrt(second / (1.0 - ADAM_BETA2 ** t))  # two state-sized temporaries at most
-    denom += ADAM_EPS
-    theta -= learning_rate * (first / (1.0 - ADAM_BETA1 ** t)) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the check below
+        first *= ADAM_BETA1
+        first += (1.0 - ADAM_BETA1) * grad
+        second *= ADAM_BETA2
+        second += (1.0 - ADAM_BETA2) * (grad * grad)
+        denom = np.sqrt(second / (1.0 - ADAM_BETA2 ** t))  # two state-sized temporaries at most
+        denom += ADAM_EPS
+        theta -= learning_rate * (first / (1.0 - ADAM_BETA1 ** t)) / denom
     if not np.all(np.isfinite(theta)):
         raise TrainingError("non-finite parameter after update")

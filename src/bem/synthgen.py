@@ -92,7 +92,11 @@ def generate(spec: SynthSpec) -> SynthTruth:
     true_net = DiffNet.random(spec.kg_dim, spec.true_hidden, spec.bg_dim, rng)
     raw = net_forward_rows(true_net, kg_mat + shift)
     col_means = raw.mean(axis=0)
-    raw_std = float(np.std(raw - col_means))
+    raw -= col_means
+    raw_std = float(np.std(raw))
+    if not np.isfinite(raw_std):  # squares past about 1e154 overflow: scale them first
+        top = float(np.max(np.abs(raw)))
+        raw_std = top * float(np.std(raw / top))
     _check_finite(raw_std, spec, "delta_scale")  # kg rows are unit: the shift overflowed
     # A constant net (raw std near 0) is left unscaled.
     scale = raw_std / spec.signal_std if raw_std >= 1e-12 else 1.0
@@ -113,11 +117,12 @@ def generate(spec: SynthSpec) -> SynthTruth:
     width = max(5, len(str(max(n - 1, 0))))
     ids = tuple(f"e{i:0{width}d}" for i in range(n))
     singles = [(f"c{c}",) for c in range(k)]  # one name and one 1-tuple per cluster
+    kg = EmbeddingTable(ids=ids, matrix=_frozen(kg_mat))
     return SynthTruth(
-        kg=EmbeddingTable(ids=ids, matrix=_frozen(kg_mat)),
+        kg=kg,
         shift=shift,
-        clean_bg=EmbeddingTable(ids=ids, matrix=_frozen(clean)),
-        bg=EmbeddingTable(ids=ids, matrix=_frozen(noisy)),
+        clean_bg=kg.with_matrix(clean),
+        bg=kg.with_matrix(noisy),
         labels=dict(zip(ids, (singles[c] for c in labels.tolist()))),
         attributes=dict(zip(ids, (singles[c][0] for c in labels.tolist()))),
         true_net=true_net,

@@ -30,8 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dataio import (EmbeddingTable, _frozen, _id_set_difference, normalize_rows,
-                     unit_rows)
+from .dataio import EmbeddingTable, _id_set_difference, normalize_rows, unit_rows
 from .elbo import (Edge, edge_allows_self_pairs, edge_output_dim,
                    elbo_batch_grads, estimate_prior)
 from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
@@ -83,8 +82,7 @@ class TrainConfig:
         if not self.normalize_inputs:
             return kg, bg, 1.0
         bg_unit, bg_norms = unit_rows(bg.matrix)
-        return (normalize_rows(kg), EmbeddingTable(ids=bg.ids, matrix=_frozen(bg_unit)),
-                bg_norms[:, None])
+        return normalize_rows(kg), bg.with_matrix(bg_unit), bg_norms[:, None]
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -272,5 +270,4 @@ def refine(kg: EmbeddingTable, bg: EmbeddingTable, proj_net: DiffNet,
     kg_out = net_forward_rows(shift_net, bg.matrix, kg.matrix)
     kg_out += kg.matrix
     bg_out = net_forward_rows(proj_net, kg_out)
-    return (EmbeddingTable(ids=kg.ids, matrix=_frozen(kg_out)),
-            EmbeddingTable(ids=kg.ids, matrix=_frozen(bg_out)))
+    return kg.with_matrix(kg_out), kg.with_matrix(bg_out)

@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from bem import cli
-from bem.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, build_parser,
-                     main, resolve_train_options)
+from bem.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError,
+                     build_parser, main, resolve_train_options)
 from bem.dataio import EmbeddingTable, load_table
 from bem.elbo import Edge, edge_output_dim
 from bem.evalkit import make_split, train_classifier
@@ -222,6 +223,20 @@ class TestTrainUsage:
                      "--log", log.format(tmp=tmp_path)]) == EXIT_USAGE
         assert "would overwrite the model or its manifest" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["synth"]
+
+    def test_overflowing_update_exits_with_numeric_code_and_no_warning(self, tmp_path, capsys):
+        # A learning rate near the float limit overflows the first update:
+        # adam_step's own error names it, and numpy's warning stays quiet.
+        data = synth_manifest(tmp_path).parent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                         "--nB", "10", "--nh", "4", "--epochs", "1", "--lr", "1e308",
+                         "--out", str(tmp_path / "m.bem")])
+        assert code == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "non-finite parameter after update" in err and "RuntimeWarning" not in err
 
 
 class TestSeedRange:

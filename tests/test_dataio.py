@@ -137,6 +137,25 @@ class TestTableMatrix:
         assert not sub.matrix.flags.writeable
         assert sub.matrix.tolist() == [[4.0, 5.0], [0.0, 1.0]]
 
+    def test_with_matrix_keeps_the_ids_and_the_matrix_uncopied(self):
+        t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
+        mat = np.ones((3, 4))
+        out = t.with_matrix(mat)
+        assert out.ids is t.ids and out.matrix is mat
+        assert not mat.flags.writeable and out.dim == 4
+
+    @pytest.mark.parametrize("mat", [np.ones((2, 2)), np.ones((4, 2)), np.ones(3)],
+                             ids=["fewer-rows", "more-rows", "1-D"])
+    def test_with_matrix_of_another_shape_raises(self, mat):
+        t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ShapeError, match="3 ids for a matrix of shape"):
+            t.with_matrix(mat)
+
+    def test_with_matrix_rejects_non_finite_values(self):
+        t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
+        with pytest.raises(DataError, match="non-finite"):
+            t.with_matrix(np.array([[0.0], [np.inf], [1.0]]))
+
     def test_subset_of_every_row_in_order_is_the_table_itself(self):
         t = EmbeddingTable(ids=self.IDS, matrix=np.arange(6.0).reshape(3, 2))
         assert t.subset(range(3)) is t
@@ -517,6 +536,7 @@ class TestNormalizeRows:
         assert np.allclose(out.matrix[0], [0.6, 0.8])
         assert np.array_equal(out.matrix[1], [0.0, 0.0])
         assert np.array_equal(t.matrix[0], [3.0, 4.0])  # input untouched
+        assert out.ids is t.ids
 
     def test_rows_whose_squares_underflow_or_overflow_still_normalize(self):
         # Plain norms read 0 and inf here: the squares leave float64's range.

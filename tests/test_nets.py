@@ -88,7 +88,9 @@ class TestForward:
     def test_rows_helper_matches_single_vector_calls(self):
         # Blocked matrix products sum in another order than the explicit
         # loop, so the loop is an oracle within ROWS_ATOL, not bit for bit.
-        net = DiffNet.random(4, 50, 3, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        net = DiffNet.random(4, 50, 3, rng)
+        net.b1, net.b2 = rng.normal(size=50), rng.normal(size=3)
         X = np.random.default_rng(3).normal(size=(2 * ROW_BLOCK + 3, 4))
         batched = net_forward_rows(net, X)
         for i in range(len(X)):

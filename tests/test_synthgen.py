@@ -71,6 +71,19 @@ class TestLoadTruth:
         assert "bad #dim header" in capsys.readouterr().err
 
 
+class TestGenerate:
+    @pytest.mark.parametrize("delta_scale", [1e160, 1e200])
+    def test_shift_past_the_squares_limit_is_standardized(self, delta_scale):
+        # The net outputs' squares overflow: their std is taken at unit scale.
+        spec = SynthSpec(n_entities=200, delta_scale=delta_scale)
+        truth = generate(spec)
+        assert truth.clean_bg.matrix.std() == pytest.approx(spec.signal_std, rel=1e-12)
+
+    def test_tables_share_one_ids_tuple(self):
+        truth = generate(SynthSpec(n_entities=30, seed=2))
+        assert truth.clean_bg.ids is truth.kg.ids and truth.bg.ids is truth.kg.ids
+
+
 class TestOracleError:
     def test_truth_rows_are_matched_by_id(self):
         truth = generate(SynthSpec(n_entities=40, seed=3))
