@@ -1,3 +1,3 @@
 """Bayesian refinement of paired KG/BG embedding tables."""
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"

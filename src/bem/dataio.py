@@ -33,7 +33,9 @@ files) reads UTF-8 lines with universal newlines: a line ends at
 line, an undecodable line's included.
 
 Model file: length-prefixed binary, magic ``BEM1``, little-endian float64
-tensors, trailing CRC32 over everything before it.
+tensors, trailing CRC32 over everything before it. The inference net's
+output rows are the posterior means (shift, log share), then the raw stds;
+``refine`` reads only the first ``kg_dim`` rows, the shift means.
 """
 from __future__ import annotations
 

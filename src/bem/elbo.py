@@ -1,11 +1,12 @@
 """Variational objective for refining a KG table against a BG table.
 
 One entity carries a KG vector (the prior side) and a BG vector (the
-observed side). Per entity the latents are a correction shift added to the
-KG vector before projection, and a positive per-coordinate share of the
-variance of the pairwise edge residual. The shift posterior is Gaussian;
-the variance share is log-normal, parametrized by the mean/std of its log
-so that positivity and the closed-form KL both hold.
+observed side). Per entity the latent is one diagonal Gaussian over
+kg_dim + edge_dim coordinates: a correction shift added to the KG vector
+before projection, then the log of a positive per-coordinate share of the
+variance of the pairwise edge residual, so that the share is log-normal and
+the KL is closed-form. The inference net emits the latent's means, then its
+raw stds, both in that coordinate order.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .nets import DiffNet, NetGrads, _block_forward, sigmoid, softplus
+from .nets import DiffNet, NetGrads, _block_forward, softplus
 
 # Clamps that keep degenerate batches out of log/divide trouble.
 VAR_FLOOR = 1e-6
@@ -112,17 +113,18 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
 
     Every per-pair array is side-stacked, side a then side b: pair m is
     [:, m] of the (2, n, kg_dim) ``kg``, the (2, n, bg_dim) ``bg`` and the
-    (2, n, kg_dim + edge_dim) ``noise``, each node's normals in the order
-    shift, logres. Each net runs forward and backward over the 2n node rows as
-    matrix products, the rest is row-wise, and the prior broadcasts: each
-    side's shift variance over its side, the variance-share prior over both.
+    (2, n, node_dim) ``noise``. Each net runs forward and backward over the
+    2n node rows as matrix products; the rest is row-wise. A node's latent
+    is one diagonal Gaussian over node_dim = kg_dim + edge_dim coordinates,
+    shift then log share (the noise's order too). The inference net emits
+    its means, then its raw stds: std = softplus(raw) + STD_FLOOR. The prior
+    has mean (0, log_resvar_mean) and variance (side's shift_var, log_resvar_var).
 
     Per coordinate, the reconstruction is -(log(t)/2 + r^2 / (2t)) with r the
     edge residual and t = res_var_a + res_var_b: the Gaussian log-density
-    up to +log(2 pi)/2. Each KL block is the exact
+    up to +log(2 pi)/2. The KL is the exact
     (v_hat/v - log(v_hat/v) + (m_hat - m)^2 / v - 1) / 2 against the prior
-    variance v and mean m (0 for the shift); the log-normal block is the KL
-    of the underlying normals on the log scale.
+    variance v and mean m: on the log share, that of its underlying normals.
     """
     kg, bg, noise = (np.asarray(x, dtype=float) for x in (kg, bg, noise))
     kg_dim, bg_dim = proj_net.in_dim, proj_net.out_dim
@@ -140,30 +142,25 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
             or not prior.log_resvar_mean.shape == prior.log_resvar_var.shape == (edge_dim,)):
         raise ShapeError("batch prior does not match the kg/edge dimensions")
 
-    infer_in = np.empty((2, n, infer_net.in_dim))
-    infer_in[..., :bg_dim], infer_in[..., bg_dim:] = bg, kg
-    eps_shift, eps_log = noise[..., :kg_dim], noise[..., kg_dim:]
-    v, mu, u = prior.shift_var[:, None], prior.log_resvar_mean, prior.log_resvar_var
+    # The node-wide prior: (node_dim,) mean, (2, 1, node_dim) variance.
+    loc = np.concatenate((np.zeros(kg_dim), prior.log_resvar_mean))
+    var = np.concatenate((prior.shift_var, [prior.log_resvar_var] * 2), axis=-1)[:, None]
 
     # Forward: the posterior of each node, one draw, its projection.
-    infer_hid = np.empty((2, n, infer_net.hidden_dim))
-    raw = np.empty((2, n, infer_net.out_dim))
-    _block_forward(infer_net, infer_in.reshape(2 * n, -1), infer_hid.reshape(2 * n, -1),
-                   raw.reshape(2 * n, -1))
-    m_shift, r_shift = raw[..., :kg_dim], raw[..., kg_dim:2 * kg_dim]
-    m_log, r_log = raw[..., 2 * kg_dim:kg_dim + node_dim], raw[..., kg_dim + node_dim:]
-    s_shift = softplus(r_shift) + STD_FLOOR
-    s_log = softplus(r_log) + STD_FLOOR
-    proj_in = infer_in[..., bg_dim:] + (m_shift + s_shift * eps_shift)
+    infer_in = np.concatenate((bg, kg), axis=-1)
+    infer_hid, raw = (a.reshape(2, n, -1)
+                      for a in _block_forward(infer_net, infer_in.reshape(2 * n, -1)))
+    mean, soft = raw[..., :node_dim], softplus(raw[..., node_dim:])
+    std = soft + STD_FLOOR
+    draw = mean + std * noise
+    proj_in = kg + draw[..., :kg_dim]
     with np.errstate(over="raise"):
         try:
-            res_var = np.exp(m_log + s_log * eps_log)
+            res_var = np.exp(draw[..., kg_dim:])
         except FloatingPointError:
             raise NumericalError("variance share overflows") from None
-    proj_hid = np.empty((2, n, proj_net.hidden_dim))
-    proj = np.empty((2, n, bg_dim))
-    _block_forward(proj_net, proj_in.reshape(2 * n, -1), proj_hid.reshape(2 * n, -1),
-                   proj.reshape(2 * n, -1))
+    proj_hid, proj = (a.reshape(2, n, -1)
+                      for a in _block_forward(proj_net, proj_in.reshape(2 * n, -1)))
 
     # Gaussian fit of each edge residual with variance res_var_a + res_var_b,
     # additive constant dropped, minus both nodes' closed-form KL.
@@ -172,10 +169,8 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
         raise NumericalError("total residual variance must be positive and finite")
     resid = edge_apply(edge, bg[0], bg[1]) - edge_apply(edge, proj[0], proj[1])
     recon = -np.sum(0.5 * np.log(total_var) + resid ** 2 / (2.0 * total_var))
-    shift_ratio, log_ratio = s_shift ** 2 / v, s_log ** 2 / u
-    log_gap = m_log - mu
-    kl = 0.5 * (np.sum(shift_ratio - np.log(shift_ratio) + m_shift ** 2 / v - 1.0)
-                + np.sum(log_ratio - np.log(log_ratio) + log_gap ** 2 / u - 1.0))
+    ratio, gap = std ** 2 / var, mean - loc
+    kl = 0.5 * np.sum(ratio - np.log(ratio) + gap ** 2 / var - 1.0)
 
     # Backward: the projection net down to the sampled shift, then the
     # inference net through the reparametrization, plus the KL's own gradient.
@@ -189,14 +184,11 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
         d_proj = d_gnu.reshape(n, 2, bg_dim).transpose(1, 0, 2)
     dpre = _rows_backward(proj_net, proj_in, proj_hid, d_proj, acc_proj)
     d_shift = (dpre @ proj_net.W1).reshape(2, n, kg_dim)
-    d_logres = d_total_var * res_var
-    upstream = np.empty_like(raw)
-    upstream[..., :kg_dim] = d_shift - m_shift / v
-    upstream[..., kg_dim:2 * kg_dim] = (
-        (d_shift * eps_shift - (s_shift / v - 1.0 / s_shift)) * sigmoid(r_shift))
-    upstream[..., 2 * kg_dim:kg_dim + node_dim] = d_logres - log_gap / u
-    upstream[..., kg_dim + node_dim:] = (
-        (d_logres * eps_log - (s_log / u - 1.0 / s_log)) * sigmoid(r_log))
+    d_draw = np.concatenate((d_shift, d_total_var * res_var), axis=-1)
+    # -expm1(-softplus(r)) is sigmoid(r), the derivative of softplus(r).
+    upstream = np.concatenate((d_draw - gap / var,
+                               (d_draw * noise - (std / var - 1.0 / std)) * -np.expm1(-soft)),
+                              axis=-1)
     _rows_backward(infer_net, infer_in, infer_hid, upstream, acc_infer)
     recon, kl = float(recon), float(kl)
     return recon - kl, recon, kl

@@ -62,9 +62,9 @@ def train_classifier(table: EmbeddingTable, labels: dict[str, tuple[str, ...]],
     """Full-batch gradient descent with L2 regularization.
 
     Each epoch proposes one step from the best weights so far and keeps it
-    unless the loss rises; a rejected step halves the learning rate, so the
-    returned weights have the lowest loss seen. Zero initialization makes
-    training deterministic.
+    only if its loss is no higher (a NaN loss is higher); a rejected step
+    halves the learning rate, so the returned weights have the lowest loss
+    seen. Zero initialization makes training deterministic.
     """
     if epochs < 1 or not 0.0 < lr < np.inf or not 0.0 <= reg < np.inf:
         raise ConfigError("classifier needs epochs >= 1, finite lr > 0 and finite reg >= 0")
@@ -92,14 +92,15 @@ def train_classifier(table: EmbeddingTable, labels: dict[str, tuple[str, ...]],
     best = loss(W, scores)
     for _ in range(epochs):
         G = (1.0 / (1.0 + np.exp(-scores)) - Y) / len(X)
-        W_new = W - lr * (G.T @ X + reg * W)
-        B_new = B - lr * G.sum(axis=0)
-        scores_new = X @ W_new.T + B_new
-        loss_new = loss(W_new, scores_new)
-        if loss_new > best:
-            lr *= 0.5
-        else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is refused
+            W_new = W - lr * (G.T @ X + reg * W)
+            B_new = B - lr * G.sum(axis=0)
+            scores_new = X @ W_new.T + B_new
+            loss_new = loss(W_new, scores_new)
+        if loss_new <= best:
             W, B, scores, best = W_new, B_new, scores_new, loss_new
+        else:
+            lr *= 0.5
     return ClassifierModel(classes=classes, weights=W, bias=B)
 
 

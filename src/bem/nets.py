@@ -10,9 +10,10 @@ trailing column of ones and the first layer is ``[W1 | b1]``, joined once
 per call. Training runs its own forward, ``_block_forward``, over each
 pair's two node rows (``elbo.elbo_batch_grads``), adding ``b1`` in a separate
 pass: it is called once per pair, too often to join the weights per call.
-Its backward pass runs as matrix products over the same rows; the weight
-gradients are one matrix product per ``GRAD_ROWS`` buffered node rows (see
-``NetGrads``).
+It returns its hidden and output arrays, and the backward pass runs as
+matrix products over the same rows; the weight gradients are one matrix
+product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``). There is
+no ``sigmoid``: the engine derives it from the softplus it holds.
 Training holds parameters, gradient sums and Adam moments in four flat arrays
 with each net's tensors as views (``flat_views``): one ``adam_step`` for all.
 """
@@ -45,11 +46,6 @@ ADAM_EPS = 1e-8
 def softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + exp(x)) without overflow for large |x|
     return np.logaddexp(0.0, x)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-x)) without overflow: exactly 0 or 1 far out
-    return np.exp(-softplus(-x))
 
 
 @dataclass(eq=False)
@@ -187,18 +183,16 @@ def net_forward_rows(net: DiffNet, *columns) -> np.ndarray:
     return out
 
 
-def _block_forward(net: DiffNet, block, hidden, out) -> None:
-    """``out = relu(block @ W1.T + b1) @ W2.T + b2`` for one block of rows,
-    into the caller's ``hidden`` and ``out`` buffers: training's forward over
-    a pair's node rows. It adds ``b1`` in its own pass, where
-    ``net_forward_rows`` joins it to ``W1`` once per call: training calls
-    this once per pair, and a joined copy of the first layer per call would
-    cost more than the add it saves."""
-    np.matmul(block, net.W1.T, out=hidden)
+def _block_forward(net: DiffNet, block) -> tuple[np.ndarray, np.ndarray]:
+    """``(hidden, out)`` for one block of rows, ``hidden = relu(block @ W1.T
+    + b1)`` and ``out = hidden @ W2.T + b2``: training's forward over a
+    pair's node rows, ``b1`` added in its own pass (see the module docstring)."""
+    hidden = block @ net.W1.T
     hidden += net.b1
     np.maximum(hidden, 0.0, out=hidden)
-    np.matmul(hidden, net.W2.T, out=out)
+    out = hidden @ net.W2.T
     out += net.b2
+    return hidden, out
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray,

@@ -210,18 +210,20 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
             for i in range(cfg.n_iter):
                 grad.fill(0.0)
                 elbo_sum = recon_sum = kl_sum = 0.0
-                # One pair (rows m:m+1) per engine call until the benchmark
-                # holds its peak memory flat (see the module docstring).
-                for m in range(cfg.n_batch):
-                    rows = slice(m, m + 1)
-                    elbo, recon, kl = elbo_batch_grads(
-                        proj_net, infer_net, cfg.edge, kg_rows[:, rows], bg_rows[:, rows],
-                        prior, noise[:, rows], acc_proj, acc_infer)
-                    elbo_sum += elbo
-                    recon_sum += recon
-                    kl_sum += kl
-                acc_proj.flush()
-                acc_infer.flush()
+                # A non-finite sum is refused by adam_step and named below.
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    # One pair (rows m:m+1) per engine call until the benchmark
+                    # holds its peak memory flat (see the module docstring).
+                    for m in range(cfg.n_batch):
+                        rows = slice(m, m + 1)
+                        elbo, recon, kl = elbo_batch_grads(
+                            proj_net, infer_net, cfg.edge, kg_rows[:, rows],
+                            bg_rows[:, rows], prior, noise[:, rows], acc_proj, acc_infer)
+                        elbo_sum += elbo
+                        recon_sum += recon
+                        kl_sum += kl
+                    acc_proj.flush()
+                    acc_infer.flush()
                 # Batch objective is the mean over pairs; Adam minimizes, so
                 # the loss gradient is the negated ELBO gradient.
                 grad *= -1.0 / cfg.n_batch

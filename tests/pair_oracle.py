@@ -16,7 +16,12 @@ import numpy as np
 
 from bem.elbo import STD_FLOOR, BatchPrior, Edge, edge_apply, edge_output_dim
 from bem.errors import NumericalError, ShapeError
-from bem.nets import DiffNet, NetGrads, sigmoid, softplus
+from bem.nets import DiffNet, NetGrads, softplus
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-x)) without overflow: exactly 0 or 1 far out
+    return np.exp(-softplus(-x))
 
 
 def zero_grads(net: DiffNet) -> NetGrads:
@@ -63,10 +68,13 @@ class LatentSample:
 
 
 def _split_raw(raw: np.ndarray, kg_dim: int, edge_dim: int):
+    """The inference net's output as the shift mean, shift raw std, log-share
+    mean and log-share raw std; it holds the two means, then the two raw stds."""
+    node_dim = kg_dim + edge_dim
     m_shift = raw[:kg_dim]
-    r_shift = raw[kg_dim:2 * kg_dim]
-    m_log = raw[2 * kg_dim:2 * kg_dim + edge_dim]
-    r_log = raw[2 * kg_dim + edge_dim:]
+    m_log = raw[kg_dim:node_dim]
+    r_shift = raw[node_dim:node_dim + kg_dim]
+    r_log = raw[node_dim + kg_dim:]
     return m_shift, r_shift, m_log, r_log
 
 
@@ -241,8 +249,8 @@ def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
         _, r_shift, _, r_log = _split_raw(node.raw, kg_dim, total_var.shape[0])
         upstream = np.concatenate([
             d_m_shift,
-            d_s_shift * sigmoid(r_shift),
             d_m_log,
+            d_s_shift * sigmoid(r_shift),
             d_s_log * sigmoid(r_log),
         ])
         _backward_from_cache(infer_net, *node.infer_cache, upstream, acc_infer)

@@ -224,19 +224,25 @@ class TestTrainUsage:
         assert "would overwrite the model or its manifest" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["synth"]
 
-    def test_overflowing_update_exits_with_numeric_code_and_no_warning(self, tmp_path, capsys):
-        # A learning rate near the float limit overflows the first update:
-        # adam_step's own error names it, and numpy's warning stays quiet.
+    @pytest.mark.parametrize("flag, value, message", [
+        # A learning rate near the float limit overflows the first update.
+        ("--lr", "1e308", "non-finite parameter after update in "),
+        # A shift prior variance near the float floor overflows the KL terms.
+        ("--lambda1", "1e-308", "non-finite gradient in "),
+    ], ids=["lr", "lambda1"])
+    def test_overflowing_update_exits_with_numeric_code_and_no_warning(
+            self, tmp_path, capsys, flag, value, message):
+        # adam_step's own error names the tensor, and numpy's warnings stay quiet.
         data = synth_manifest(tmp_path).parent
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
-                         "--nB", "10", "--nh", "4", "--epochs", "1", "--lr", "1e308",
+                         "--nB", "10", "--nh", "4", "--epochs", "1", flag, value,
                          "--out", str(tmp_path / "m.bem")])
         assert code == EXIT_NUMERIC
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert "non-finite parameter after update" in err and "RuntimeWarning" not in err
+        assert message in err and "RuntimeWarning" not in err
 
 
 class TestSeedRange:
@@ -374,6 +380,17 @@ class TestEvalUsage:
                      str(data / "labels.tsv"), "--task", "recall",
                      "--n-users", n_users]) == EXIT_USAGE
         assert "must be positive" in capsys.readouterr().err
+
+    def test_overflowing_classifier_step_is_refused_without_warning(self, tmp_path, capsys):
+        # The first steps at this rate overflow; the classifier refuses them.
+        data = synth_manifest(tmp_path).parent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--table", str(data / "kg.tsv"), "--labels",
+                         str(data / "labels.tsv"), "--task", "classify", "--lr", "1e308"])
+        assert code == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--epochs", "-1"], ["--epochs", "0"], ["--lr", "-1"],
                                        ["--reg", "-1"], ["--reg", "inf"], ["--lr", "inf"]])

@@ -258,11 +258,14 @@ class TestInferPosterior:
         parts, _, _ = pair_grads(proj, net, Edge.TRANSLATION, kg_i, bg_i, kg_j, bg_j,
                                  prior, prior, rng.standard_normal(2 * d_w + 2 * d_g))
         for stats, kg, bg in ((parts.stats_i, kg_i, bg_i), (parts.stats_j, kg_j, bg_j)):
+            # Means (shift, log share), then raw stds in the same order.
             raw = _forward_cached(net, np.concatenate([bg, kg]))[0]
             assert np.array_equal(stats.shift_mean, raw[:d_w])
+            assert np.array_equal(stats.log_resvar_mean, raw[d_w:d_w + d_g])
             assert np.allclose(stats.shift_std,
-                               np.logaddexp(0.0, raw[d_w:2 * d_w]) + STD_FLOOR)
-            assert np.array_equal(stats.log_resvar_mean, raw[2 * d_w:2 * d_w + d_g])
+                               np.logaddexp(0.0, raw[d_w + d_g:2 * d_w + d_g]) + STD_FLOOR)
+            assert np.allclose(stats.log_resvar_std,
+                               np.logaddexp(0.0, raw[2 * d_w + d_g:]) + STD_FLOOR)
             assert np.all(stats.shift_std > 0) and np.all(stats.log_resvar_std > 0)
 
     def test_dimension_mismatch_raises(self):
@@ -618,10 +621,29 @@ class TestElboBatch:
         assert_matches_finite_differences(
             proj, infer, gp, gi, lambda: engine_grads(proj, infer, edge, *rest)[0][0])
 
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_posterior_at_the_prior_has_zero_kl(self, edge):
+        # The inference net emits the means (shift, log share), then the raw
+        # stds in the same order: a constant output can equal the prior.
+        proj, infer, (kg, bg, _, noise) = batch_case(edge, 3, seed=23)
+        rng = np.random.default_rng(24)
+        d_w, d_g = proj.in_dim, edge_output_dim(edge, proj.out_dim)
+        v, u = rng.uniform(0.2, 3.0, size=d_w), rng.uniform(0.2, 3.0, size=d_g)
+        mu = rng.normal(size=d_g)
+
+        def raw_std(var):  # softplus inverse of the std less its floor
+            return np.log(np.expm1(np.sqrt(var) - STD_FLOOR))
+
+        infer.W2[:] = 0.0
+        infer.b2 = np.concatenate([np.zeros(d_w), mu, raw_std(v), raw_std(u)])
+        prior = BatchPrior(np.stack([v, v]), mu, u)
+        kl = engine_grads(proj, infer, edge, kg, bg, prior, noise)[0][2]
+        assert abs(kl) <= 1e-12
+
     def test_overflowing_variance_share_raises(self):
         proj, infer, rest = batch_case(Edge.TRANSLATION, 3, seed=5)
         d_w, d_g = proj.in_dim, proj.out_dim
-        infer.b2[2 * d_w:2 * d_w + d_g] = 800.0
+        infer.b2[d_w:d_w + d_g] = 800.0  # the log-share means
         with pytest.raises(NumericalError, match="variance share"):
             engine_grads(proj, infer, Edge.TRANSLATION, *rest)
 

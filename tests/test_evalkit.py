@@ -254,6 +254,15 @@ class TestClassifier:
     def test_zero_regularization_is_allowed(self):
         train_classifier(self.table, self.labels, self.split, reg=0.0, epochs=1)
 
+    def test_step_with_non_finite_loss_is_refused(self):
+        # At this step size the first proposals overflow to a NaN loss, and
+        # NaN > best is False: such a step was kept, leaving NaN weights.
+        ids = tuple(f"e{i}" for i in range(40))
+        table = EmbeddingTable(ids=ids, matrix=1e10 * np.random.default_rng(0).normal(size=(40, 4)))
+        labels = {eid: (f"c{i % 2}",) for i, eid in enumerate(ids)}
+        model = train_classifier(table, labels, make_split(ids, 0), lr=1e300)
+        assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))
+
     @pytest.mark.parametrize("lr, pinned", [
         (0.1, "5180188cbee007dc5a3c948c28dd7bcd6cda6bb7ab4b1cd54fa7038f0c1ea48f"),
         # This step size has three of its 300 steps rejected.
