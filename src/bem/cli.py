@@ -10,8 +10,8 @@ SHA-256 of each deterministic output, so a run can be replayed and
 verified bit for bit; a replay leaves the manifest it reads as it found
 it. Timing fields (and the step log, which contains
 per-step wall-clock) are excluded from that guarantee. The bits also depend
-on numpy, its BLAS and the BLAS thread settings: the manifest records them,
-and replay does not compare them.
+on numpy, its BLAS, the BLAS thread settings and OpenBLAS's kernel choice:
+the manifest records them, and replay does not compare them.
 """
 from __future__ import annotations
 
@@ -58,9 +58,10 @@ TRAIN_KEYS = {
 TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 SWEEP_PARAMS = ["lambda1", "lambda2", "lr", "nB", "nh", "epochs"]
 
-# Environment variables that set the BLAS thread count.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# Environment variables that set the BLAS thread count, or OpenBLAS's kernel
+# (detected from the CPU unless OPENBLAS_CORETYPE names one).
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "OPENBLAS_CORETYPE")
 
 # synth flags named differently from their SynthSpec fields.
 SYNTH_FLAGS = {"n_entities": "n", "n_clusters": "clusters", "jitter_scale": "jitter"}
@@ -96,7 +97,7 @@ def write_manifest(target, command: str, argv: list[str], seed,
         f"blas_name = {blas.get('name')}", f"blas_version = {blas.get('version')}",
     ]
     lines += [f"env.{var} = {json.dumps(os.environ[var]) if var in os.environ else 'unset'}"
-              for var in BLAS_THREAD_VARS]
+              for var in BLAS_ENV_VARS]
     for key, path in sorted(inputs.items()):
         lines.append(f"input.{key} = {path}")
     for path in outputs:
@@ -109,6 +110,20 @@ def write_manifest(target, command: str, argv: list[str], seed,
     path = _manifest_path(target)
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return path
+
+
+def _refuse_overwrites(args, inputs: tuple, outputs: list, what: str = "an output") -> None:
+    """UsageError (exit 2), before anything is read, when an output would
+    replace an input or an earlier output. ``inputs`` are the dests of the
+    input flags (each flag is ``--<dest>``), ``outputs`` lists ``(flag, path)``
+    and ``what`` says what the outputs are. Paths compare resolved."""
+    taken = {Path(getattr(args, dest)).resolve(): f"an input (--{dest})"
+             for dest in inputs if getattr(args, dest) is not None}
+    for flag, path in outputs:
+        key = Path(path).resolve()
+        if key in taken:
+            raise UsageError(f"{flag} {path} would overwrite {taken[key]}")
+        taken[key] = f"{what} ({flag})"
 
 
 def _key_values(path, sep: str, error, raw: bytes | None = None):
@@ -252,11 +267,12 @@ def _load_aligned(kg_path, bg_path, policy: str):
 
 def cmd_train(args, argv) -> int:
     t0 = time.perf_counter()
-    cfg, policy = resolve_train_options(args)
     out = Path(args.out)
     steplog = Path(args.log) if args.log else out.with_name(out.name + ".steplog.tsv")
-    if steplog.resolve() in (out.resolve(), _manifest_path(out).resolve()):
-        raise UsageError(f"--log {steplog} would overwrite the model or its manifest")
+    _refuse_overwrites(args, ("kg", "bg", "config"),
+                       [("--out", out), ("--out", _manifest_path(out)), ("--log", steplog)],
+                       what="the model or its manifest")
+    cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
     proj_net, infer_net, report = train(kg, bg, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -276,6 +292,10 @@ def cmd_refine(args, argv) -> int:
     """Write refined tables in the model's input space: unit rows when it was
     trained with normalization."""
     t0 = time.perf_counter()
+    out_dir = Path(args.out)
+    kg_path, bg_path = out_dir / "kg_refined.tsv", out_dir / "bg_refined.tsv"
+    _refuse_overwrites(args, ("kg", "bg", "model"),
+                       [("--out", path) for path in (kg_path, bg_path, out_dir / "manifest.txt")])
     proj_net, infer_net, cfg = load_model(args.model)
     kg, bg = _load_aligned(args.kg, args.bg, "intersect")
     kg, bg, _ = cfg.model_inputs(kg, bg)
@@ -283,10 +303,7 @@ def cmd_refine(args, argv) -> int:
         kg_refined, bg_refined = refine(kg, bg, proj_net, infer_net)
     except ShapeError as exc:
         raise ShapeError(f"model does not fit tables {args.kg} / {args.bg}: {exc}")
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kg_path = out_dir / "kg_refined.tsv"
-    bg_path = out_dir / "bg_refined.tsv"
     write_table(kg_refined, kg_path)
     write_table(bg_refined, bg_path)
     write_manifest(out_dir, "refine", argv, cfg.seed, config=cfg.to_dict(),
@@ -377,11 +394,16 @@ def cmd_eval(args, argv) -> int:
         raise UsageError(f"--task {args.task} needs --labels")
     if args.splits < 1 or args.n_proj < 1 or args.n_users < 1:
         raise UsageError("--splits, --n-proj and --n-users must be positive")
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        names = ["report.txt", "summary.json", "manifest.txt"]
+        names += ["histogram.tsv"] if args.task == "histogram" else []
+        _refuse_overwrites(args, ("table", "table2", "labels"),
+                           [("--out", out_dir / name) for name in names])
     table = load_table(args.table)
     if args.table2:
         table = concat_tables(table, load_table(args.table2))
     labels = None if args.task == "histogram" else load_labels(args.labels)
-    out_dir = Path(args.out) if args.out else None
     if args.task == "classify":
         pairs, extra = _eval_classify(args, table, labels)
     elif args.task == "histogram":
@@ -411,6 +433,14 @@ def cmd_sweep(args, argv) -> int:
         if cast is int and not float(v).is_integer():
             raise UsageError(f"{args.param} takes integers, got {v}")
         values.append(cast(v))
+    if len(set(values)) != len(values):
+        raise UsageError(f"--values repeats a value of {args.param}: {values}")
+    out_dir = Path(args.out)
+    table_path = out_dir / "sweep.tsv"
+    model_paths = [out_dir / f"model_{args.param}_{value}.bem" for value in values]
+    _refuse_overwrites(args, ("kg", "bg", "truth", "config"),
+                       [("--out", path) for path in (table_path, *model_paths,
+                                                     out_dir / "manifest.txt")])
     base_cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
     if args.metric == "oracle-error":
@@ -424,10 +454,8 @@ def cmd_sweep(args, argv) -> int:
     cfgs = [dataclasses.replace(base_cfg, **{field: value}) for value in values]
     for cfg in cfgs:
         cfg.validate(len(kg))
-    out_dir = Path(args.out)
     rows = []
-    model_paths = []
-    for value, cfg in zip(values, cfgs):
+    for value, cfg, model_path in zip(values, cfgs, model_paths):
         proj_net, infer_net, report = train(kg, bg, cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.metric == "elbo":
@@ -438,12 +466,9 @@ def cmd_sweep(args, argv) -> int:
             _, bg_refined = refine(kg_in, bg_in, proj_net, infer_net)
             rescaled = bg_refined.with_matrix(bg_refined.matrix * bg_norms)
             metric = oracle_error(rescaled, truth_table)
-        model_path = out_dir / f"model_{args.param}_{value}.bem"
         save_model(proj_net, infer_net, cfg, model_path)
-        model_paths.append(model_path)
         rows.append((args.param, value, args.metric, metric, report.param_checksum))
         print(f"{args.param} = {value}: {args.metric} = {metric:.6f}")
-    table_path = out_dir / "sweep.tsv"
     lines = ["param\tvalue\tmetric\tmetric_value\tchecksum"]
     lines += [f"{p}\t{v}\t{m}\t{mv:.17g}\t{ck}" for p, v, m, mv, ck in rows]
     _atomic_write_text(table_path, "\n".join(lines) + "\n")

@@ -27,6 +27,9 @@ the ids were checked when the existing table was built.
 Label file: ``id<TAB>class1,class2,...`` with a non-empty id and a
 non-empty class list.
 
+Both writers refuse, with a DataError before the target is touched, an id
+or class name that the reader would not give back as it was.
+
 Every text reader (table and label files; ``cli`` manifests and config
 files) reads UTF-8 lines with universal newlines: a line ends at
 ``\n``, ``\r\n`` or ``\r`` and nowhere else. Every error names its 1-based
@@ -325,8 +328,25 @@ def load_table(path) -> EmbeddingTable:
     return EmbeddingTable(ids=tuple(ids), matrix=_frozen(matrix))
 
 
+def _check_fields(fields, path, what: str, forbidden: str = "\t\r") -> None:
+    """DataError unless there are ``fields`` (ids or class names) and each is
+    non-empty UTF-8 text free of line breaks and of ``forbidden``; one pass
+    over their joined text."""
+    text = "\n".join(fields)
+    if (not fields or "" in fields or text.count("\n") != len(fields) - 1
+            or any(c in text for c in forbidden)):
+        bad = [f for f in fields if f == "" or any(c in f for c in forbidden + "\n")]
+        raise DataError(f"{path}: cannot write {what} {bad[:1]}: there must be one at least, "
+                        f"each non-empty, with no line break and none of {forbidden!r}")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{path}: cannot write {what} text that is not UTF-8 ({exc.reason})")
+
+
 def write_table(table: EmbeddingTable, path) -> None:
     """Write ``#dim=<d>``, then ``id<TAB>v1<TAB>...<TAB>vd`` per row."""
+    _check_fields(table.ids, path, "id")
     row_format = "%s\t" + "\t".join(["%.17g"] * table.dim) + "\n"
     with _atomic_open(path) as fh:
         fh.write(f"#dim={table.dim}\n".encode("utf-8"))
@@ -354,6 +374,11 @@ def load_labels(path) -> dict[str, tuple[str, ...]]:
 
 
 def write_labels(labels: dict[str, tuple[str, ...]], path) -> None:
+    _check_fields(list(labels), path, "id")
+    if not all(labels.values()):
+        raise DataError(f"{path}: cannot write an empty label set")
+    _check_fields([c for classes in labels.values() for c in classes], path, "class name",
+                  ",\t\r")
     lines = [f"{eid}\t{','.join(ls)}" for eid, ls in labels.items()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 

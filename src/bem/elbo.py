@@ -6,7 +6,7 @@ kg_dim + edge_dim coordinates: a correction shift added to the KG vector
 before projection, then the log of a positive per-coordinate share of the
 variance of the pairwise edge residual, so that the share is log-normal and
 the KL is closed-form. The inference net emits the latent's means, then its
-raw stds, both in that coordinate order.
+raw stds; ``estimate_prior`` emits its prior in the same order.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeError
-from .nets import DiffNet, NetGrads, _block_forward, softplus
+from .nets import DiffNet, NetGrads, block_forward, softplus
 
 # Clamps that keep degenerate batches out of log/divide trouble.
 VAR_FLOOR = 1e-6
@@ -64,20 +64,20 @@ def edge_apply(edge: Edge, x, y) -> np.ndarray:
 
 @dataclass(eq=False)
 class BatchPrior:
-    """The prior of one batch of pairs, as the KL reads it. The shift prior
-    has mean 0 and variance ``shift_var``, one row per side (a, then b). The
-    log of the variance share has mean ``log_resvar_mean`` and variance
-    ``log_resvar_var``, one estimate that both sides share. Both variances
-    already carry their ``lambda1``/``lambda2`` factor."""
+    """The prior of one batch of pairs in the latent's node layout, shift
+    then log share (node_dim = kg_dim + edge_dim coordinates), as the KL
+    reads it. ``mean`` (node_dim,) is 0 over the shift, then the log-share
+    mean. ``var`` (2, node_dim) holds one row per side (a, then b): that
+    side's shift variance, then the log-share variance both sides share.
+    Both already carry their ``lambda1``/``lambda2`` factor."""
 
-    shift_var: np.ndarray
-    log_resvar_mean: np.ndarray
-    log_resvar_var: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
 
 
 def estimate_prior(kg, bg, edge: Edge, lambda1: float, lambda2: float) -> BatchPrior:
     """Moment-based prior of one batch of n pairs, in closed form, from its
-    side-stacked (2, n, dim) KG and BG rows.
+    side-stacked (2, n, dim) KG and BG rows, laid out as ``BatchPrior``.
 
     Each side's shift prior variance is ``lambda1`` times the unbiased
     per-coordinate sample variance of that side's KG rows, floored. The
@@ -100,8 +100,9 @@ def estimate_prior(kg, bg, edge: Edge, lambda1: float, lambda2: float) -> BatchP
 
     floored = np.maximum(mu_res, VAR_FLOOR)
     log_var = lambda2 * np.clip((sd_res / floored) ** 2, LOG_RESVAR_VAR_MIN, LOG_RESVAR_VAR_MAX)
-    return BatchPrior(shift_var=lambda1 * np.maximum(np.var(kg, axis=1, ddof=1), VAR_FLOOR),
-                      log_resvar_mean=np.log(floored), log_resvar_var=log_var)
+    shift_var = lambda1 * np.maximum(np.var(kg, axis=1, ddof=1), VAR_FLOOR)
+    return BatchPrior(mean=np.concatenate((np.zeros(kg.shape[2]), np.log(floored))),
+                      var=np.concatenate((shift_var, [log_var] * 2), axis=-1))
 
 
 def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
@@ -117,8 +118,8 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
     2n node rows as matrix products; the rest is row-wise. A node's latent
     is one diagonal Gaussian over node_dim = kg_dim + edge_dim coordinates,
     shift then log share (the noise's order too). The inference net emits
-    its means, then its raw stds: std = softplus(raw) + STD_FLOOR. The prior
-    has mean (0, log_resvar_mean) and variance (side's shift_var, log_resvar_var).
+    its means, then its raw stds: std = softplus(raw) + STD_FLOOR. ``prior``
+    is a ``BatchPrior`` in the same layout, one variance row per side.
 
     Per coordinate, the reconstruction is -(log(t)/2 + r^2 / (2t)) with r the
     edge residual and t = res_var_a + res_var_b: the Gaussian log-density
@@ -138,18 +139,14 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
         raise ShapeError("pair rows do not match the nets' input dimensions")
     if noise.shape != (2, n, node_dim):
         raise ShapeError(f"pair noise has shape {noise.shape}, expected {(2, n, node_dim)}")
-    if (prior.shift_var.shape != (2, kg_dim)
-            or not prior.log_resvar_mean.shape == prior.log_resvar_var.shape == (edge_dim,)):
+    if prior.mean.shape != (node_dim,) or prior.var.shape != (2, node_dim):
         raise ShapeError("batch prior does not match the kg/edge dimensions")
-
-    # The node-wide prior: (node_dim,) mean, (2, 1, node_dim) variance.
-    loc = np.concatenate((np.zeros(kg_dim), prior.log_resvar_mean))
-    var = np.concatenate((prior.shift_var, [prior.log_resvar_var] * 2), axis=-1)[:, None]
+    loc, var = prior.mean, prior.var[:, None]
 
     # Forward: the posterior of each node, one draw, its projection.
     infer_in = np.concatenate((bg, kg), axis=-1)
     infer_hid, raw = (a.reshape(2, n, -1)
-                      for a in _block_forward(infer_net, infer_in.reshape(2 * n, -1)))
+                      for a in block_forward(infer_net, infer_in.reshape(2 * n, -1)))
     mean, soft = raw[..., :node_dim], softplus(raw[..., node_dim:])
     std = soft + STD_FLOOR
     draw = mean + std * noise
@@ -160,7 +157,7 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
         except FloatingPointError:
             raise NumericalError("variance share overflows") from None
     proj_hid, proj = (a.reshape(2, n, -1)
-                      for a in _block_forward(proj_net, proj_in.reshape(2 * n, -1)))
+                      for a in block_forward(proj_net, proj_in.reshape(2 * n, -1)))
 
     # Gaussian fit of each edge residual with variance res_var_a + res_var_b,
     # additive constant dropped, minus both nodes' closed-form KL.
@@ -182,24 +179,14 @@ def elbo_batch_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge, kg, bg,
         d_proj = d_gnu * proj[::-1]
     else:
         d_proj = d_gnu.reshape(n, 2, bg_dim).transpose(1, 0, 2)
-    dpre = _rows_backward(proj_net, proj_in, proj_hid, d_proj, acc_proj)
+    dpre = acc_proj.backward(proj_net, proj_in, proj_hid, d_proj)
     d_shift = (dpre @ proj_net.W1).reshape(2, n, kg_dim)
     d_draw = np.concatenate((d_shift, d_total_var * res_var), axis=-1)
     # -expm1(-softplus(r)) is sigmoid(r), the derivative of softplus(r).
     upstream = np.concatenate((d_draw - gap / var,
                                (d_draw * noise - (std / var - 1.0 / std)) * -np.expm1(-soft)),
                               axis=-1)
-    _rows_backward(infer_net, infer_in, infer_hid, upstream, acc_infer)
+    acc_infer.backward(infer_net, infer_in, infer_hid, upstream)
     recon, kl = float(recon), float(kl)
     return recon - kl, recon, kl
 
-
-def _rows_backward(net: DiffNet, x, hidden, upstream, acc: NetGrads) -> np.ndarray:
-    """Backward pass over stacked node rows given the net's input and hidden
-    activation, accumulated into ``acc``; returns the hidden delta rows. The
-    relu mask ``hidden > 0`` is ``pre > 0``: the subgradient at 0 is 0."""
-    x, hidden, upstream = (a.reshape(-1, a.shape[-1]) for a in (x, hidden, upstream))
-    dpre = upstream @ net.W2
-    dpre *= hidden > 0
-    acc._add_rows(x, dpre, hidden, upstream)
-    return dpre

@@ -7,13 +7,12 @@ evaluation in the last bits (summation order; 8.9e-16 measured). It is
 bit-identical from run to run, and a row's output does not depend on how
 many rows follow it. Its first product carries the bias: each block has a
 trailing column of ones and the first layer is ``[W1 | b1]``, joined once
-per call. Training runs its own forward, ``_block_forward``, over each
+per call. Training runs its own forward, ``block_forward``, over each
 pair's two node rows (``elbo.elbo_batch_grads``), adding ``b1`` in a separate
 pass: it is called once per pair, too often to join the weights per call.
-It returns its hidden and output arrays, and the backward pass runs as
-matrix products over the same rows; the weight gradients are one matrix
-product per ``GRAD_ROWS`` buffered node rows (see ``NetGrads``). There is
-no ``sigmoid``: the engine derives it from the softplus it holds.
+It returns its hidden and output arrays; ``NetGrads.backward`` is its
+backward pass, matrix products over the same rows. There is no
+``sigmoid``: the engine derives it from the softplus it holds.
 Training holds parameters, gradient sums and Adam moments in four flat arrays
 with each net's tensors as views (``flat_views``): one ``adam_step`` for all.
 """
@@ -98,13 +97,14 @@ class DiffNet:
 
 class NetGrads:
     """Gradient sums for one DiffNet, in the caller's arrays of the
-    parameters' shapes (in training, views of the flat ``grad``).
+    parameters' shapes (in training, views of the flat ``grad``), and the
+    backward pass that adds to them.
 
-    The biases are summed pair by pair. Each weight gradient is a sum of
-    per-node outer products, kept as a running sum plus ``GRAD_ROWS``-row
-    buffers of the factors: a full buffer is flushed into the sum as one
-    matrix product (``W1 += D.T @ X``, ``W2 += U.T @ H``). ``W1`` and ``W2``
-    hold every added row only after ``flush()``.
+    Each weight gradient is a sum of per-node outer products, kept as a
+    running sum plus ``GRAD_ROWS``-row buffers of the factors: a full buffer
+    is flushed into the sum as one matrix product (``W1 += D.T @ X``,
+    ``W2 += U.T @ H``). ``W1`` and ``W2`` hold every added row only after
+    ``flush()``.
     """
 
     def __init__(self, W1: np.ndarray, b1: np.ndarray, W2: np.ndarray, b2: np.ndarray):
@@ -115,13 +115,16 @@ class NetGrads:
             np.empty((GRAD_ROWS, width)) for width in (hidden_dim, in_dim, out_dim, hidden_dim))
         self._filled = 0
 
-    def _add_rows(self, x: np.ndarray, dpre: np.ndarray, hid: np.ndarray,
-                  upstream: np.ndarray) -> None:
-        """Add the gradients of 2n node rows, side a of n pairs then side b:
-        ``dpre.T @ x`` to W1 and ``upstream.T @ hid`` to W2, through the
-        buffers in row order, and to b1 and b2 the column sums of ``dpre`` and
-        ``upstream`` with each pair's two rows added first, so that rows that
+    def backward(self, net: DiffNet, x, hidden, upstream) -> np.ndarray:
+        """Backward pass of ``net`` over 2n node rows (side a of n pairs, then
+        side b) from their input, hidden activation and output upstream;
+        returns the hidden delta ``dpre``, masked by ``hidden > 0`` (the relu
+        subgradient at 0 is 0). The biases gain the column sums of ``dpre``
+        and ``upstream`` with each pair's two rows added first, so rows that
         cancel within every pair add exactly 0."""
+        x, hidden, upstream = (a.reshape(-1, a.shape[-1]) for a in (x, hidden, upstream))
+        dpre = upstream @ net.W2
+        dpre *= hidden > 0
         n = len(x) // 2
         self.b1 += (dpre[:n] + dpre[n:]).sum(axis=0)
         self.b2 += (upstream[:n] + upstream[n:]).sum(axis=0)
@@ -130,11 +133,12 @@ class NetGrads:
             k = self._filled
             take = min(GRAD_ROWS - k, len(x) - start)
             for buf, rows in zip((self._dpre, self._x, self._up, self._hid),
-                                 (dpre, x, upstream, hid)):
+                                 (dpre, x, upstream, hidden)):
                 buf[k:k + take] = rows[start:start + take]
             self._filled, start = k + take, start + take
             if self._filled == GRAD_ROWS:
                 self.flush()
+        return dpre
 
     def flush(self) -> None:
         """Add the buffered rows to W1 and W2."""
@@ -183,7 +187,7 @@ def net_forward_rows(net: DiffNet, *columns) -> np.ndarray:
     return out
 
 
-def _block_forward(net: DiffNet, block) -> tuple[np.ndarray, np.ndarray]:
+def block_forward(net: DiffNet, block) -> tuple[np.ndarray, np.ndarray]:
     """``(hidden, out)`` for one block of rows, ``hidden = relu(block @ W1.T
     + b1)`` and ``out = hidden @ W2.T + b2``: training's forward over a
     pair's node rows, ``b1`` added in its own pass (see the module docstring)."""

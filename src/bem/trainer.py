@@ -9,10 +9,11 @@ give bit-identical reports and refined tables.
 
 A step holds its batch side-stacked, side a then side b: the (2, n_batch)
 indices, the KG and BG rows they gather, and the noise viewed as
-(2, n_batch, kg_dim + edge_dim), its draw unchanged. It sums its pairs' ELBO
-gradients with ``elbo.elbo_batch_grads``, one pair per call: the engine takes
-any number of pairs, and the call over a whole batch waits on a benchmark
-whose peak memory does not grow with the number of pipelines in a run.
+(2, n_batch, kg_dim + edge_dim), its draw unchanged, and one prior in the
+node layout. It sums its pairs' ELBO gradients with ``elbo.elbo_batch_grads``,
+one pair per call: the engine takes any number of pairs, and the call over a
+whole batch waits on a benchmark whose peak memory does not grow with the
+number of pipelines in a run.
 
 The state is four flat arrays made once per call: the nets' tensors are
 views of ``theta``, the two ``NetGrads`` sum into views of ``grad``

@@ -5,8 +5,10 @@ Each net runs forward and backward as matrix-vector products on one node,
 the posterior, the draw, the reconstruction and the KL are kept as named
 vectors, and the weight gradients are per-node outer products added straight
 into the ``NetGrads`` sums (no row buffers, so no ``flush()`` is needed before
-a read). The math is the engine's; only the evaluation order differs, so the
-two agree to rounding.
+a read). Each node's prior is a ``NodePrior`` of named parts; ``node_priors``
+cuts the engine's ``BatchPrior`` into one per side, and nothing else here
+reads the engine's layout. The math is the engine's; only the evaluation
+order differs, so the two agree to rounding.
 """
 from __future__ import annotations
 
@@ -47,6 +49,18 @@ def _backward_from_cache(net: DiffNet, x: np.ndarray, pre: np.ndarray,
                         (acc.W2, np.outer(upstream, hid)), (acc.b2, upstream)):
         total += part
     return acc, net.W1.T @ dpre
+
+
+@dataclass(eq=False)
+class NodePrior:
+    """One node's prior, as the oracle's KL reads it: the shift has mean 0
+    and variance ``shift_var``; the log of the variance share has mean
+    ``log_resvar_mean`` and variance ``log_resvar_var``. Both variances carry
+    their ``lambda1``/``lambda2`` factor."""
+
+    shift_var: np.ndarray
+    log_resvar_mean: np.ndarray
+    log_resvar_var: np.ndarray
 
 
 @dataclass(eq=False)
@@ -127,7 +141,7 @@ def _reconstruction(edge, bg_i, bg_j, proj_i, proj_j, res_var_i, res_var_j):
     return recon, resid, total_var
 
 
-def kl_penalty(stats: PosteriorStats, prior: BatchPrior) -> float:
+def kl_penalty(stats: PosteriorStats, prior: NodePrior) -> float:
     """Exact KL from the posterior to the (lambda-scaled) prior, both blocks.
 
     Per coordinate: (-log(v_hat/v) + v_hat/v + (m_hat - m)^2 / v - 1) / 2
@@ -170,7 +184,7 @@ class _Node:
     """One node's forward pass as its backward pass reads it. The caches
     are each net's (input, hidden pre-activation, hidden activation)."""
 
-    prior: BatchPrior
+    prior: NodePrior
     eps: np.ndarray
     raw: np.ndarray
     stats: PosteriorStats
@@ -256,16 +270,17 @@ def _backward(proj_net, infer_net, edge, tape, acc_proj, acc_infer) -> None:
         _backward_from_cache(infer_net, *node.infer_cache, upstream, acc_infer)
 
 
-def node_priors(prior: BatchPrior) -> list[BatchPrior]:
-    """A batch prior as the oracle takes it: one node prior per side, each
-    with that side's ``shift_var`` row and the shared variance-share prior."""
-    return [BatchPrior(shift_var, prior.log_resvar_mean, prior.log_resvar_var)
-            for shift_var in prior.shift_var]
+def node_priors(prior: BatchPrior, kg_dim: int) -> list[NodePrior]:
+    """A batch prior as the oracle takes it: one node prior per side, cut
+    from the engine's node layout (the first ``kg_dim`` coordinates are the
+    shift, whose prior mean must be 0)."""
+    assert not np.any(prior.mean[:kg_dim]), "the shift prior has mean 0"
+    return [NodePrior(var[:kg_dim], prior.mean[kg_dim:], var[kg_dim:]) for var in prior.var]
 
 
 def elbo_pair_accumulate_grads(proj_net: DiffNet, infer_net: DiffNet, edge: Edge,
-                               kg_i, bg_i, kg_j, bg_j, prior_i: BatchPrior,
-                               prior_j: BatchPrior, eps,
+                               kg_i, bg_i, kg_j, bg_j, prior_i: NodePrior,
+                               prior_j: NodePrior, eps,
                                acc_proj: NetGrads, acc_infer: NetGrads) -> ElboParts:
     """One pair's single-draw ELBO parts (reconstruction minus both KLs),
     adding its gradients into the accumulators: of the ELBO itself (ascent

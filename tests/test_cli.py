@@ -90,7 +90,8 @@ class TestReplay:
                                                                    blas["version"])
         assert entries["env.OMP_NUM_THREADS"] == '"2"'
         assert entries["env.OPENBLAS_NUM_THREADS"] == "unset"
-        assert {f"env.{var}" for var in cli.BLAS_THREAD_VARS} <= set(entries)
+        assert {f"env.{var}" for var in cli.BLAS_ENV_VARS} <= set(entries)
+        assert "env.OPENBLAS_CORETYPE" in entries
 
     def test_replay_does_not_compare_the_recorded_setup(self, tmp_path, capsys):
         manifest = synth_manifest(tmp_path)
@@ -490,6 +491,82 @@ class TestSweepChecksEveryValueFirst:
                      "--nh", "4", "--epochs", "1", "--out", str(out)]) == EXIT_DATA
         assert "n_batch 100 exceeds entity count 60" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("param, values", [("nh", ["8", "8"]), ("epochs", ["1", "1.0"])])
+    def test_a_repeated_value_writes_nothing(self, tmp_path, capsys, param, values):
+        # Both runs would write one model file, and sweep.tsv would repeat its row.
+        data = synth_manifest(tmp_path).parent
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", param, "--values", *values,
+                     "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", "--epochs", "1", "--out", str(out)]) == EXIT_USAGE
+        assert f"--values repeats a value of {param}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputOverInput:
+    """An output that resolves to an input is refused before anything is read:
+    exit 2, a message naming both flags, and the input's bytes unchanged.
+    Each case copies a fixture file to the name of the output it would meet."""
+
+    TABLES = ["--kg", "{d}/kg.tsv", "--bg", "{d}/bg.tsv"]
+    TRAIN = ["--nB", "4", "--nh", "3", "--epochs", "1"]
+    CASES = {
+        "train-out-kg": ({}, ["train", *TABLES, *TRAIN, "--out", "{d}/kg.tsv"],
+                         "kg.tsv", "--out", "--kg"),
+        "train-log-bg": ({}, ["train", *TABLES, *TRAIN, "--out", "{d}/m2.bem",
+                              "--log", "{d}/bg.tsv"], "bg.tsv", "--log", "--bg"),
+        "train-manifest-config": (
+            {"m2.bem.manifest.txt": "cfg.txt"},
+            ["train", *TABLES, "--config", "{d}/m2.bem.manifest.txt", "--out", "{d}/m2.bem"],
+            "m2.bem.manifest.txt", "--out", "--config"),
+        "refine-kg": ({"kg_refined.tsv": "kg.tsv"},
+                      ["refine", "--kg", "{d}/kg_refined.tsv", "--bg", "{d}/bg.tsv",
+                       "--model", "{d}/m.bem", "--out", "{d}"], "kg_refined.tsv", "--out", "--kg"),
+        "refine-manifest-model": ({"manifest.txt": "m.bem"},
+                                  ["refine", *TABLES, "--model", "{d}/manifest.txt",
+                                   "--out", "{d}/sub/.."], "manifest.txt", "--out", "--model"),
+        "sweep-model-bg": ({"model_nh_3.bem": "bg.tsv"},
+                           ["sweep", "--param", "nh", "--values", "3", "4", "--kg", "{d}/kg.tsv",
+                            "--bg", "{d}/model_nh_3.bem", *TRAIN, "--out", "{d}"],
+                           "model_nh_3.bem", "--out", "--bg"),
+        "sweep-table-truth": ({"sweep.tsv": "bg.tsv"},
+                              ["sweep", "--param", "nh", "--values", "3", "4", *TABLES, *TRAIN,
+                               "--metric", "oracle-error", "--truth", "{d}/sweep.tsv",
+                               "--out", "{d}"], "sweep.tsv", "--out", "--truth"),
+        "eval-report-table": ({"report.txt": "kg.tsv"},
+                              ["eval", "--table", "{d}/report.txt", "--task", "histogram",
+                               "--out", "{d}"], "report.txt", "--out", "--table"),
+        "eval-summary-labels": ({"summary.json": "labels.tsv"},
+                                ["eval", "--table", "{d}/kg.tsv", "--labels", "{d}/summary.json",
+                                 "--task", "classify", "--out", "{d}"],
+                                "summary.json", "--out", "--labels"),
+        "eval-histogram-table2": ({"histogram.tsv": "bg.tsv"},
+                                  ["eval", "--table", "{d}/kg.tsv", "--table2",
+                                   "{d}/histogram.tsv", "--task", "histogram", "--out", "{d}"],
+                                  "histogram.tsv", "--out", "--table2"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_is_a_usage_error_that_leaves_the_input(self, tmp_path, capsys, case):
+        copies, argv, victim, out_flag, in_flag = self.CASES[case]
+        command_manifest(tmp_path, "train")  # synth/ and the model m.bem
+        data = tmp_path / "synth"
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("kg.tsv", "bg.tsv", "labels.tsv"):
+            shutil.copy(data / name, work / name)
+        shutil.copy(tmp_path / "m.bem", work / "m.bem")
+        (work / "cfg.txt").write_text("nh = 3\n", encoding="utf-8")
+        for name, source in copies.items():
+            shutil.copy(work / source, work / name)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        capsys.readouterr()
+        assert main([a.format(d=work) for a in argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{out_flag} " in err and f"({in_flag})" in err and "would overwrite" in err
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+        assert victim in before
 
 
 def load_sweep(out_dir):

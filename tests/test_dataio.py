@@ -344,8 +344,8 @@ class TestStreamedCodec:
         path = tmp_path / "t.tsv"
         path.write_bytes(b"old contents\n")
         ids = [f"e{i}" for i in range(CHUNK_ROWS + 2)]
-        ids[-1] = "\ud800"  # cannot be encoded: fails in the second chunk
-        with pytest.raises(UnicodeEncodeError):
+        ids[-1] = "\ud800"  # cannot be encoded: refused before the first chunk
+        with pytest.raises(DataError, match="not UTF-8"):
             write_table(table_of(ids, np.zeros((len(ids), 2))), path)
         assert path.read_bytes() == b"old contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]

@@ -7,7 +7,7 @@ from bem.elbo import (BatchPrior, Edge, LOG_RESVAR_VAR_MIN, STD_FLOOR, VAR_FLOOR
                       edge_apply, edge_output_dim, elbo_batch_grads, estimate_prior)
 from bem.errors import ConfigError, NumericalError, ShapeError
 from bem.nets import GRAD_ROWS, DiffNet
-from pair_oracle import (PosteriorStats, _forward_cached, _reconstruction,
+from pair_oracle import (NodePrior, PosteriorStats, _forward_cached, _reconstruction,
                          elbo_pair_accumulate_grads, kl_penalty, node_priors,
                          reparametrize, zero_grads)
 from test_nets import zero_net
@@ -32,14 +32,14 @@ def random_stats(rng, d_w, d_g, spread=1.0):
 
 
 def random_prior(rng, d_w, d_g, lambda1=None, lambda2=None):
-    """A prior with random variances scaled by random (or given) lambdas."""
+    """A node prior with random variances scaled by random (or given) lambdas."""
     shift_var = rng.uniform(0.2, 3.0, size=d_w)
     log_resvar_mean = rng.normal(size=d_g)
     log_resvar_var = rng.uniform(0.2, 3.0, size=d_g)
     lambda1 = lambda1 if lambda1 is not None else rng.uniform(0.2, 4.0)
     lambda2 = lambda2 if lambda2 is not None else rng.uniform(0.2, 4.0)
-    return BatchPrior(shift_var=lambda1 * shift_var, log_resvar_mean=log_resvar_mean,
-                      log_resvar_var=lambda2 * log_resvar_var)
+    return NodePrior(shift_var=lambda1 * shift_var, log_resvar_mean=log_resvar_mean,
+                     log_resvar_var=lambda2 * log_resvar_var)
 
 
 def stacked(v, rows):
@@ -124,7 +124,7 @@ class TestEstimatePrior:
         bg = rng.normal(size=(4, 5))
         prior = estimate_prior(np.stack([kg, kg]), np.stack([bg, bg]), Edge.TRANSLATION,
                                1.0, 1.0)
-        assert np.array_equal(prior.shift_var[0], np.full(3, VAR_FLOOR))
+        assert np.array_equal(prior.var[0, :3], np.full(3, VAR_FLOOR))
 
     def test_two_point_sample_variance(self):
         rng = np.random.default_rng(1)
@@ -133,8 +133,8 @@ class TestEstimatePrior:
         bg = rng.normal(size=(2, 2))
         prior = estimate_prior(np.stack([kg_a, kg_b]), np.stack([bg, bg]), Edge.TRANSLATION,
                                1.0, 1.0)
-        assert prior.shift_var[0, 0] == pytest.approx(2.0)
-        assert prior.shift_var[0, 1] == pytest.approx(VAR_FLOOR)
+        assert prior.var[0, 0] == pytest.approx(2.0)
+        assert prior.var[0, 1] == pytest.approx(VAR_FLOOR)
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_matches_straight_loop_recomputation(self, edge):
@@ -159,17 +159,20 @@ class TestEstimatePrior:
         for k in range(d_g):
             floored = max(m2[k], VAR_FLOOR)
             sd_res = np.sqrt((m4[k] - m2[k] ** 2) / n)
-            assert prior.log_resvar_mean[k] == pytest.approx(np.log(floored), abs=1e-12)
+            assert prior.mean[d_w + k] == pytest.approx(np.log(floored), abs=1e-12)
             expected_var = lam2 * min(max((sd_res / floored) ** 2, 1e-6), 10.0)
-            assert prior.log_resvar_var[k] == pytest.approx(expected_var, abs=1e-12)
+            for side in range(2):
+                assert prior.var[side, d_w + k] == pytest.approx(expected_var, abs=1e-12)
         for side, kg_side in enumerate((kg_a, kg_b)):
             for k in range(d_w):
                 mean_k = sum(kg_side[m, k] for m in range(n)) / n
                 var_k = sum((kg_side[m, k] - mean_k) ** 2 for m in range(n)) / (n - 1)
-                assert prior.shift_var[side, k] == pytest.approx(
+                assert prior.var[side, k] == pytest.approx(
                     lam1 * max(var_k, VAR_FLOOR), abs=1e-12)
-        assert prior.shift_var.shape == (2, d_w)
-        assert prior.log_resvar_mean.shape == prior.log_resvar_var.shape == (d_g,)
+        # The node layout: shift, then log share; both sides share the latter.
+        assert prior.mean.shape == (d_w + d_g,) and prior.var.shape == (2, d_w + d_g)
+        assert np.array_equal(prior.mean[:d_w], np.zeros(d_w))
+        assert np.array_equal(prior.var[0, d_w:], prior.var[1, d_w:])
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_spread_agrees_with_a_large_bootstrap(self, edge):
@@ -183,7 +186,7 @@ class TestEstimatePrior:
         g = edge_apply(edge, bg_a, bg_b)
         boot = np.array([np.var(g[idx], axis=0)
                          for idx in rng.integers(0, n, size=(n_boot, n))])
-        closed_sd = np.sqrt(prior.log_resvar_var) * np.var(g, axis=0)
+        closed_sd = np.sqrt(prior.var[0, 2:]) * np.var(g, axis=0)
         assert np.allclose(closed_sd / boot.std(axis=0), 1.0, rtol=0, atol=0.05)
 
     @pytest.mark.parametrize("edge", EDGES)
@@ -192,9 +195,9 @@ class TestEstimatePrior:
         with np.errstate(all="raise"):
             prior = estimate_prior(np.stack([np.eye(6, 2)] * 2), np.stack([bg, bg]), edge,
                                    1.0, 1.0)
-        assert not np.any(np.isnan(prior.log_resvar_var))
-        assert np.all(prior.log_resvar_var == LOG_RESVAR_VAR_MIN)
-        assert np.all(prior.log_resvar_mean == np.log(VAR_FLOOR))
+        assert not np.any(np.isnan(prior.var))
+        assert np.all(prior.var[:, 2:] == LOG_RESVAR_VAR_MIN)
+        assert np.all(prior.mean[2:] == np.log(VAR_FLOOR))
 
     def test_batch_of_one_rejected(self):
         one = np.ones((2, 1, 2))
@@ -272,7 +275,7 @@ class TestInferPosterior:
         # An inference net for 5 inputs against kg and bg vectors of 3 each.
         proj = zero_net(3, 4, 3)
         net = zero_net(5, 4, 12)
-        prior = BatchPrior(np.ones(3), np.zeros(3), np.ones(3))
+        prior = NodePrior(np.ones(3), np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError, match="input dimension"):
             pair_grads(proj, net, Edge.TRANSLATION, np.ones(3), np.ones(3),
                        np.ones(3), np.ones(3), prior, prior, np.zeros(12))
@@ -387,8 +390,8 @@ class TestKlPenalty:
         assert kl_penalty(stats, prior) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_mean_shift_gives_half(self):
-        prior = BatchPrior(shift_var=np.ones(1), log_resvar_mean=np.zeros(1),
-                           log_resvar_var=np.ones(1))
+        prior = NodePrior(shift_var=np.ones(1), log_resvar_mean=np.zeros(1),
+                          log_resvar_var=np.ones(1))
         stats = PosteriorStats(shift_mean=np.ones(1), shift_std=np.ones(1),
                                log_resvar_mean=np.zeros(1),
                                log_resvar_std=np.ones(1))
@@ -485,7 +488,7 @@ class TestElboPair:
         priors = []
         for stats in (first.stats_i, first.stats_j):
             assert np.array_equal(stats.shift_mean, np.zeros(d_w))
-            priors.append(BatchPrior(
+            priors.append(NodePrior(
                 shift_var=stats.shift_std ** 2,
                 log_resvar_mean=stats.log_resvar_mean.copy(),
                 log_resvar_var=stats.log_resvar_std ** 2))
@@ -564,8 +567,9 @@ def batch_case(edge, n, seed, d_w=3, d_z=4, n_h=6):
     kg = rng.normal(size=(2, n, d_w))
     bg = rng.normal(size=(2, n, d_z))
     sides = (random_prior(rng, d_w, d_g, 1.0, 1.0), random_prior(rng, d_w, d_g, 1.0, 1.0))
-    prior = BatchPrior(np.stack([side.shift_var for side in sides]),
-                       sides[0].log_resvar_mean, sides[0].log_resvar_var)
+    prior = BatchPrior(np.concatenate([np.zeros(d_w), sides[0].log_resvar_mean]),
+                       np.stack([np.concatenate([side.shift_var, sides[0].log_resvar_var])
+                                 for side in sides]))
     noise = rng.standard_normal((n, 2, d_w + d_g)).transpose(1, 0, 2)
     return proj, infer, (kg, bg, prior, noise)
 
@@ -585,7 +589,8 @@ def oracle_grads(proj, infer, edge, kg, bg, prior, noise):
     elbo = recon = kl = 0.0
     for m in range(noise.shape[1]):
         parts = elbo_pair_accumulate_grads(proj, infer, edge, kg[0, m], bg[0, m], kg[1, m],
-                                           bg[1, m], *node_priors(prior), noise[:, m].ravel(),
+                                           bg[1, m], *node_priors(prior, kg.shape[-1]),
+                                           noise[:, m].ravel(),
                                            acc_proj, acc_infer)
         elbo, recon, kl = elbo + parts.elbo, recon + parts.recon, kl + parts.kl_i + parts.kl_j
     return (elbo, recon, kl), acc_proj, acc_infer
@@ -636,7 +641,8 @@ class TestElboBatch:
 
         infer.W2[:] = 0.0
         infer.b2 = np.concatenate([np.zeros(d_w), mu, raw_std(v), raw_std(u)])
-        prior = BatchPrior(np.stack([v, v]), mu, u)
+        prior = BatchPrior(np.concatenate([np.zeros(d_w), mu]),
+                           np.stack([np.concatenate([v, u])] * 2))
         kl = engine_grads(proj, infer, edge, kg, bg, prior, noise)[0][2]
         assert abs(kl) <= 1e-12
 
@@ -650,6 +656,7 @@ class TestElboBatch:
     def test_shape_mismatch_raises(self):
         proj, infer, rest = batch_case(Edge.TRANSLATION, 3, seed=6)
         kg, bg, prior, noise = rest
+        d_w = kg.shape[-1]
         too_wide = zero_net(infer.in_dim, 4, infer.out_dim + 1)
         for net, kg_in, bg_in, prior_in, eps, what in (
                 (too_wide, kg, bg, prior, noise, "net output"),
@@ -658,6 +665,8 @@ class TestElboBatch:
                 (infer, kg[0], bg, prior, noise, "input dimensions"),
                 (infer, kg, bg[..., 1:], prior, noise, "input dimensions"),
                 (infer, kg, bg, prior, noise[..., 1:], "pair noise"),
-                (infer, kg, bg, node_priors(prior)[0], noise, "batch prior")):
+                (infer, kg, bg, BatchPrior(prior.mean, prior.var[:, :d_w]), noise,
+                 "batch prior"),
+                (infer, kg, bg, BatchPrior(prior.mean[:d_w], prior.var), noise, "batch prior")):
             with pytest.raises(ShapeError, match=what):
                 engine_grads(proj, net, Edge.TRANSLATION, kg_in, bg_in, prior_in, eps)

@@ -1,17 +1,20 @@
 """Fuzzing the file boundary: every reader and every subcommand on arbitrary
-bytes. Only a BemError may leave a reader, and every subcommand exits with
-0, 2, 3 or 4."""
+bytes, and the table and label writers on arbitrary text. Only a BemError
+may leave a reader, every subcommand exits with 0, 2, 3 or 4, and a writer
+refuses exactly what its reader would not give back."""
 import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bem.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main,
                      read_config_file, read_manifest)
-from bem.dataio import load_labels, load_model, load_table
-from bem.errors import BemError
+from bem.dataio import (EmbeddingTable, load_labels, load_model, load_table, write_labels,
+                        write_table)
+from bem.errors import BemError, DataError
 
 # Bytes that each reader treats specially, or that a line splitter might.
 TOKENS = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x80\xa8", b"\xe2\x80\xa9", b"\xc2\x85",
@@ -120,6 +123,42 @@ class TestReaders:
             load_model(path)
         except BemError:
             pass
+
+
+# Ids and class names: any text, lone surrogates included, with the characters
+# that the files give a meaning drawn often.
+FIELD_TEXT = st.text(st.one_of(st.sampled_from("\t\n\r,\ud800#a"),
+                               st.characters(exclude_categories=())), max_size=4)
+
+
+class TestWriters:
+    """A write either raises DataError and leaves no file behind, or reads
+    back exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(FIELD_TEXT, max_size=4, unique=True))
+    def test_table_ids_round_trip_or_are_refused(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("wt") / "t.tsv"
+        table = EmbeddingTable(tuple(ids), np.arange(2.0 * len(ids)).reshape(-1, 2))
+        try:
+            write_table(table, path)
+        except DataError:
+            assert list(path.parent.iterdir()) == []
+            return
+        back = load_table(path)
+        assert back.ids == table.ids and np.array_equal(back.matrix, table.matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.dictionaries(FIELD_TEXT, st.lists(FIELD_TEXT, max_size=3).map(tuple),
+                                  max_size=4))
+    def test_labels_round_trip_or_are_refused(self, tmp_path_factory, labels):
+        path = tmp_path_factory.mktemp("wl") / "l.tsv"
+        try:
+            write_labels(labels, path)
+        except DataError:
+            assert list(path.parent.iterdir()) == []
+            return
+        assert list(load_labels(path).items()) == list(labels.items())
 
 
 EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC}

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bem.elbo import BatchPrior, Edge
+from bem.elbo import Edge
 from bem.errors import ShapeError, TrainingError
 from bem.nets import (GRAD_ROWS, ROW_BLOCK, DiffNet, adam_step, flat_views,
                       net_forward_rows, softplus)
-from pair_oracle import (_backward_from_cache, _forward_cached, elbo_pair_accumulate_grads,
-                         zero_grads)
+from pair_oracle import (NodePrior, _backward_from_cache, _forward_cached,
+                         elbo_pair_accumulate_grads, zero_grads)
 
 # Largest allowed gap between a blocked row and the explicit-loop oracle for
 # order-one values: a few dozen ulps (8.9e-16 measured).
@@ -231,7 +231,7 @@ class TestBackward:
         proj = zero_net(d_w, 4, d_z)
         fits = zero_net(d_w + d_z, 4, 2 * d_w + 2 * d_z)
         too_wide = zero_net(d_w + d_z, 4, 2 * d_w + 2 * d_z + 1)
-        prior = BatchPrior(np.ones(d_w), np.zeros(d_z), np.ones(d_z))
+        prior = NodePrior(np.ones(d_w), np.zeros(d_z), np.ones(d_z))
         eps = np.zeros(2 * d_w + 2 * d_z)
         for infer, kg_i, noise, what in (
                 (too_wide, np.ones(d_w), np.zeros(len(eps) + 1), "net output"),
@@ -325,18 +325,18 @@ class TestFlatViews:
 
 
 class TestBufferedWeightGradients:
-    """``NetGrads._add_rows`` sums weight gradients as one product per
+    """``NetGrads.backward`` sums weight gradients as one product per
     GRAD_ROWS node rows and each bias pair by pair; the oracle is the
     per-node ``np.outer`` loop."""
 
     @staticmethod
     def pair_rows(net, n_pairs, rng):
-        """2n node rows, side a then side b: inputs, hidden deltas, hidden
-        activations and output upstreams."""
+        """2n node rows, side a then side b: inputs, hidden activations and
+        output upstreams."""
         x = rng.normal(size=(2 * n_pairs, net.in_dim))
         hid = np.maximum(x @ net.W1.T + net.b1, 0.0)
         up = rng.normal(size=(2 * n_pairs, net.out_dim))
-        return x, (up @ net.W2) * (hid > 0), hid, up
+        return x, hid, up
 
     @staticmethod
     def assert_matches_loop(acc, loop):
@@ -358,8 +358,10 @@ class TestBufferedWeightGradients:
         added, sizes, read_mid_run = 0, itertools.cycle((1, 2, 5, 13)), False
         while added < count:
             n_pairs = min(next(sizes), count - added)
-            x, dpre, hid, up = self.pair_rows(net, n_pairs, rng)
-            acc._add_rows(x, dpre, hid, up)
+            x, hid, up = self.pair_rows(net, n_pairs, rng)
+            # Side-stacked (2, n, width) rows, as the engine passes them.
+            dpre = acc.backward(net, *(a.reshape(2, n_pairs, -1) for a in (x, hid, up)))
+            assert np.array_equal(dpre, (up @ net.W2) * (hid > 0))
             added += n_pairs
             for r in range(len(x)):
                 loop["W1"] += np.outer(dpre[r], x[r])
