@@ -433,14 +433,13 @@ def cmd_sweep(args, argv) -> int:
         if cast is int and not float(v).is_integer():
             raise UsageError(f"{args.param} takes integers, got {v}")
         values.append(cast(v))
-    if len(set(values)) != len(values):
-        raise UsageError(f"--values repeats a value of {args.param}: {values}")
     out_dir = Path(args.out)
     table_path = out_dir / "sweep.tsv"
     model_paths = [out_dir / f"model_{args.param}_{value}.bem" for value in values]
     _refuse_overwrites(args, ("kg", "bg", "truth", "config"),
                        [("--out", path) for path in (table_path, *model_paths,
-                                                     out_dir / "manifest.txt")])
+                                                     out_dir / "manifest.txt")],
+                       what="the model for another --values entry")
     base_cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
     if args.metric == "oracle-error":

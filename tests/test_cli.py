@@ -500,7 +500,7 @@ class TestSweepChecksEveryValueFirst:
         assert main(["sweep", "--param", param, "--values", *values,
                      "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
                      "--nB", "4", "--nh", "3", "--epochs", "1", "--out", str(out)]) == EXIT_USAGE
-        assert f"--values repeats a value of {param}" in capsys.readouterr().err
+        assert "would overwrite the model for another --values entry" in capsys.readouterr().err
         assert not out.exists()
 
 

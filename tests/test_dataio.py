@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -340,11 +342,43 @@ class TestStreamedCodec:
         assert path.read_bytes() == loop_table_bytes(ids, mat)
         assert np.array_equal(load_table(path).matrix, mat)
 
-    def test_failed_write_keeps_old_target(self, tmp_path):
+    def test_failed_write_keeps_old_target(self, tmp_path, monkeypatch):
+        # The disk fills in the second chunk, after the temp file holds rows.
+        real_open = dataio._atomic_open
+        streamed = []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:  # header, first chunk, then this one
+                    self.fh.flush()
+                    streamed.append(os.path.getsize(self.fh.name))
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        @contextmanager
+        def full_disk_open(target):
+            with real_open(target) as fh:
+                yield FullDisk(fh)
+
+        monkeypatch.setattr(dataio, "_atomic_open", full_disk_open)
         path = tmp_path / "t.tsv"
         path.write_bytes(b"old contents\n")
         ids = [f"e{i}" for i in range(CHUNK_ROWS + 2)]
-        ids[-1] = "\ud800"  # cannot be encoded: refused before the first chunk
+        with pytest.raises(OSError, match="No space left"):
+            write_table(table_of(ids, np.zeros((len(ids), 2))), path)
+        assert streamed[0] > len(b"#dim=2\n")
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+    def test_unencodable_id_is_refused_before_the_target_is_touched(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"old contents\n")
+        ids = [f"e{i}" for i in range(CHUNK_ROWS + 2)]
+        ids[-1] = "\ud800"  # a lone surrogate has no UTF-8 form
         with pytest.raises(DataError, match="not UTF-8"):
             write_table(table_of(ids, np.zeros((len(ids), 2))), path)
         assert path.read_bytes() == b"old contents\n"
