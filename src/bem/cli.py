@@ -75,16 +75,11 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest_path(target: Path) -> Path:
-    target = Path(target)
-    if target.is_dir():
-        return target / "manifest.txt"
-    return target.with_name(target.name + ".manifest.txt")
-
-
-def write_manifest(target, command: str, argv: list[str], seed,
-                   config: dict, inputs: dict, outputs: list,
-                   unhashed_outputs: list = (), wall_s: float = 0.0) -> Path:
+def write_manifest(path: Path, command: str, argv: list[str], seed, config: dict,
+                   args, inputs: tuple, outputs: list, wall_s: float) -> None:
+    """Write the run record ``path``: an ``input.<dest>`` line per input flag
+    given, and per ``(flag, path, hashed)`` output, in list order, an
+    ``output.<name>`` line and, when hashed, its ``sha256.<name>``."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     lines = [
         f"command = {command}",
@@ -98,28 +93,26 @@ def write_manifest(target, command: str, argv: list[str], seed,
     ]
     lines += [f"env.{var} = {json.dumps(os.environ[var]) if var in os.environ else 'unset'}"
               for var in BLAS_ENV_VARS]
-    for key, path in sorted(inputs.items()):
-        lines.append(f"input.{key} = {path}")
-    for path in outputs:
-        lines.append(f"output.{Path(path).name} = {path}")
-        lines.append(f"sha256.{Path(path).name} = {_sha256_file(path)}")
-    for path in unhashed_outputs:
-        lines.append(f"output.{Path(path).name} = {path}")
-    for key in sorted(config):
-        lines.append(f"cfg.{key} = {config[key]}")
-    path = _manifest_path(target)
+    lines += [f"input.{dest} = {getattr(args, dest)}" for dest in sorted(inputs)
+              if getattr(args, dest) is not None]
+    for _, out, hashed in outputs:
+        lines.append(f"output.{out.name} = {out}")
+        if hashed:
+            lines.append(f"sha256.{out.name} = {_sha256_file(out)}")
+    lines += [f"cfg.{key} = {config[key]}" for key in sorted(config)]
     _atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
 
 
-def _refuse_overwrites(args, inputs: tuple, outputs: list, what: str = "an output") -> None:
-    """UsageError (exit 2), before anything is read, when an output would
-    replace an input or an earlier output. ``inputs`` are the dests of the
-    input flags (each flag is ``--<dest>``), ``outputs`` lists ``(flag, path)``
-    and ``what`` says what the outputs are. Paths compare resolved."""
+def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
+                       what: str = "an output") -> None:
+    """UsageError (exit 2), before anything is read, when an output or the
+    manifest would replace an input or an earlier output. ``inputs`` are the
+    dests of the input flags (each flag is ``--<dest>``), ``outputs`` lists
+    ``(flag, path, hashed)``, the manifest counts as an ``--out`` output and
+    ``what`` says what the outputs are. Paths compare resolved."""
     taken = {Path(getattr(args, dest)).resolve(): f"an input (--{dest})"
              for dest in inputs if getattr(args, dest) is not None}
-    for flag, path in outputs:
+    for flag, path, _ in [("--out", manifest, True), *outputs]:
         key = Path(path).resolve()
         if key in taken:
             raise UsageError(f"{flag} {path} would overwrite {taken[key]}")
@@ -217,19 +210,13 @@ def _steplog_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(pairs, out_dir: Path | None) -> list[Path]:
+def _emit_report(pairs, report: Path | None, summary: Path | None) -> None:
     text = "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
     sys.stdout.write(text)
-    written = []
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "report.txt"
-        _atomic_write_text(report_path, text)
-        summary_path = out_dir / "summary.json"
-        _atomic_write_text(summary_path,
-                           json.dumps(dict(pairs), indent=2, sort_keys=True) + "\n")
-        written = [report_path, summary_path]
-    return written
+    if report is not None:
+        report.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write_text(report, text)
+        _atomic_write_text(summary, json.dumps(dict(pairs), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_synth(args, argv) -> int:
@@ -246,10 +233,9 @@ def cmd_synth(args, argv) -> int:
     write_table(truth.bg, paths["bg.tsv"])
     write_labels(truth.labels, paths["labels.tsv"])
     write_table(truth.clean_bg, paths["truth.tsv"])
-    write_manifest(out_dir, "synth", argv, spec.seed,
-                   config=vars(spec).copy(), inputs={},
-                   outputs=list(paths.values()),
-                   wall_s=time.perf_counter() - t0)
+    outputs = [("--out", path, True) for path in paths.values()]
+    write_manifest(out_dir / "manifest.txt", "synth", argv, spec.seed, vars(spec).copy(),
+                   args, (), outputs, time.perf_counter() - t0)
     print(f"wrote {len(paths) + 1} files to {out_dir}")
     return EXIT_OK
 
@@ -269,19 +255,17 @@ def cmd_train(args, argv) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
     steplog = Path(args.log) if args.log else out.with_name(out.name + ".steplog.tsv")
-    _refuse_overwrites(args, ("kg", "bg", "config"),
-                       [("--out", out), ("--out", _manifest_path(out)), ("--log", steplog)],
-                       what="the model or its manifest")
+    manifest = out.with_name(out.name + ".manifest.txt")
+    inputs, outputs = ("kg", "bg", "config"), [("--out", out, True), ("--log", steplog, False)]
+    _refuse_overwrites(args, inputs, outputs, manifest, what="the model or its manifest")
     cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
     proj_net, infer_net, report = train(kg, bg, cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(proj_net, infer_net, cfg, out)
     _atomic_write_text(steplog, _steplog_text(report))
-    write_manifest(out, "train", argv, cfg.seed, config=cfg.to_dict(),
-                   inputs={"kg": args.kg, "bg": args.bg},
-                   outputs=[out], unhashed_outputs=[steplog],
-                   wall_s=time.perf_counter() - t0)
+    write_manifest(manifest, "train", argv, cfg.seed, cfg.to_dict(), args, inputs, outputs,
+                   time.perf_counter() - t0)
     final = report.records[-1]
     print(f"trained {report.n_steps} steps; final elbo {final.elbo:.6f}; "
           f"checksum {report.param_checksum[:16]}")
@@ -294,8 +278,9 @@ def cmd_refine(args, argv) -> int:
     t0 = time.perf_counter()
     out_dir = Path(args.out)
     kg_path, bg_path = out_dir / "kg_refined.tsv", out_dir / "bg_refined.tsv"
-    _refuse_overwrites(args, ("kg", "bg", "model"),
-                       [("--out", path) for path in (kg_path, bg_path, out_dir / "manifest.txt")])
+    manifest = out_dir / "manifest.txt"
+    inputs, outputs = ("kg", "bg", "model"), [("--out", path, True) for path in (kg_path, bg_path)]
+    _refuse_overwrites(args, inputs, outputs, manifest)
     proj_net, infer_net, cfg = load_model(args.model)
     kg, bg = _load_aligned(args.kg, args.bg, "intersect")
     kg, bg, _ = cfg.model_inputs(kg, bg)
@@ -306,10 +291,8 @@ def cmd_refine(args, argv) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table(kg_refined, kg_path)
     write_table(bg_refined, bg_path)
-    write_manifest(out_dir, "refine", argv, cfg.seed, config=cfg.to_dict(),
-                   inputs={"kg": args.kg, "bg": args.bg, "model": args.model},
-                   outputs=[kg_path, bg_path],
-                   wall_s=time.perf_counter() - t0)
+    write_manifest(manifest, "refine", argv, cfg.seed, cfg.to_dict(), args, inputs, outputs,
+                   time.perf_counter() - t0)
     print(f"wrote refined tables for {len(kg_refined)} entities to {out_dir}")
     return EXIT_OK
 
@@ -341,10 +324,10 @@ def _eval_classify(args, table, labels):
                   ("proj_accuracy_mean", float(np.mean(proj_accs))),
                   ("proj_accuracy_stderr",
                    float(np.std(proj_accs) / np.sqrt(len(proj_accs))))]
-    return pairs, []
+    return pairs
 
 
-def _eval_histogram(args, table, out_dir):
+def _eval_histogram(args, table, path: Path | None):
     hist = similarity_histogram(table, args.n_pairs, args.bins,
                                 named_rng(args.seed, "eval.hist"))
     pairs = [("task", "histogram"), ("n_pairs", hist.n_pairs),
@@ -352,15 +335,12 @@ def _eval_histogram(args, table, out_dir):
              ("mass_sum", float(np.sum(hist.mass))),
              ("mean_abs_cosine", hist.mean()),
              ("variance_abs_cosine", hist.variance())]
-    extra = []
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        hist_path = out_dir / "histogram.tsv"
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
         rows = "\n".join(f"{lo:.17g}\t{hi:.17g}\t{mass:.17g}"
                          for lo, hi, mass in hist.rows())
-        _atomic_write_text(hist_path, rows + "\n")
-        extra.append(hist_path)
-    return pairs, extra
+        _atomic_write_text(path, rows + "\n")
+    return pairs
 
 
 def _eval_cluster_ratio(table, labels):
@@ -368,7 +348,7 @@ def _eval_cluster_ratio(table, labels):
     return [("task", "cluster-ratio"), ("cluster_ratio", detail.ratio),
             ("max_within", detail.max_within),
             ("min_between", detail.min_between),
-            ("n_classes", detail.n_classes)], []
+            ("n_classes", detail.n_classes)]
 
 
 def _eval_recall(args, table, labels):
@@ -385,7 +365,7 @@ def _eval_recall(args, table, labels):
     return [("task", "recall"), ("k", args.k), ("n_users", n_users),
             ("recall", result.recall), ("hits", result.hits),
             ("retrieved", result.retrieved),
-            ("skipped_triggers", result.skipped_triggers)], []
+            ("skipped_triggers", result.skipped_triggers)]
 
 
 def cmd_eval(args, argv) -> int:
@@ -394,31 +374,31 @@ def cmd_eval(args, argv) -> int:
         raise UsageError(f"--task {args.task} needs --labels")
     if args.splits < 1 or args.n_proj < 1 or args.n_users < 1:
         raise UsageError("--splits, --n-proj and --n-users must be positive")
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        names = ["report.txt", "summary.json", "manifest.txt"]
-        names += ["histogram.tsv"] if args.task == "histogram" else []
-        _refuse_overwrites(args, ("table", "table2", "labels"),
-                           [("--out", out_dir / name) for name in names])
+    report, summary, histogram, manifest = (
+        Path(args.out) / name if args.out else None
+        for name in ("report.txt", "summary.json", "histogram.tsv", "manifest.txt"))
+    if args.task != "histogram":
+        histogram = None
+    inputs = ("table", "table2", "labels")
+    outputs = [("--out", path, True) for path in (report, summary, histogram) if path]
+    if manifest is not None:
+        _refuse_overwrites(args, inputs, outputs, manifest)
     table = load_table(args.table)
     if args.table2:
         table = concat_tables(table, load_table(args.table2))
     labels = None if args.task == "histogram" else load_labels(args.labels)
     if args.task == "classify":
-        pairs, extra = _eval_classify(args, table, labels)
+        pairs = _eval_classify(args, table, labels)
     elif args.task == "histogram":
-        pairs, extra = _eval_histogram(args, table, out_dir)
+        pairs = _eval_histogram(args, table, histogram)
     elif args.task == "cluster-ratio":
-        pairs, extra = _eval_cluster_ratio(table, labels)
+        pairs = _eval_cluster_ratio(table, labels)
     else:
-        pairs, extra = _eval_recall(args, table, labels)
-    written = _emit_report(pairs, out_dir)
-    if out_dir is not None:
-        inputs = {key: getattr(args, key) for key in ("table", "table2", "labels")
-                  if getattr(args, key)}
-        write_manifest(out_dir, "eval", argv, args.seed, config=dict(pairs),
-                       inputs=inputs, outputs=written + extra,
-                       wall_s=time.perf_counter() - t0)
+        pairs = _eval_recall(args, table, labels)
+    _emit_report(pairs, report, summary)
+    if manifest is not None:
+        write_manifest(manifest, "eval", argv, args.seed, dict(pairs), args, inputs, outputs,
+                       time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -434,11 +414,11 @@ def cmd_sweep(args, argv) -> int:
             raise UsageError(f"{args.param} takes integers, got {v}")
         values.append(cast(v))
     out_dir = Path(args.out)
-    table_path = out_dir / "sweep.tsv"
+    table_path, manifest = out_dir / "sweep.tsv", out_dir / "manifest.txt"
     model_paths = [out_dir / f"model_{args.param}_{value}.bem" for value in values]
-    _refuse_overwrites(args, ("kg", "bg", "truth", "config"),
-                       [("--out", path) for path in (table_path, *model_paths,
-                                                     out_dir / "manifest.txt")],
+    inputs = ("kg", "bg", "truth", "config")
+    outputs = [("--out", path, True) for path in (table_path, *model_paths)]
+    _refuse_overwrites(args, inputs, outputs, manifest,
                        what="the model for another --values entry")
     base_cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
@@ -471,13 +451,8 @@ def cmd_sweep(args, argv) -> int:
     lines = ["param\tvalue\tmetric\tmetric_value\tchecksum"]
     lines += [f"{p}\t{v}\t{m}\t{mv:.17g}\t{ck}" for p, v, m, mv, ck in rows]
     _atomic_write_text(table_path, "\n".join(lines) + "\n")
-    inputs = {"kg": args.kg, "bg": args.bg}
-    if args.truth:
-        inputs["truth"] = args.truth
-    write_manifest(out_dir, "sweep", argv, base_cfg.seed,
-                   config=base_cfg.to_dict(), inputs=inputs,
-                   outputs=[table_path] + model_paths,
-                   wall_s=time.perf_counter() - t0)
+    write_manifest(manifest, "sweep", argv, base_cfg.seed, base_cfg.to_dict(), args, inputs,
+                   outputs, time.perf_counter() - t0)
     return EXIT_OK
 
 
