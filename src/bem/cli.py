@@ -10,12 +10,15 @@ SHA-256 of each deterministic output, so a run can be replayed and
 verified bit for bit; a replay leaves the manifest it reads as it found
 it. Timing fields (and the step log, which contains
 per-step wall-clock) are excluded from that guarantee. The bits also depend
-on numpy, its BLAS, the BLAS thread settings and OpenBLAS's kernel choice:
-the manifest records them, and replay does not compare them.
+on the setup: numpy, its BLAS, the BLAS thread settings and OpenBLAS's kernel
+(``blas_kernel``). The manifest records it and replay does not compare it,
+but a failed replay names each setup field that differs from the recorded
+one. No command overwrites another command's manifest (exit 2).
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import inspect
@@ -75,24 +78,42 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs (``SkylakeX``, ``Haswell``), or
+    ``unknown`` on another BLAS or any failure to ask it."""
+    try:  # numpy's wheels bundle scipy-openblas, whose symbols carry a 64_ suffix
+        for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+            handle = ctypes.CDLL(str(lib))
+            corename = (getattr(handle, "scipy_openblas_get_corename64_", None)
+                        or handle.openblas_get_corename)
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode() or "unknown"
+    except (OSError, AttributeError, ValueError):  # no library, no symbol, no name
+        pass
+    return "unknown"
+
+
+def setup_records() -> dict[str, str]:
+    """The manifest's setup fields, as this process sees them: what the bits
+    depend on besides the inputs and the configuration."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    records = {"tool_version": __version__, "numpy_version": np.__version__,
+               "blas_name": str(blas.get("name")), "blas_version": str(blas.get("version")),
+               "blas_kernel": blas_kernel()}
+    records.update((f"env.{var}", json.dumps(os.environ[var]) if var in os.environ else "unset")
+                   for var in BLAS_ENV_VARS)
+    return records
+
+
 def write_manifest(path: Path, command: str, argv: list[str], seed, config: dict,
                    args, inputs: tuple, outputs: list, wall_s: float) -> None:
     """Write the run record ``path``: an ``input.<dest>`` line per input flag
     given, and per ``(flag, path, hashed)`` output, in list order, an
     ``output.<name>`` line and, when hashed, its ``sha256.<name>``."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    lines = [
-        f"command = {command}",
-        f"tool_version = {__version__}",
-        f"created_utc = {datetime.now(timezone.utc).isoformat()}",
-        f"seed = {seed}",
-        f"argv = {json.dumps(list(argv))}",
-        f"wall_clock_s = {wall_s:.3f}",
-        f"numpy_version = {np.__version__}",
-        f"blas_name = {blas.get('name')}", f"blas_version = {blas.get('version')}",
-    ]
-    lines += [f"env.{var} = {json.dumps(os.environ[var]) if var in os.environ else 'unset'}"
-              for var in BLAS_ENV_VARS]
+    lines = [f"command = {command}"]
+    lines += [f"{key} = {value}" for key, value in setup_records().items()]
+    lines += [f"created_utc = {datetime.now(timezone.utc).isoformat()}", f"seed = {seed}",
+              f"argv = {json.dumps(list(argv))}", f"wall_clock_s = {wall_s:.3f}"]
     lines += [f"input.{dest} = {getattr(args, dest)}" for dest in sorted(inputs)
               if getattr(args, dest) is not None]
     for _, out, hashed in outputs:
@@ -106,7 +127,8 @@ def write_manifest(path: Path, command: str, argv: list[str], seed, config: dict
 def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
                        what: str = "an output") -> None:
     """UsageError (exit 2), before anything is read, when an output or the
-    manifest would replace an input or an earlier output. ``inputs`` are the
+    manifest would replace an input or an earlier output, or when the
+    manifest path holds the record of another command. ``inputs`` are the
     dests of the input flags (each flag is ``--<dest>``), ``outputs`` lists
     ``(flag, path, hashed)``, the manifest counts as an ``--out`` output and
     ``what`` says what the outputs are. Paths compare resolved."""
@@ -117,6 +139,12 @@ def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
         if key in taken:
             raise UsageError(f"{flag} {path} would overwrite {taken[key]}")
         taken[key] = f"{what} ({flag})"
+    try:  # a file that is not a manifest records no command
+        recorded = read_manifest(manifest).get("command") if manifest.is_file() else None
+    except DataError:
+        recorded = None
+    if recorded not in (None, args.command):
+        raise UsageError(f"--out {manifest} would overwrite the record of a {recorded} run")
 
 
 def _key_values(path, sep: str, error, raw: bytes | None = None):
@@ -494,6 +522,10 @@ def cmd_replay(args, argv) -> int:
                 fh.write(recorded_bytes)
     if mismatches:
         print(f"replay mismatch for: {', '.join(mismatches)}", file=sys.stderr)
+        for key, value in setup_records().items():
+            if entries.get(key, value) != value:
+                print(f"setup differs: {key} recorded {entries[key]}, now {value}",
+                      file=sys.stderr)
         return EXIT_DATA
     print("replay verified: outputs are bit-identical")
     return EXIT_OK

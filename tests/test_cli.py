@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import re
@@ -156,11 +157,110 @@ class TestReplay:
             assert "replay mismatch" in capsys.readouterr().err
             assert manifest.read_bytes() == corrupted
 
+    def test_failed_replay_names_the_setup_that_differs(self, tmp_path, capsys):
+        manifest = command_manifest(tmp_path, "synth")
+        other = "SkylakeX" if cli.blas_kernel() == "Haswell" else "Haswell"
+        text = manifest.read_text(encoding="utf-8")
+        key, value = re.search(r"(?m)^(sha256\.\S+) = (\w+)$", text).groups()
+        flipped = ("1" if value[0] == "0" else "0") + value[1:]
+        text = text.replace(f"{key} = {value}", f"{key} = {flipped}")
+        text = re.sub(r"(?m)^blas_kernel = .*$", f"blas_kernel = {other}", text)
+        manifest.write_text(text, encoding="utf-8")
+        assert main(["replay", str(manifest)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"setup differs: blas_kernel recorded {other}, now {cli.blas_kernel()}" in err
+        assert err.count("setup differs") == 1
+
     @pytest.mark.parametrize("argv", ["[not json", "5", '["synth", 3]'])
     def test_malformed_argv_record_is_a_data_error(self, tmp_path, argv):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"argv = {argv}\n", encoding="utf-8")
         assert main(["replay", str(manifest)]) == EXIT_DATA
+
+
+class TestBlasKernel:
+    def test_manifest_records_the_kernel(self, tmp_path):
+        entries = cli.read_manifest(synth_manifest(tmp_path))
+        assert entries["blas_kernel"] == cli.blas_kernel() != ""
+
+    def test_a_failed_lookup_records_unknown(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", fail)
+        assert cli.blas_kernel() == "unknown"
+        assert cli.read_manifest(synth_manifest(tmp_path))["blas_kernel"] == "unknown"
+
+
+class TestRunRecord:
+    """Each command's manifest lists exactly the files it wrote, with the
+    SHA-256 of each hashed one, and every input flag it was given."""
+
+    CASES = {
+        "synth": ["synth", "--out", "{run}", "--n", "30"],
+        "train": ["train", "--kg", "{d}/kg.tsv", "--bg", "{d}/bg.tsv", "--config", "{cfg}",
+                  "--nh", "4", "--epochs", "1", "--out", "{run}/m.bem"],
+        "refine": ["refine", "--kg", "{d}/kg.tsv", "--bg", "{d}/bg.tsv", "--model", "{model}",
+                   "--out", "{run}"],
+        "sweep": ["sweep", "--param", "lambda1", "--values", "1", "0.5", "--kg", "{d}/kg.tsv",
+                  "--bg", "{d}/bg.tsv", "--config", "{cfg}", "--nh", "4", "--epochs", "1",
+                  "--out", "{run}"],
+        "eval-histogram": ["eval", "--table", "{d}/kg.tsv", "--task", "histogram",
+                           "--n-pairs", "200", "--out", "{run}"],
+        "eval-classify": ["eval", "--table", "{d}/kg.tsv", "--labels", "{d}/labels.tsv",
+                          "--task", "classify", "--out", "{run}"],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_outputs_are_the_files_written(self, tmp_path, case, capsys):
+        command_manifest(tmp_path, "train")  # synth/ and the model m.bem
+        data = tmp_path / "synth"
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("nB = 10\n", encoding="utf-8")
+        run = tmp_path / "run"
+        argv = [a.format(d=data, cfg=cfg, model=tmp_path / "m.bem", run=run)
+                for a in self.CASES[case]]
+        assert main(argv) == EXIT_OK
+        written = {p.name for p in run.iterdir()}
+        [manifest] = [name for name in written if name.endswith("manifest.txt")]
+        entries = cli.read_manifest(run / manifest)
+        outputs = {key[len("output."):]: Path(value) for key, value in entries.items()
+                   if key.startswith("output.")}
+        assert set(outputs) == written - {manifest}
+        hashed = {name for name in outputs if f"sha256.{name}" in entries}
+        assert set(outputs) - hashed == ({"m.bem.steplog.tsv"} if case == "train" else set())
+        for name in hashed:
+            digest = hashlib.sha256(outputs[name].read_bytes()).hexdigest()
+            assert entries[f"sha256.{name}"] == digest
+        assert entries.get("input.config") == (str(cfg) if "--config" in argv else None)
+
+
+class TestAnotherCommandsRecord:
+    """An output place whose manifest records another command is refused
+    before anything is read, and its files stay as they were."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--table", "{s}/kg.tsv", "--task", "histogram", "--out", "{s}"],
+        ["refine", "--kg", "{s}/kg.tsv", "--bg", "{s}/bg.tsv", "--model", "{model}",
+         "--out", "{s}"],
+    ], ids=["eval", "refine"])
+    def test_is_a_usage_error_that_leaves_the_record(self, tmp_path, capsys, argv):
+        command_manifest(tmp_path, "train")  # the model m.bem
+        s = tmp_path / "s"
+        assert main(["synth", "--out", str(s), "--n", "60", "--clusters", "3"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in s.iterdir()}
+        capsys.readouterr()
+        assert main([a.format(s=s, model=tmp_path / "m.bem") for a in argv]) == EXIT_USAGE
+        assert "would overwrite the record of a synth run" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in s.iterdir()} == before
+
+    def test_the_same_command_writes_again(self, tmp_path, capsys):
+        data = synth_manifest(tmp_path).parent
+        argv = ["eval", "--table", str(data / "kg.tsv"), "--task", "histogram",
+                "--n-pairs", "200", "--out", str(tmp_path / "e")]
+        assert main(argv) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert cli.read_manifest(tmp_path / "e" / "manifest.txt")["command"] == "eval"
 
 
 class TestModelInput:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bem import trainer
+from bem.cli import blas_kernel
 from bem.dataio import EmbeddingTable, normalize_rows
 from bem.elbo import Edge, edge_output_dim, estimate_prior
 from bem.errors import AlignmentError, ConfigError, ShapeError, TrainingError
@@ -243,7 +244,9 @@ class TestTrain:
         }
         truth = generate(SynthSpec(n_entities=300, seed=7))
         cfg = TrainConfig(n_batch=50, hidden_dim=16, epochs=2.0, edge=edge, n_iter=n_iter)
-        assert train(truth.kg, truth.bg, cfg)[2].param_checksum == pinned[edge, n_iter]
+        assert train(truth.kg, truth.bg, cfg)[2].param_checksum == pinned[edge, n_iter], (
+            f"trained under OpenBLAS kernel {blas_kernel()}; the pins hold under SkylakeX "
+            "and SapphireRapids")
 
     @pytest.mark.parametrize("n_iter", [1, 2])
     def test_each_step_samples_through_the_module_global(self, monkeypatch, n_iter):
@@ -426,7 +429,9 @@ class TestRefine:
         for table in refine(kg, bg, *nets):
             digest.update(table.matrix.tobytes())
         assert digest.hexdigest() == (
-            "30b652ea0f8d166012d7c52e5436b69bbbb2e9787a7b522258dd0c138d622f6f")
+            "30b652ea0f8d166012d7c52e5436b69bbbb2e9787a7b522258dd0c138d622f6f"), (
+            f"refined under OpenBLAS kernel {blas_kernel()}; the pin holds under SkylakeX, "
+            "SapphireRapids and Haswell")
 
     def test_inputs_not_mutated(self):
         kg, bg = tiny_tables(seed=7)
