@@ -128,7 +128,8 @@ def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
                        what: str = "an output") -> None:
     """UsageError (exit 2), before anything is read, when an output or the
     manifest would replace an input or an earlier output, or when the
-    manifest path holds the record of another command. ``inputs`` are the
+    manifest path holds another command's record, or one that lists an
+    existing file that this run neither reads nor writes. ``inputs`` are the
     dests of the input flags (each flag is ``--<dest>``), ``outputs`` lists
     ``(flag, path, hashed)``, the manifest counts as an ``--out`` output and
     ``what`` says what the outputs are. Paths compare resolved."""
@@ -139,12 +140,15 @@ def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
         if key in taken:
             raise UsageError(f"{flag} {path} would overwrite {taken[key]}")
         taken[key] = f"{what} ({flag})"
-    try:  # a file that is not a manifest records no command
-        recorded = read_manifest(manifest).get("command") if manifest.is_file() else None
+    try:  # a file that is not a manifest records nothing
+        record = read_manifest(manifest) if manifest.is_file() else {}
     except DataError:
-        recorded = None
-    if recorded not in (None, args.command):
+        record = {}
+    if (recorded := record.get("command")) not in (None, args.command):
         raise UsageError(f"--out {manifest} would overwrite the record of a {recorded} run")
+    for key, path in record.items():
+        if key.startswith("output.") and Path(path).exists() and Path(path).resolve() not in taken:
+            raise UsageError(f"--out {manifest} would leave {path} unrecorded")
 
 
 def _key_values(path, sep: str, error, raw: bytes | None = None):
@@ -252,18 +256,19 @@ def cmd_synth(args, argv) -> int:
     out_dir = Path(args.out)
     if out_dir.exists() and not args.force:
         raise DataError(f"output directory {out_dir} exists; pass --force to overwrite")
+    paths = {name: out_dir / name for name in ("kg.tsv", "bg.tsv", "labels.tsv", "truth.tsv")}
+    outputs, manifest = [("--out", p, True) for p in paths.values()], out_dir / "manifest.txt"
+    _refuse_overwrites(args, (), outputs, manifest)
     spec = SynthSpec(**{f.name: getattr(args, f.name)
                         for f in dataclasses.fields(SynthSpec)})
     truth = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / name for name in ("kg.tsv", "bg.tsv", "labels.tsv", "truth.tsv")}
     write_table(truth.kg, paths["kg.tsv"])
     write_table(truth.bg, paths["bg.tsv"])
     write_labels(truth.labels, paths["labels.tsv"])
     write_table(truth.clean_bg, paths["truth.tsv"])
-    outputs = [("--out", path, True) for path in paths.values()]
-    write_manifest(out_dir / "manifest.txt", "synth", argv, spec.seed, vars(spec).copy(),
-                   args, (), outputs, time.perf_counter() - t0)
+    write_manifest(manifest, "synth", argv, spec.seed, vars(spec).copy(), args, (), outputs,
+                   time.perf_counter() - t0)
     print(f"wrote {len(paths) + 1} files to {out_dir}")
     return EXIT_OK
 
@@ -434,6 +439,8 @@ def cmd_sweep(args, argv) -> int:
     t0 = time.perf_counter()
     if len(args.values) < 2:
         raise UsageError("sweep needs at least 2 values")
+    if args.metric == "oracle-error" and not args.truth:
+        raise UsageError("--metric oracle-error needs --truth")
     field = TRAIN_KEYS[args.param]
     cast = type(TRAIN_FIELDS[field].default)
     values = []
@@ -451,8 +458,6 @@ def cmd_sweep(args, argv) -> int:
     base_cfg, policy = resolve_train_options(args)
     kg, bg = _load_aligned(args.kg, args.bg, policy)
     if args.metric == "oracle-error":
-        if not args.truth:
-            raise UsageError("--metric oracle-error needs --truth")
         truth_table = load_table(args.truth)
         oracle_error(bg, truth_table)  # fail on missing truth rows before training
         # Normalization is not a sweep parameter: one preparation serves all runs.

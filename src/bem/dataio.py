@@ -35,10 +35,13 @@ files) reads UTF-8 lines with universal newlines: a line ends at
 ``\n``, ``\r\n`` or ``\r`` and nowhere else. Every error names its 1-based
 line, an undecodable line's included.
 
-Model file: length-prefixed binary, magic ``BEM1``, little-endian float64
-tensors, trailing CRC32 over everything before it. The inference net's
-output rows are the posterior means (shift, log share), then the raw stds;
-``refine`` reads only the first ``kg_dim`` rows, the shift means.
+Model file: magic ``BEM1``, a length-prefixed JSON header, little-endian
+float64 tensors and a CRC32 over everything before it. ``_header`` alone
+builds the header from the nets and config: ``save_model`` writes it, and
+``load_model`` requires each stored field but ``config`` to equal it. A
+tensor the nets refuse (shape, non-finite value) is a ``ModelFormatError``.
+The inference net's output rows are the posterior means (shift, log share),
+then the raw stds; ``refine`` reads only the first ``kg_dim``, the shift means.
 """
 from __future__ import annotations
 
@@ -57,7 +60,8 @@ from pathlib import Path
 import numpy as np
 
 from .elbo import edge_output_dim
-from .errors import AlignmentError, ConfigError, DataError, ModelFormatError, ShapeError
+from .errors import (AlignmentError, ConfigError, DataError, ModelFormatError, ShapeError,
+                     TrainingError)
 from .nets import DiffNet
 
 MODEL_MAGIC = b"BEM1"
@@ -458,14 +462,18 @@ class _Reader:
             raise ModelFormatError(f"unsupported tensor shape ({exc})")
 
 
-def _model_dims_consistent(proj_net: DiffNet, infer_net: DiffNet, cfg, kg_dim: int,
-                           bg_dim: int, edge_dim: int) -> bool:
-    """The shape contract of a model file, which save and load both hold."""
-    return (proj_net.in_dim == kg_dim and proj_net.out_dim == bg_dim
-            and infer_net.in_dim == kg_dim + bg_dim
-            and edge_dim == edge_output_dim(cfg.edge, bg_dim)
+def _header(proj_net: DiffNet, infer_net: DiffNet, cfg) -> dict | None:
+    """The model file's header for these nets and config; None unless the nets
+    fit each other and the config, the shape contract that save and load hold."""
+    kg_dim, bg_dim = proj_net.in_dim, proj_net.out_dim
+    edge_dim = edge_output_dim(cfg.edge, bg_dim)
+    if not (infer_net.in_dim == kg_dim + bg_dim
             and infer_net.out_dim == 2 * kg_dim + 2 * edge_dim
-            and cfg.hidden_dim == proj_net.hidden_dim == infer_net.hidden_dim)
+            and cfg.hidden_dim == proj_net.hidden_dim == infer_net.hidden_dim):
+        return None
+    return {"kg_dim": kg_dim, "bg_dim": bg_dim, "edge_dim": edge_dim, "config": cfg.to_dict(),
+            "proj": [proj_net.in_dim, proj_net.hidden_dim, proj_net.out_dim],
+            "infer": [infer_net.in_dim, infer_net.hidden_dim, infer_net.out_dim]}
 
 
 def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
@@ -475,16 +483,7 @@ def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
 
     if not isinstance(cfg, TrainConfig):
         raise ModelFormatError("cfg must be a TrainConfig")
-    header = {
-        "kg_dim": proj_net.in_dim,
-        "bg_dim": proj_net.out_dim,
-        "edge_dim": edge_output_dim(cfg.edge, proj_net.out_dim),
-        "proj": [proj_net.in_dim, proj_net.hidden_dim, proj_net.out_dim],
-        "infer": [infer_net.in_dim, infer_net.hidden_dim, infer_net.out_dim],
-        "config": cfg.to_dict(),
-    }
-    if not _model_dims_consistent(proj_net, infer_net, cfg, header["kg_dim"],
-                                  header["bg_dim"], header["edge_dim"]):
+    if (header := _header(proj_net, infer_net, cfg)) is None:
         raise ModelFormatError(f"{path}: the nets do not fit each other and the config")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     body = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
@@ -525,9 +524,6 @@ def load_model(path):
         cfg = TrainConfig.from_dict(header["config"])
         proj_dims = [int(v) for v in header["proj"]]
         infer_dims = [int(v) for v in header["infer"]]
-        kg_dim = int(header["kg_dim"])
-        bg_dim = int(header["bg_dim"])
-        edge_dim = int(header["edge_dim"])
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: bad header ({exc})")
     tensors = [reader.tensor() for _ in range(8)]
@@ -536,8 +532,10 @@ def load_model(path):
     try:
         proj_net = DiffNet(*proj_dims, *tensors[:4])
         infer_net = DiffNet(*infer_dims, *tensors[4:])
-    except (ShapeError, TypeError) as exc:  # TypeError: not three net dims
-        raise ModelFormatError(f"{path}: tensor shapes disagree with header ({exc})")
-    if not _model_dims_consistent(proj_net, infer_net, cfg, kg_dim, bg_dim, edge_dim):
+    except (ShapeError, TrainingError, TypeError) as exc:  # TypeError: not three net dims
+        raise ModelFormatError(f"{path}: the header's nets refuse its tensors ({exc})")
+    # A 0.2.x config still holds the retired n_bootstrap, so configs are not compared.
+    derived = _header(proj_net, infer_net, cfg)
+    if derived is None or {**header, "config": None} != {**derived, "config": None}:
         raise ModelFormatError(f"{path}: header dimensions are inconsistent")
     return proj_net, infer_net, cfg

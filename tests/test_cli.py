@@ -262,6 +262,68 @@ class TestAnotherCommandsRecord:
         assert main(argv) == EXIT_OK
         assert cli.read_manifest(tmp_path / "e" / "manifest.txt")["command"] == "eval"
 
+    def test_synth_force_is_refused_too(self, tmp_path, capsys):
+        # --force replaces a directory's files, not another command's record.
+        data = synth_manifest(tmp_path).parent
+        e = tmp_path / "e"
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--task", "histogram",
+                     "--n-pairs", "200", "--out", str(e)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in e.iterdir()}
+        capsys.readouterr()
+        assert main(["synth", "--out", str(e), "--force", "--n", "30"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "would overwrite the record of" in err and "eval run" in err
+        assert {p.name: p.read_bytes() for p in e.iterdir()} == before
+
+
+class TestUnrecordedOutputs:
+    """A rerun of the same command is refused before anything is read when
+    the record at its manifest path lists an existing file that the rerun
+    does not write, and every file stays as it was."""
+
+    def argvs(self, tmp_path, case):
+        data = synth_manifest(tmp_path).parent
+        out = str(tmp_path / "out")
+        if case == "eval":
+            first = ["eval", "--table", str(data / "kg.tsv"), "--task", "histogram",
+                     "--n-pairs", "200", "--out", out]
+            second = ["eval", "--table", str(data / "kg.tsv"), "--labels",
+                      str(data / "labels.tsv"), "--task", "classify", "--out", out]
+            return first, second
+        sweep = ["sweep", "--param", "nh", "--kg", str(data / "kg.tsv"), "--bg",
+                 str(data / "bg.tsv"), "--nB", "4", "--epochs", "1", "--out", out, "--values"]
+        return sweep + ["3", "4"], sweep + ["5", "6"]
+
+    @pytest.mark.parametrize("case, stale", [("eval", "histogram.tsv"),
+                                             ("sweep", "model_nh_3.bem")])
+    def test_is_a_usage_error_that_leaves_every_file(self, tmp_path, capsys, case, stale):
+        first, second = self.argvs(tmp_path, case)
+        assert main(first) == EXIT_OK
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(second) == EXIT_USAGE
+        assert f"would leave {out / stale} unrecorded" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_an_identical_sweep_rerun_writes(self, tmp_path):
+        # test_the_same_command_writes_again covers eval.
+        first, _ = self.argvs(tmp_path, "sweep")
+        assert main(first) == EXIT_OK
+        before = cli.read_manifest(tmp_path / "out" / "manifest.txt")
+        assert main(first) == EXIT_OK
+        after = cli.read_manifest(tmp_path / "out" / "manifest.txt")
+        assert {k: v for k, v in after.items() if k.startswith(("output.", "sha256."))} == {
+            k: v for k, v in before.items() if k.startswith(("output.", "sha256."))}
+
+    def test_a_rerun_after_the_stale_file_is_removed_writes(self, tmp_path):
+        first, second = self.argvs(tmp_path, "eval")
+        assert main(first) == EXIT_OK
+        (tmp_path / "out" / "histogram.tsv").unlink()
+        assert main(second) == EXIT_OK
+        entries = cli.read_manifest(tmp_path / "out" / "manifest.txt")
+        assert entries["cfg.task"] == "classify"
+
 
 class TestModelInput:
     def test_tensor_dims_past_int64_exit_with_data_code(self, tmp_path, capsys):
@@ -278,6 +340,24 @@ class TestModelInput:
         assert main(["refine", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
                      "--model", str(model), "--out", str(tmp_path / "r")]) == EXIT_DATA
         assert "model file ends prematurely" in capsys.readouterr().err
+
+    def test_non_finite_weight_exits_with_data_code_naming_the_file(self, tmp_path, capsys):
+        # A valid CRC over a NaN in the projection net's W1: the file's fault.
+        data = synth_manifest(tmp_path).parent
+        model = tmp_path / "m.bem"
+        assert main(["train", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--nB", "4", "--nh", "3", "--epochs", "0.2",
+                     "--out", str(model)]) == EXIT_OK
+        payload = model.read_bytes()[:-4]
+        at = 12 + struct.unpack("<I", payload[8:12])[0] + 1 + 2 * 4  # W1's first value
+        payload = payload[:at] + struct.pack("<d", float("nan")) + payload[at + 8:]
+        model.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        out = tmp_path / "r"
+        assert main(["refine", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
+                     "--model", str(model), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{model}: " in err and "non-finite values in W1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [
         {"normalize_inputs": "false"}, {"n_batch": "x"}, {"n_batch": True},
@@ -570,6 +650,21 @@ class TestSweepOracleError:
             bg_refined = load_table(refined / "bg_refined.tsv")
             rescaled = EmbeddingTable(ids=bg_refined.ids, matrix=bg_refined.matrix * norms)
             assert float(metric) == oracle_error(rescaled, truth)
+
+    def test_missing_truth_flag_is_a_usage_error_before_reading(self, tmp_path, capsys):
+        # The tables share no id, so reading them first would exit 3.
+        self.truth_lines(tmp_path)
+        data = tmp_path / "synth"
+        lines = (data / "kg.tsv").read_text(encoding="utf-8").splitlines()
+        kg = tmp_path / "kg_other_ids.tsv"
+        kg.write_text("\n".join([lines[0], *("x" + line for line in lines[1:])]) + "\n",
+                      encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", "lr", "--values", "0.001", "0.002",
+                     "--metric", "oracle-error", "--kg", str(kg), "--bg", str(data / "bg.tsv"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "--metric oracle-error needs --truth" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_truth_rows_exit_with_data_code(self, tmp_path, capsys):
         header, rows = self.truth_lines(tmp_path)

@@ -1,7 +1,9 @@
 import errno
+import hashlib
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from contextlib import contextmanager
@@ -745,3 +747,30 @@ class TestModelFile:
         save_model(proj, infer, cfg, p)
         _, _, cfg2 = load_model(p)
         assert cfg2.edge is edge
+
+    @pytest.mark.parametrize("edge, digest", [
+        (Edge.TRANSLATION, "6667bcb22c72f2bbf95af3d6e4e6a767952ed17905c4504f6a5d363f444ef4b0"),
+        (Edge.INNER_PRODUCT, "79bc0d0f66571d753b805754ab4fbbb54174d73b58271912bf01f79459a620a2"),
+        (Edge.IDENTITY, "186b2bef05bae44fbaab1683e4b49cbcd05c7a9525e952c2b3f14d941135e2c9"),
+    ], ids=["translation", "inner", "identity"])
+    def test_model_file_bytes_are_pinned(self, tmp_path, edge, digest):
+        # A new MODEL_VERSION or header field re-pins these openly. No matrix
+        # product is taken, so they do not depend on the BLAS kernel.
+        rng = np.random.default_rng(0)
+        proj = DiffNet.random(3, 4, 2, rng)
+        infer = DiffNet.random(5, 4, 2 * (3 + edge_output_dim(edge, 2)), rng)
+        p = tmp_path / "m.bem"
+        save_model(proj, infer, TrainConfig(hidden_dim=4, edge=edge), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_is_a_format_error_naming_the_file(self, tmp_path, value):
+        proj, infer, cfg = make_model()
+        p = tmp_path / "m.bem"
+        save_model(proj, infer, cfg, p)
+        W1 = proj.W1.copy()
+        W1[1, 2] = value
+        rewrite_model(p, {}, [W1, proj.b1, proj.W2, proj.b2, *infer.param_dict().values()])
+        message = f"^{re.escape(str(p))}: .*non-finite values in W1"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(p)
