@@ -5,15 +5,16 @@ Training flags (and ``--config`` keys) and ``synth`` flags come from the
 
 Exit codes: 0 success, 2 usage, 3 data/validation/memory, 4 numerical failure.
 Every file-writing command drops a ``key = value`` manifest alongside its
-outputs recording the exact argv, the effective configuration and the
-SHA-256 of each deterministic output, so a run can be replayed and
-verified bit for bit; a replay leaves the manifest it reads as it found
-it. Timing fields (and the step log, which contains
-per-step wall-clock) are excluded from that guarantee. The bits also depend
-on the setup: numpy, its BLAS, the BLAS thread settings and OpenBLAS's kernel
-(``blas_kernel``). The manifest records it and replay does not compare it,
-but a failed replay names each setup field that differs from the recorded
-one. No command overwrites another command's manifest (exit 2).
+outputs recording the exact argv, the effective configuration and the SHA-256
+of each deterministic output, so a run can be replayed and verified bit for
+bit; a replay leaves the manifest it reads as it found it. A record's relative
+paths start at its run's directory (``run_dir``), and replay runs only from
+there (exit 2 elsewhere). Timing fields (and the step log, which contains
+per-step wall-clock) are excluded from that guarantee. The bits also depend on
+the setup: numpy, its BLAS, the BLAS thread settings and OpenBLAS's kernel
+(``blas_kernel``). The manifest records it and replay does not compare it, but
+a failed replay names each setup field that differs from the recorded one. No
+command overwrites another command's manifest (exit 2).
 """
 from __future__ import annotations
 
@@ -113,7 +114,8 @@ def write_manifest(path: Path, command: str, argv: list[str], seed, config: dict
     lines = [f"command = {command}"]
     lines += [f"{key} = {value}" for key, value in setup_records().items()]
     lines += [f"created_utc = {datetime.now(timezone.utc).isoformat()}", f"seed = {seed}",
-              f"argv = {json.dumps(list(argv))}", f"wall_clock_s = {wall_s:.3f}"]
+              f"argv = {json.dumps(list(argv))}", f"wall_clock_s = {wall_s:.3f}",
+              f"run_dir = {json.dumps(os.path.relpath(Path.cwd(), path.parent.resolve()))}"]
     lines += [f"input.{dest} = {getattr(args, dest)}" for dest in sorted(inputs)
               if getattr(args, dest) is not None]
     for _, out, hashed in outputs:
@@ -122,6 +124,17 @@ def write_manifest(path: Path, command: str, argv: list[str], seed, config: dict
             lines.append(f"sha256.{out.name} = {_sha256_file(out)}")
     lines += [f"cfg.{key} = {config[key]}" for key in sorted(config)]
     _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _run_dir(manifest, record: dict) -> Path:
+    """The directory a record's run was made in: its ``run_dir`` (a JSON string,
+    relative to the manifest's directory), or the current one for a record without."""
+    try:
+        run_dir = json.loads(record["run_dir"]) if "run_dir" in record else os.getcwd()
+        run_dir = Path(manifest).parent.resolve() / run_dir
+    except (ValueError, TypeError):  # not JSON, or not a string
+        raise DataError(f"{manifest}: run_dir record is not a JSON string")
+    return Path(os.path.normpath(run_dir))  # a lexical "..", exact below a resolved path
 
 
 def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
@@ -146,8 +159,9 @@ def _refuse_overwrites(args, inputs: tuple, outputs: list, manifest: Path,
         record = {}
     if (recorded := record.get("command")) not in (None, args.command):
         raise UsageError(f"--out {manifest} would overwrite the record of a {recorded} run")
-    for key, path in record.items():
-        if key.startswith("output.") and Path(path).exists() and Path(path).resolve() not in taken:
+    run_dir = _run_dir(manifest, record)
+    for path in (run_dir / value for key, value in record.items() if key.startswith("output.")):
+        if path.exists() and path.resolve() not in taken:
             raise UsageError(f"--out {manifest} would leave {path} unrecorded")
 
 
@@ -502,6 +516,8 @@ def cmd_replay(args, argv) -> int:
         raise DataError(f"{args.manifest}: argv record is not a list of strings")
     if recorded[:1] == ["replay"]:
         raise DataError(f"{args.manifest}: argv record is itself a replay")
+    if (run_dir := _run_dir(args.manifest, entries)) != Path.cwd():
+        raise UsageError(f"{args.manifest}: replay from {run_dir}, where the run was made")
     hashed = {}
     for key, value in entries.items():
         if not key.startswith("sha256."):

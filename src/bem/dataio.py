@@ -38,8 +38,10 @@ line, an undecodable line's included.
 Model file: magic ``BEM1``, a length-prefixed JSON header, little-endian
 float64 tensors and a CRC32 over everything before it. ``_header`` alone
 builds the header from the nets and config: ``save_model`` writes it, and
-``load_model`` requires each stored field but ``config`` to equal it. A
-tensor the nets refuse (shape, non-finite value) is a ``ModelFormatError``.
+``load_model`` requires each stored field but ``config`` to equal it. Its
+``proj`` and ``infer`` dims fix every tensor's prefix, shape and offset, which
+``_layout`` alone gives both. A tensor off that layout or refused by the nets
+(a non-finite value) is a ``ModelFormatError``, and each load error names the file.
 The inference net's output rows are the posterior means (shift, log share),
 then the raw stds; ``refine`` reads only the first ``kg_dim``, the shift means.
 """
@@ -430,36 +432,15 @@ def align(kg: EmbeddingTable, bg: EmbeddingTable,
     return kg_out, bg_out, result
 
 
-def _pack_tensor(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype="<f8")
-    out = [struct.pack("<B", arr.ndim)]
-    for d in arr.shape:
-        out.append(struct.pack("<I", d))
-    out.append(arr.tobytes(order="C"))
-    return b"".join(out)
-
-
-class _Reader:
-    def __init__(self, payload: bytes):
-        self.payload = payload
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.payload):
-            raise ModelFormatError("model file ends prematurely")
-        chunk = self.payload[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def tensor(self) -> np.ndarray:
-        ndim = struct.unpack("<B", self.take(1))[0]
-        shape = tuple(struct.unpack("<I", self.take(4))[0] for _ in range(ndim))
-        count = math.prod(shape)  # exact: np.prod wraps past 2**63
-        data = np.frombuffer(self.take(8 * count), dtype="<f8")
-        try:
-            return data.reshape(shape).astype(float)
-        except ValueError as exc:  # past numpy's dimension or size limits
-            raise ModelFormatError(f"unsupported tensor shape ({exc})")
+def _layout(dims) -> list[tuple[bytes, tuple[int, ...]]]:
+    """Each stored tensor's prefix (ndim, then each dim) and shape, in file order,
+    from the ``(in, hidden, out)`` dims of the projection and inference nets;
+    ValueError unless each has three dims, struct.error past the prefix's range."""
+    layout = []
+    for n_in, hidden, n_out in dims:
+        for shape in ((hidden, n_in), (hidden,), (n_out, hidden), (n_out,)):
+            layout.append((struct.pack(f"<B{len(shape)}I", len(shape), *shape), shape))
+    return layout
 
 
 def _header(proj_net: DiffNet, infer_net: DiffNet, cfg) -> dict | None:
@@ -486,11 +467,10 @@ def save_model(proj_net: DiffNet, infer_net: DiffNet, cfg, path) -> None:
     if (header := _header(proj_net, infer_net, cfg)) is None:
         raise ModelFormatError(f"{path}: the nets do not fit each other and the config")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION),
-            struct.pack("<I", len(header_bytes)), header_bytes]
-    for net in (proj_net, infer_net):
-        for arr in (net.W1, net.b1, net.W2, net.b2):
-            body.append(_pack_tensor(arr))
+    body = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(header_bytes)), header_bytes]
+    tensors = [arr for net in (proj_net, infer_net) for arr in (net.W1, net.b1, net.W2, net.b2)]
+    for (prefix, _), arr in zip(_layout([header["proj"], header["infer"]]), tensors):
+        body += [prefix, np.asarray(arr, dtype="<f8").tobytes()]
     payload = b"".join(body)
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     with _atomic_open(path) as fh:
@@ -506,33 +486,37 @@ def load_model(path):
     from .trainer import TrainConfig  # deferred: avoids an import cycle
 
     payload = Path(path).read_bytes()
-    if len(payload) < len(MODEL_MAGIC) + 8 or payload[:4] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    stored_crc = struct.unpack("<I", payload[-4:])[0]
-    if zlib.crc32(payload[:-4]) & 0xFFFFFFFF != stored_crc:
+    end = len(payload) - 4  # the CRC's offset
+    if end < 12 or payload[:4] != MODEL_MAGIC:
+        raise ModelFormatError(f"{path}: not a model file (bad magic or too short)")
+    stored_crc = struct.unpack_from("<I", payload, end)[0]
+    if zlib.crc32(payload[:end]) & 0xFFFFFFFF != stored_crc:
         raise ModelFormatError(f"{path}: checksum mismatch (truncated or corrupted)")
-    reader = _Reader(payload[4:-4])
-    version = struct.unpack("<I", reader.take(4))[0]
+    version, header_len = struct.unpack_from("<II", payload, 4)
     if version != MODEL_VERSION:
         raise ModelFormatError(f"{path}: unsupported model version {version}")
-    header_len = struct.unpack("<I", reader.take(4))[0]
+    pos = 12 + header_len  # a header past ``end`` fails as JSON or at the first prefix
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
-        raise ModelFormatError(f"{path}: bad header ({exc})")
-    try:
+        header = json.loads(payload[12:pos].decode("utf-8"))
         cfg = TrainConfig.from_dict(header["config"])
-        proj_dims = [int(v) for v in header["proj"]]
-        infer_dims = [int(v) for v in header["infer"]]
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        dims = [[int(v) for v in header[net]] for net in ("proj", "infer")]
+        layout = _layout(dims)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, struct.error,
+            ConfigError) as exc:  # RecursionError: JSON nested too deep
         raise ModelFormatError(f"{path}: bad header ({exc})")
-    tensors = [reader.tensor() for _ in range(8)]
-    if reader.pos != len(reader.payload):
+    tensors = []
+    for prefix, shape in layout:
+        start, count = pos + len(prefix), math.prod(shape)
+        if payload[pos:start] != prefix or start + 8 * count > end:
+            raise ModelFormatError(f"{path}: the tensors do not match the header")
+        tensors.append(np.frombuffer(payload, "<f8", count, start).reshape(shape).astype(float))
+        pos = start + 8 * count
+    if pos != end:
         raise ModelFormatError(f"{path}: trailing bytes after tensors")
     try:
-        proj_net = DiffNet(*proj_dims, *tensors[:4])
-        infer_net = DiffNet(*infer_dims, *tensors[4:])
-    except (ShapeError, TrainingError, TypeError) as exc:  # TypeError: not three net dims
+        proj_net = DiffNet(*dims[0], *tensors[:4])
+        infer_net = DiffNet(*dims[1], *tensors[4:])
+    except (ShapeError, TrainingError) as exc:  # ShapeError: a dim below 1
         raise ModelFormatError(f"{path}: the header's nets refuse its tensors ({exc})")
     # A 0.2.x config still holds the retired n_bootstrap, so configs are not compared.
     derived = _header(proj_net, infer_net, cfg)

@@ -325,6 +325,84 @@ class TestUnrecordedOutputs:
         assert entries["cfg.task"] == "classify"
 
 
+class TestRunDirectory:
+    """A record's relative paths start in the directory its run was made in,
+    and a replay runs only from there."""
+
+    def make_runs(self, tmp_path, monkeypatch):
+        # In a/: a synth, then a histogram eval of its KG table, by relative
+        # paths; the test then goes on from a/'s parent.
+        a = tmp_path / "a"
+        a.mkdir()
+        monkeypatch.chdir(a)
+        assert main(["synth", "--out", "s", "--n", "60"]) == EXIT_OK
+        assert main(["eval", "--table", "s/kg.tsv", "--task", "histogram",
+                     "--n-pairs", "200", "--out", "e"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path)
+        return a.resolve()
+
+    @staticmethod
+    def tree(root):
+        return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+    def test_an_eval_from_another_directory_leaves_every_file(self, tmp_path, monkeypatch,
+                                                              capsys):
+        a = self.make_runs(tmp_path, monkeypatch)
+        before = self.tree(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "--table", "a/s/kg.tsv", "--labels", "a/s/labels.tsv",
+                     "--task", "classify", "--out", "a/e"]) == EXIT_USAGE
+        assert f"would leave {a / 'e' / 'histogram.tsv'} unrecorded" in capsys.readouterr().err
+        assert self.tree(tmp_path) == before
+
+    def test_replay_from_another_directory_is_refused_and_creates_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        a = self.make_runs(tmp_path, monkeypatch)
+        before = self.tree(tmp_path)
+        capsys.readouterr()
+        assert main(["replay", "a/s/manifest.txt"]) == EXIT_USAGE
+        assert f"replay from {a}, where the run was made" in capsys.readouterr().err
+        assert self.tree(tmp_path) == before
+
+    @pytest.mark.parametrize("record", ["s/manifest.txt", "e/manifest.txt"])
+    def test_replay_from_the_run_directory_verifies(self, tmp_path, monkeypatch, capsys,
+                                                    record):
+        a = self.make_runs(tmp_path, monkeypatch)
+        monkeypatch.chdir(a)
+        assert main(["replay", record]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_a_run_directory_with_a_line_break_replays(self, tmp_path, monkeypatch, capsys):
+        # The manifest sits outside the run's directory, so run_dir holds its name.
+        run = tmp_path / "x\ny"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["synth", "--out", "../s", "--n", "30"]) == EXIT_OK
+        assert main(["replay", "../s/manifest.txt"]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("run_dir", ["..", "5", "[not json"])
+    def test_a_run_dir_record_that_is_not_a_json_string_is_a_data_error(
+            self, tmp_path, monkeypatch, capsys, run_dir):
+        a = self.make_runs(tmp_path, monkeypatch)
+        manifest = a / "s" / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(re.sub(r"(?m)^run_dir = .*$", f"run_dir = {run_dir}", text),
+                            encoding="utf-8")
+        monkeypatch.chdir(a)
+        assert main(["replay", "s/manifest.txt"]) == EXIT_DATA
+        assert "run_dir record is not a JSON string" in capsys.readouterr().err
+
+    def test_a_moved_tree_replays_from_its_new_place(self, tmp_path, monkeypatch, capsys):
+        a = self.make_runs(tmp_path, monkeypatch)
+        moved = tmp_path / "moved" / "b"
+        moved.parent.mkdir()
+        a.rename(moved)
+        monkeypatch.chdir(moved)
+        assert main(["replay", "s/manifest.txt"]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+
 class TestModelInput:
     def test_tensor_dims_past_int64_exit_with_data_code(self, tmp_path, capsys):
         # A valid CRC over a tensor header of (2**32 - 1) x (2**32 - 1) values.
@@ -339,7 +417,7 @@ class TestModelInput:
         model.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
         assert main(["refine", "--kg", str(data / "kg.tsv"), "--bg", str(data / "bg.tsv"),
                      "--model", str(model), "--out", str(tmp_path / "r")]) == EXIT_DATA
-        assert "model file ends prematurely" in capsys.readouterr().err
+        assert f"{model}: the tensors do not match the header" in capsys.readouterr().err
 
     def test_non_finite_weight_exits_with_data_code_naming_the_file(self, tmp_path, capsys):
         # A valid CRC over a NaN in the projection net's W1: the file's fault.

@@ -608,7 +608,8 @@ def rewrite_model(path, header_change, tensors):
     header = {**json.loads(payload[12:12 + hlen]), **header_change}
     new_header = json.dumps(header, sort_keys=True).encode()
     payload = (payload[:8] + struct.pack("<I", len(new_header)) + new_header
-               + b"".join(dataio._pack_tensor(t) for t in tensors))
+               + b"".join(struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape) + t.astype("<f8").tobytes()
+                          for t in tensors))
     path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
@@ -714,7 +715,20 @@ class TestModelFile:
     def test_tensor_dims_past_int64_are_a_format_error(self, tmp_path):
         p = tmp_path / "m.bem"
         write_huge_tensor_model(p)
-        with pytest.raises(ModelFormatError, match="ends prematurely"):
+        with pytest.raises(ModelFormatError,
+                           match=f"^{re.escape(str(p))}: the tensors do not match the header$"):
+            load_model(p)
+
+    def test_a_stored_shape_off_the_header_is_refused_at_the_same_size(self, tmp_path):
+        # proj.W1 stored transposed: as many values as the header's shape, so
+        # only its stored prefix tells the layouts apart.
+        proj, infer, cfg = make_model()
+        p = tmp_path / "m.bem"
+        save_model(proj, infer, cfg, p)
+        rewrite_model(p, {}, [proj.W1.T, proj.b1, proj.W2, proj.b2,
+                              *infer.param_dict().values()])
+        with pytest.raises(ModelFormatError,
+                           match=f"^{re.escape(str(p))}: the tensors do not match the header$"):
             load_model(p)
 
     @pytest.mark.parametrize("change", [
@@ -737,7 +751,7 @@ class TestModelFile:
             tensors = change
         payload = payload[:8] + struct.pack("<I", len(header)) + header + tensors
         p.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(p))}: "):
             load_model(p)
 
     @pytest.mark.parametrize("edge", (Edge.TRANSLATION, Edge.INNER_PRODUCT, Edge.IDENTITY))

@@ -135,8 +135,8 @@ class TestReaders:
         path.write_bytes(draw.draw(st.one_of(model_files(good), FUZZ_BYTES, mutated(good))))
         try:
             load_model(path)
-        except ModelFormatError:
-            pass
+        except ModelFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 # Ids and class names: any text, lone surrogates included, with the characters
