@@ -292,7 +292,7 @@ def load_table(path) -> EmbeddingTable:
     header_dim: int | None = None
     first = 0
 
-    def flush():  # rows before the chunk in ``rests`` are in ``matrix``
+    def store_chunk():  # rows before the chunk in ``rests`` are in ``matrix``
         if rests:
             block = _parse_values(path, first, rests, dim)
             if len(ids) > len(matrix):
@@ -323,11 +323,11 @@ def load_table(path) -> EmbeddingTable:
             rests.append(rest)
             ids.append(eid)
             if len(rests) == CHUNK_ROWS:
-                flush()
+                store_chunk()
     except DataError:
-        flush()  # a value error on an earlier line comes first
+        store_chunk()  # a value error on an earlier line comes first
         raise
-    flush()
+    store_chunk()
     if header_dim is not None and header_dim != dim:
         raise ShapeError(f"{path}: #dim={header_dim} but rows have {dim} values")
     matrix.resize((len(ids), dim), refcheck=False)

@@ -7,11 +7,12 @@ evaluation in the last bits (summation order; 8.9e-16 measured). It is
 bit-identical from run to run, and a row's output does not depend on how
 many rows follow it. Its first product carries the bias: each block has a
 trailing column of ones and the first layer is ``[W1 | b1]``, joined once
-per call. Training runs its own forward, ``block_forward``, over each
-pair's two node rows (``elbo.elbo_batch_grads``), adding ``b1`` in a separate
-pass: it is called once per pair, too often to join the weights per call.
-It returns its hidden and output arrays; ``NetGrads.backward`` is its
-backward pass, matrix products over the same rows. There is no
+per call. Training runs its own forward, ``block_forward``, over the node
+rows of each block of pairs (``elbo.elbo_batch_grads``), adding ``b1`` in a
+separate pass: it is called once per few pairs, too often to join the
+weights per call. It returns its hidden and output arrays;
+``NetGrads.backward`` is its backward pass, matrix products over the same
+rows, and its gradient sums are complete after every call. There is no
 ``sigmoid``: the engine derives it from the softplus it holds.
 Training holds parameters, gradient sums and Adam moments in four flat arrays
 with each net's tensors as views (``flat_views``): one ``adam_step`` for all.
@@ -30,11 +31,6 @@ from .errors import ShapeError, TrainingError
 # sits in (not with the other rows' values): with fixed blocks, the first m
 # rows of a table give the same bits alone or inside the whole table.
 ROW_BLOCK = 128
-
-# Node rows per weight-gradient product in ``NetGrads``: a net's buffers
-# hold this many rows of each of its four widths, so their size does not
-# grow with the batch.
-GRAD_ROWS = 64
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
@@ -98,22 +94,12 @@ class DiffNet:
 class NetGrads:
     """Gradient sums for one DiffNet, in the caller's arrays of the
     parameters' shapes (in training, views of the flat ``grad``), and the
-    backward pass that adds to them.
-
-    Each weight gradient is a sum of per-node outer products, kept as a
-    running sum plus ``GRAD_ROWS``-row buffers of the factors: a full buffer
-    is flushed into the sum as one matrix product (``W1 += D.T @ X``,
-    ``W2 += U.T @ H``). ``W1`` and ``W2`` hold every added row only after
-    ``flush()``.
-    """
+    backward pass that adds to them. Every sum is complete after every
+    call: a weight gradient gains its call's per-node outer products as one
+    matrix product (``W1 += dpre.T @ x``, ``W2 += upstream.T @ hidden``)."""
 
     def __init__(self, W1: np.ndarray, b1: np.ndarray, W2: np.ndarray, b2: np.ndarray):
         self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
-        (hidden_dim, in_dim), out_dim = W1.shape, W2.shape[0]
-        # Per node: hidden delta, net input, output upstream, hidden activation.
-        self._dpre, self._x, self._up, self._hid = (
-            np.empty((GRAD_ROWS, width)) for width in (hidden_dim, in_dim, out_dim, hidden_dim))
-        self._filled = 0
 
     def backward(self, net: DiffNet, x, hidden, upstream) -> np.ndarray:
         """Backward pass of ``net`` over 2n node rows (side a of n pairs, then
@@ -128,25 +114,9 @@ class NetGrads:
         n = len(x) // 2
         self.b1 += (dpre[:n] + dpre[n:]).sum(axis=0)
         self.b2 += (upstream[:n] + upstream[n:]).sum(axis=0)
-        start = 0
-        while start < len(x):
-            k = self._filled
-            take = min(GRAD_ROWS - k, len(x) - start)
-            for buf, rows in zip((self._dpre, self._x, self._up, self._hid),
-                                 (dpre, x, upstream, hidden)):
-                buf[k:k + take] = rows[start:start + take]
-            self._filled, start = k + take, start + take
-            if self._filled == GRAD_ROWS:
-                self.flush()
+        self.W1 += dpre.T @ x
+        self.W2 += upstream.T @ hidden
         return dpre
-
-    def flush(self) -> None:
-        """Add the buffered rows to W1 and W2."""
-        k = self._filled
-        if k:
-            self.W1 += self._dpre[:k].T @ self._x[:k]
-            self.W2 += self._up[:k].T @ self._hid[:k]
-            self._filled = 0
 
 
 def flat_views(flat: np.ndarray, *nets: DiffNet) -> list[dict[str, np.ndarray]]:

@@ -11,14 +11,15 @@ A step holds its batch side-stacked, side a then side b: the (2, n_batch)
 indices, the KG and BG rows they gather, and the noise viewed as
 (2, n_batch, kg_dim + edge_dim), its draw unchanged, and one prior in the
 node layout. It sums its pairs' ELBO gradients with ``elbo.elbo_batch_grads``,
-one pair per call: the engine takes any number of pairs, and the call over a
-whole batch waits on a benchmark whose peak memory does not grow with the
-number of pipelines in a run.
+``PAIR_BLOCK`` pairs per call (the last block holds the rest). Each call has
+a fixed cost, so a larger block is faster, but its size moves the trained
+bits, and the benchmark's peak memory grows with the pipelines that a faster
+step fits into a run: the block stays at 2 until that memory is flat.
 
 The state is four flat arrays made once per call: the nets' tensors are
 views of ``theta``, the two ``NetGrads`` sum into views of ``grad``
-(``nets.flat_views``). Each ``n_iter`` pass clears ``grad``, sums its pairs,
-flushes both sums (only then are they whole) and takes one ``adam_step``.
+(``nets.flat_views``). Each ``n_iter`` pass clears ``grad``, sums its pairs
+(the sums are whole after every call) and takes one ``adam_step``.
 Steps call the module global ``sample_paired_batches``, not a local binding,
 so a caller who swaps it (the benchmark, to time steps) sees every step.
 """
@@ -39,6 +40,8 @@ from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
 from .nets import DiffNet, NetGrads, adam_step, flat_views, net_forward_rows
 from .rng import named_rng
 
+# Pairs per ``elbo_batch_grads`` call (see the module docstring).
+PAIR_BLOCK = 2
 
 @dataclass
 class TrainConfig:
@@ -213,18 +216,14 @@ def train(kg: EmbeddingTable, bg: EmbeddingTable,
                 elbo_sum = recon_sum = kl_sum = 0.0
                 # A non-finite sum is refused by adam_step and named below.
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    # One pair (rows m:m+1) per engine call until the benchmark
-                    # holds its peak memory flat (see the module docstring).
-                    for m in range(cfg.n_batch):
-                        rows = slice(m, m + 1)
+                    for m in range(0, cfg.n_batch, PAIR_BLOCK):
+                        rows = slice(m, m + PAIR_BLOCK)
                         elbo, recon, kl = elbo_batch_grads(
                             proj_net, infer_net, cfg.edge, kg_rows[:, rows],
                             bg_rows[:, rows], prior, noise[:, rows], acc_proj, acc_infer)
                         elbo_sum += elbo
                         recon_sum += recon
                         kl_sum += kl
-                    acc_proj.flush()
-                    acc_infer.flush()
                 # Batch objective is the mean over pairs; Adam minimizes, so
                 # the loss gradient is the negated ELBO gradient.
                 grad *= -1.0 / cfg.n_batch

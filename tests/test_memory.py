@@ -68,9 +68,9 @@ def test_similarity_histogram_reads_only_the_sampled_rows():
 
 
 def test_train_step_holds_no_batch_sized_hidden_stack():
-    # Weight gradients go through fixed GRAD_ROWS-row buffers: one step's
-    # peak (nets, Adam moments and buffers included) stays below the
-    # 2*n_batch hidden rows that stacking the batch's nodes would hold.
+    # The engine takes trainer.PAIR_BLOCK pairs per call: one step's peak
+    # (nets and Adam moments included) stays below the 2*n_batch hidden rows
+    # that stacking the batch's nodes would hold.
     n, dim = 500, 8
     rng = np.random.default_rng(9)
     ids = tuple(f"e{i}" for i in range(n))

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bem.elbo import Edge
 from bem.errors import ShapeError, TrainingError
-from bem.nets import (GRAD_ROWS, ROW_BLOCK, DiffNet, adam_step, flat_views,
-                      net_forward_rows, softplus)
+from bem.nets import (ROW_BLOCK, DiffNet, adam_step, flat_views, net_forward_rows,
+                      softplus)
 from pair_oracle import (NodePrior, _backward_from_cache, _forward_cached,
                          elbo_pair_accumulate_grads, zero_grads)
 
@@ -15,7 +15,7 @@ from pair_oracle import (NodePrior, _backward_from_cache, _forward_cached,
 # order-one values: a few dozen ulps (8.9e-16 measured).
 ROWS_ATOL = 1e-14
 
-# Largest allowed gap between a buffered weight gradient and the per-node
+# Largest allowed gap between a summed weight gradient and the per-node
 # outer-product loop, relative to the largest entry of the loop's sum: a
 # matrix product sums each entry in a different order than the loop.
 GRAD_RTOL = 1e-13
@@ -325,9 +325,10 @@ class TestFlatViews:
 
 
 class TestBufferedWeightGradients:
-    """``NetGrads.backward`` sums weight gradients as one product per
-    GRAD_ROWS node rows and each bias pair by pair; the oracle is the
-    per-node ``np.outer`` loop."""
+    """``NetGrads.backward`` adds each call's weight gradients as one matrix
+    product over its node rows and each bias pair by pair; the oracle is the
+    per-node ``np.outer`` loop. Every sum is complete after every call (the
+    class keeps its name from when the weight gradients were buffered)."""
 
     @staticmethod
     def pair_rows(net, n_pairs, rng):
@@ -345,17 +346,15 @@ class TestBufferedWeightGradients:
             assert np.allclose(getattr(acc, name), want, rtol=0,
                                atol=GRAD_RTOL * np.max(np.abs(want)))
 
-    # Pairs in all, added in calls of 1, 2, 5 and 13 pairs in turn, so that
-    # calls end short of, at and past a flush and cross flushes.
-    @pytest.mark.parametrize("count", [1, GRAD_ROWS - 1, GRAD_ROWS, GRAD_ROWS + 1,
-                                       3 * GRAD_ROWS + 5])
+    # Pairs in all, added in calls of 1, 2, 5 and 13 pairs in turn.
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 197])
     def test_matches_outer_product_loop(self, count):
         rng = np.random.default_rng(count)
         net = DiffNet.random(5, 30, 7, rng)
         net.b1 = rng.normal(size=30) * 0.3
         acc = zero_grads(net)
         loop = {k: np.zeros_like(v) for k, v in net.param_dict().items()}
-        added, sizes, read_mid_run = 0, itertools.cycle((1, 2, 5, 13)), False
+        added, sizes = 0, itertools.cycle((1, 2, 5, 13))
         while added < count:
             n_pairs = min(next(sizes), count - added)
             x, hid, up = self.pair_rows(net, n_pairs, rng)
@@ -368,10 +367,5 @@ class TestBufferedWeightGradients:
                 loop["b1"] += dpre[r]
                 loop["W2"] += np.outer(up[r], hid[r])
                 loop["b2"] += up[r]
-            if not read_mid_run and added >= count // 2:
-                # A flush mid-run takes in every row added so far.
-                acc.flush()
-                self.assert_matches_loop(acc, loop)
-                read_mid_run = True
-        acc.flush()
-        self.assert_matches_loop(acc, loop)
+            # The sums hold every row added so far.
+            self.assert_matches_loop(acc, loop)
