@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import shlex
 import sys
@@ -182,17 +183,16 @@ def read_manifest(path, raw: bytes | None = None) -> dict:
     return {key: value for _, key, value in _key_values(path, " = ", DataError, raw)}
 
 
-def read_config_file(path, allowed: set[str]) -> dict[str, str]:
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+def read_config_file(path, allowed: set[str]) -> dict[str, tuple[int, str]]:
+    """Each key's line number and stripped value."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, key, value in _key_values(path, "=", ConfigError):
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in first_line:
+        if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r} "
-                              f"(first set on line {first_line[key]})")
-        first_line[key] = lineno
-        values[key] = value.strip()
+                              f"(first set on line {values[key][0]})")
+        values[key] = lineno, value.strip()
     return values
 
 
@@ -202,26 +202,35 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def resolve_train_options(args) -> tuple[TrainConfig, str]:
-    """Merge flags over config-file values over the TrainConfig defaults."""
-    file_values: dict[str, str] = {}
+    """Merge flags over config-file values over the TrainConfig defaults; an
+    error in a config-file value names its file and line."""
+    file_values: dict[str, tuple[int, str]] = {}
     if args.config:
         allowed = {*TRAIN_KEYS, "normalize", "mode", "edge", "align"}
         file_values = read_config_file(args.config, allowed)
+
+    def at(key) -> str:  # flags have argparse types and choices: a bad value is the file's
+        return f"{args.config}:{file_values[key][0]}: "
 
     def pick(key, parse=str, default=None):
         """The flag, else the parsed config-file value, else ``default``."""
         flag = getattr(args, key)
         if flag is not None:
             return flag
-        return parse(file_values[key]) if key in file_values else default
+        if key not in file_values:
+            return default
+        try:
+            return parse(file_values[key][1])
+        except ValueError as exc:
+            raise ConfigError(f"{at(key)}bad config value for {key}: {exc}") from None
 
     mode = pick("mode", default="p")
     if mode not in ("p", "i"):
-        raise UsageError(f"unknown mode {mode!r}")
+        raise UsageError(f"{at('mode')}unknown mode {mode!r}")
     edge_name = pick("edge", default=Edge.IDENTITY.value if mode == "i" else None)
     if mode == "i" and edge_name != Edge.IDENTITY.value:
         raise UsageError("--mode i fixes the identity edge; drop --edge or use identity")
@@ -230,22 +239,19 @@ def resolve_train_options(args) -> tuple[TrainConfig, str]:
         try:
             values["edge"] = Edge(edge_name)
         except ValueError:
-            raise UsageError(f"unknown edge {edge_name!r}") from None
+            raise UsageError(f"{at('edge')}unknown edge {edge_name!r}") from None
     normalize = pick("normalize", _parse_bool)
     if normalize is not None:
         values["normalize_inputs"] = normalize
     for key, name in TRAIN_KEYS.items():
-        try:
-            value = pick(key, type(TRAIN_FIELDS[name].default))
-        except ValueError as exc:
-            raise ConfigError(f"bad config value for {key}: {exc}")
+        value = pick(key, type(TRAIN_FIELDS[name].default))
         if value is not None:
             values[name] = value
     cfg = TrainConfig(**values)
     cfg.validate()
     align_policy = pick("align", default="intersect")
     if align_policy not in ALIGN_POLICIES:
-        raise UsageError(f"unknown alignment policy {align_policy!r}")
+        raise UsageError(f"{at('align')}unknown alignment policy {align_policy!r}")
     return cfg, align_policy
 
 
@@ -262,7 +268,11 @@ def _emit_report(pairs, report: Path | None, summary: Path | None) -> None:
     if report is not None:
         report.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(report, text)
-        _atomic_write_text(summary, json.dumps(dict(pairs), indent=2, sort_keys=True) + "\n")
+        # strict JSON: a non-finite figure is the string report.txt holds
+        values = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in pairs}
+        _atomic_write_text(summary, json.dumps(values, indent=2, sort_keys=True,
+                                               allow_nan=False) + "\n")
 
 
 def cmd_synth(args, argv) -> int:

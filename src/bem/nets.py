@@ -8,12 +8,11 @@ bit-identical from run to run, and a row's output does not depend on how
 many rows follow it. Its first product carries the bias: each block has a
 trailing column of ones and the first layer is ``[W1 | b1]``, joined once
 per call. Training runs its own forward, ``block_forward``, over the node
-rows of each block of pairs (``elbo.elbo_batch_grads``), adding ``b1`` in a
-separate pass: it is called once per few pairs, too often to join the
-weights per call. It returns its hidden and output arrays;
-``NetGrads.backward`` is its backward pass, matrix products over the same
-rows, and its gradient sums are complete after every call. There is no
-``sigmoid``: the engine derives it from the softplus it holds.
+rows of a few pairs at a time (``elbo.elbo_batch_grads``), adding ``b1`` in a
+separate pass: it runs too often to join the weights per call. It returns its
+hidden and output arrays; ``NetGrads.backward`` is its backward pass, matrix
+products over the same rows, whose sums are complete after every call.
+There is no ``sigmoid``: the engine derives it from the softplus it holds.
 Training holds parameters, gradient sums and Adam moments in four flat arrays
 with each net's tensors as views (``flat_views``): one ``adam_step`` for all.
 """

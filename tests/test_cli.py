@@ -604,7 +604,8 @@ class TestLineBreaks:
         path.write_text(f"a = 1{sep}b = 2\rc = 3\r\nd = 4\n", encoding="utf-8")
         want = {"a": f"1{sep}b = 2", "c": "3", "d": "4"}
         assert cli.read_manifest(path) == want
-        assert cli.read_config_file(path, {"a", "c", "d"}) == want
+        assert cli.read_config_file(path, {"a", "c", "d"}) == {
+            key: (lineno, want[key]) for lineno, key in enumerate("acd", 1)}
 
 
 class TestEvalUsage:
@@ -659,6 +660,68 @@ class TestEvalUsage:
         assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
                      str(data / "labels.tsv"), "--task", "classify", *flags]) == EXIT_DATA
         assert "classifier needs" in capsys.readouterr().err
+
+
+def read_report(out_dir):
+    lines = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def read_strict_summary(out_dir):
+    """summary.json, refusing the bare NaN and Infinity tokens that RFC 8259
+    readers reject."""
+    def refuse(token):
+        raise ValueError(f"bare {token} in summary.json")
+    return json.loads((out_dir / "summary.json").read_text(encoding="utf-8"),
+                      parse_constant=refuse)
+
+
+class TestEvalTasks:
+    @pytest.mark.parametrize("task, flags, keys", [
+        ("recall", [], ["k", "n_users", "recall", "hits", "retrieved", "skipped_triggers"]),
+        ("cluster-ratio", [], ["cluster_ratio", "max_within", "min_between", "n_classes"]),
+        ("classify", ["--splits", "2", "--project-dim", "4", "--n-proj", "3"],
+         ["n_labeled", "splits", "accuracy_mean", "accuracy_sd", "accuracy.split0",
+          "accuracy.split1", "project_dim", "n_proj", "proj_accuracy_mean",
+          "proj_accuracy_stderr"]),
+    ], ids=["recall", "cluster-ratio", "classify-projected"])
+    def test_report_summary_and_replay(self, tmp_path, capsys, task, flags, keys):
+        data, out = synth_manifest(tmp_path).parent, tmp_path / "e"
+        assert main(["eval", "--table", str(data / "kg.tsv"), "--labels",
+                     str(data / "labels.tsv"), "--task", task, *flags,
+                     "--out", str(out)]) == EXIT_OK
+        report = read_report(out)
+        assert report["task"] == task and set(report) == {"task", *keys}
+        assert {k: str(v) for k, v in read_strict_summary(out).items()} == report
+        capsys.readouterr()
+        assert main(["replay", str(out / "manifest.txt")]) == EXIT_OK
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_infinite_cluster_ratio_is_a_string_in_summary(self, tmp_path):
+        # a1 and b0 coincide: the between-class gap is 0, the ratio infinite.
+        table, labels, out = tmp_path / "t.tsv", tmp_path / "labels.tsv", tmp_path / "e"
+        table.write_text("a0\t0\t0\na1\t1\t0\nb0\t1\t0\nb1\t2\t1\n", encoding="utf-8")
+        labels.write_text("a0\tA\na1\tA\nb0\tB\nb1\tB\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="cluster ratio is infinite"):
+            assert main(["eval", "--table", str(table), "--labels", str(labels),
+                         "--task", "cluster-ratio", "--out", str(out)]) == EXIT_OK
+        summary = read_strict_summary(out)
+        assert summary["cluster_ratio"] == "inf" and summary["min_between"] == 0.0
+        assert read_report(out)["cluster_ratio"] == "inf"
+
+
+class TestRefineTables:
+    def test_bg_table_of_another_width_names_both_tables(self, tmp_path, capsys):
+        model = command_manifest(tmp_path, "train").parent / "m.bem"
+        narrow = tmp_path / "narrow"
+        assert main(["synth", "--out", str(narrow), "--n", "30", "--seed", "4",
+                     "--bg-dim", "8"]) == EXIT_OK
+        kg, bg, out = tmp_path / "synth" / "kg.tsv", narrow / "bg.tsv", tmp_path / "r"
+        capsys.readouterr()
+        assert main(["refine", "--kg", str(kg), "--bg", str(bg), "--model", str(model),
+                     "--out", str(out)]) == EXIT_DATA
+        assert f"model does not fit tables {kg} / {bg}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutOfMemory:
@@ -924,6 +987,20 @@ class TestTrainOptionPrecedence:
         assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
                      "--config", str(config)]) == EXIT_USAGE
         assert "unknown edge 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, code, message", [
+        ("normalize = maybe", EXIT_DATA, "bad config value for normalize: not a boolean: 'maybe'"),
+        ("nB = 1.5", EXIT_DATA, "bad config value for nB: invalid literal for int()"),
+        ("edge = bogus", EXIT_USAGE, "unknown edge 'bogus'"),
+        ("mode = x", EXIT_USAGE, "unknown mode 'x'"),
+        ("align = sideways", EXIT_USAGE, "unknown alignment policy 'sideways'"),
+    ], ids=["normalize", "nB", "edge", "mode", "align"])
+    def test_bad_config_value_names_its_line(self, tmp_path, capsys, line, code, message):
+        config = tmp_path / "train.cfg"
+        config.write_text(f"# a comment\nlr = 0.5\n{line}\n", encoding="utf-8")
+        assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                     "--config", str(config)]) == code
+        assert f"{config}:3: {message}" in capsys.readouterr().err
 
     def test_retired_bootstrap_flag_is_a_usage_error(self):
         assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",

@@ -444,6 +444,15 @@ class TestRefine:
         assert np.array_equal(kg.matrix, before_kg)
         assert np.array_equal(bg.matrix, before_bg)
 
+    @pytest.mark.parametrize("wider, match", [("proj", "emits dim 4, bg table has 3"),
+                                              ("infer", "inference net input")])
+    def test_bg_width_and_inference_input_mismatch(self, wider, match):
+        kg, bg = tiny_tables(seed=1)
+        proj = zero_net(kg.dim, 4, bg.dim + (wider == "proj"))
+        infer = zero_net(kg.dim + bg.dim + (wider == "infer"), 4, 2 * kg.dim + 2 * bg.dim)
+        with pytest.raises(ShapeError, match=match):
+            refine(kg, bg, proj, infer)
+
     def test_dimension_mismatch(self):
         kg, bg = tiny_tables(seed=1)
         proj = zero_net(kg.dim + 1, 4, bg.dim)
