@@ -40,8 +40,8 @@ from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
 from .nets import DiffNet, NetGrads, adam_step, flat_views, net_forward_rows
 from .rng import named_rng
 
-# Pairs per ``elbo_batch_grads`` call (see the module docstring).
-PAIR_BLOCK = 2
+PAIR_BLOCK = 2  # pairs per ``elbo_batch_grads`` call (see the module docstring)
+
 
 @dataclass
 class TrainConfig:

@@ -6,8 +6,8 @@ the posterior, the draw, the reconstruction and the KL are kept as named
 vectors, and the weight gradients are per-node outer products added straight
 into the ``NetGrads`` sums. Each node's prior is a ``NodePrior`` of named
 parts; ``node_priors`` cuts the engine's ``BatchPrior`` into one per side,
-and nothing else here reads the engine's layout. The math is the engine's; only the evaluation
-order differs, so the two agree to rounding.
+and nothing else here reads the engine's layout. The math is the engine's;
+only the evaluation order differs, so the two agree to rounding.
 """
 from __future__ import annotations
 
