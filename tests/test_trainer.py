@@ -420,7 +420,7 @@ class TestRefine:
     def test_refine_checksum_is_pinned(self):
         # Any change to how a row block is multiplied must leave the refined
         # bits alone. Hash taken at tool_version 0.3.2; the same on OpenBLAS's
-        # SkylakeX, SapphireRapids and Haswell kernels.
+        # SkylakeX and Haswell kernels (as ``blas_kernel()`` names them).
         truth = generate(SynthSpec(n_entities=300, seed=7))
         kg, bg = normalize_rows(truth.kg), normalize_rows(truth.bg)
         nets = random_nets(kg, bg, Edge.TRANSLATION, 50, np.random.default_rng(11))
@@ -429,8 +429,8 @@ class TestRefine:
             digest.update(table.matrix.tobytes())
         assert digest.hexdigest() == (
             "30b652ea0f8d166012d7c52e5436b69bbbb2e9787a7b522258dd0c138d622f6f"), (
-            f"refined under OpenBLAS kernel {blas_kernel()}; the pin holds under SkylakeX, "
-            "SapphireRapids and Haswell")
+            f"refined under OpenBLAS kernel {blas_kernel()}; the pin holds under SkylakeX "
+            "and Haswell")
 
     def test_inputs_not_mutated(self):
         kg, bg = tiny_tables(seed=7)
