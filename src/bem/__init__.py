@@ -1,3 +1,3 @@
 """Bayesian refinement of paired KG/BG embedding tables."""
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"

@@ -213,7 +213,10 @@ def resolve_train_options(args) -> tuple[TrainConfig, str]:
         allowed = {*TRAIN_KEYS, "normalize", "mode", "edge", "align"}
         file_values = read_config_file(args.config, allowed)
 
-    def at(key) -> str:  # flags have argparse types and choices: a bad value is the file's
+    def at(key) -> str:
+        """``<config>:<line>: `` when ``key``'s value comes from the file, else ''."""
+        if getattr(args, key) is not None or key not in file_values:
+            return ""
         return f"{args.config}:{file_values[key][0]}: "
 
     def pick(key, parse=str, default=None):
@@ -233,7 +236,8 @@ def resolve_train_options(args) -> tuple[TrainConfig, str]:
         raise UsageError(f"{at('mode')}unknown mode {mode!r}")
     edge_name = pick("edge", default=Edge.IDENTITY.value if mode == "i" else None)
     if mode == "i" and edge_name != Edge.IDENTITY.value:
-        raise UsageError("--mode i fixes the identity edge; drop --edge or use identity")
+        raise UsageError(f"{at('edge') or at('mode')}--mode i fixes the identity edge; "
+                         "drop --edge or use identity")
     values = {}
     if edge_name is not None:
         try:
@@ -247,6 +251,11 @@ def resolve_train_options(args) -> tuple[TrainConfig, str]:
         value = pick(key, type(TRAIN_FIELDS[name].default))
         if value is not None:
             values[name] = value
+        if at(key):  # checked alone, so that the error names its line
+            try:
+                TrainConfig(**{name: value}).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{at(key)}{exc}") from None
     cfg = TrainConfig(**values)
     cfg.validate()
     align_policy = pick("align", default="intersect")

@@ -13,8 +13,12 @@ indices, the KG and BG rows they gather, and the noise viewed as
 node layout. It sums its pairs' ELBO gradients with ``elbo.elbo_batch_grads``,
 ``PAIR_BLOCK`` pairs per call (the last block holds the rest). Each call has
 a fixed cost, so a larger block is faster, but its size moves the trained
-bits, and the benchmark's peak memory grows with the pipelines that a faster
-step fits into a run: the block stays at 2 until that memory is flat.
+bits in the last place. The block is 3. On train-desk it took ``pipeline_s``
+from 3.54-4.11 s at block 2 to 2.83-3.09 s. Block 4 was faster still
+(2.45-2.60 s), but the benchmark keeps every finished pipeline's tables and
+nets, and the pipelines a faster step fits into a run took ``peak_rss_mb``
+to 70.0-73.6 MB, too close to its bound. Block 32 (ROADMAP M11) waits for
+the benchmark to free each finished pipeline (ROADMAP item 1).
 
 The state is four flat arrays made once per call: the nets' tensors are
 views of ``theta``, the two ``NetGrads`` sum into views of ``grad``
@@ -40,7 +44,10 @@ from .errors import (AlignmentError, ConfigError, NumericalError, ShapeError,
 from .nets import DiffNet, NetGrads, adam_step, flat_views, net_forward_rows
 from .rng import named_rng
 
-PAIR_BLOCK = 2  # pairs per ``elbo_batch_grads`` call (see the module docstring)
+# Pairs per ``elbo_batch_grads`` call: the largest block whose faster step
+# keeps train-desk's peak memory clear of its bound; 32 once the benchmark
+# frees finished pipelines (ROADMAP item 1; see the module docstring).
+PAIR_BLOCK = 3
 
 
 @dataclass

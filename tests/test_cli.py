@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -16,10 +18,11 @@ from bem.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError,
                      build_parser, main, resolve_train_options)
 from bem.dataio import EmbeddingTable, load_table
 from bem.elbo import Edge, edge_output_dim
+from bem.errors import ConfigError
 from bem.evalkit import make_split, train_classifier
 from bem.nets import DiffNet
 from bem.synthgen import oracle_error
-from bem.trainer import StepRecord, TrainReport
+from bem.trainer import StepRecord, TrainConfig, TrainReport
 
 
 # Tables, a model trained on them and the manifest of refining with it, all
@@ -994,13 +997,59 @@ class TestTrainOptionPrecedence:
         ("edge = bogus", EXIT_USAGE, "unknown edge 'bogus'"),
         ("mode = x", EXIT_USAGE, "unknown mode 'x'"),
         ("align = sideways", EXIT_USAGE, "unknown alignment policy 'sideways'"),
-    ], ids=["normalize", "nB", "edge", "mode", "align"])
+        ("nB = 1", EXIT_DATA, "n_batch must be at least 2"),
+    ], ids=["normalize", "nB", "edge", "mode", "align", "nB-invalid"])
     def test_bad_config_value_names_its_line(self, tmp_path, capsys, line, code, message):
         config = tmp_path / "train.cfg"
         config.write_text(f"# a comment\nlr = 0.5\n{line}\n", encoding="utf-8")
         assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
                      "--config", str(config)]) == code
         assert f"{config}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, lines", [
+        ((), "mode = i\nedge = inner"),
+        (("--mode", "i"), "nh = 4\nedge = inner"),
+        (("--edge", "inner"), "nh = 4\nmode = i"),
+    ], ids=["both-in-file", "edge-in-file", "mode-in-file"])
+    def test_mode_i_with_another_edge_names_the_file_line(self, tmp_path, capsys, flags,
+                                                          lines):
+        # The edge's line when the file sets it, else the mode's.
+        config = tmp_path / "train.cfg"
+        config.write_text(f"# a comment\n{lines}\n", encoding="utf-8")
+        assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                     "--config", str(config), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"usage error: {config}:3: --mode i fixes the identity edge")
+
+    @pytest.mark.parametrize("flags, code, err", [
+        (("--nB", "1"), EXIT_DATA, "error: n_batch must be at least 2\n"),
+        (("--mode", "i", "--edge", "inner"), EXIT_USAGE,
+         "usage error: --mode i fixes the identity edge; drop --edge or use identity\n"),
+    ], ids=["nB", "mode-i-edge"])
+    def test_bad_flag_values_name_no_config_line(self, tmp_path, capsys, flags, code, err):
+        config = tmp_path / "train.cfg"
+        config.write_text("nB = 7\nedge = identity\n", encoding="utf-8")
+        assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                     "--config", str(config), *flags]) == code
+        assert capsys.readouterr().err == err
+
+    def test_pair_block_is_a_constant_not_a_knob(self, tmp_path, capsys):
+        # trainer.PAIR_BLOCK moves the trained bits, so only a re-pin changes
+        # it: no TrainConfig field, train or sweep flag, or config key sets it.
+        assert not [f for f in dataclasses.fields(TrainConfig) if "block" in f.name.lower()]
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        for command in ("train", "sweep"):
+            options = [o for a in subs.choices[command]._actions for o in a.option_strings]
+            assert not [o for o in options if "block" in o.lower()], command
+        with pytest.raises(ConfigError, match="exactly the keys"):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), "pair_block": 3})
+        config = tmp_path / "train.cfg"
+        for key in ("pair_block", "PAIR_BLOCK", "block"):
+            config.write_text(f"{key} = 3\n", encoding="utf-8")
+            assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",
+                         "--config", str(config)]) == EXIT_DATA
+            assert f"{config}:1: unknown config key {key!r}" in capsys.readouterr().err
 
     def test_retired_bootstrap_flag_is_a_usage_error(self):
         assert main(["train", "--kg", "kg.tsv", "--bg", "bg.tsv", "--out", "m.bem",

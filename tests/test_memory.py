@@ -5,7 +5,9 @@ batch-sized stack of node rows."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from bem import trainer
 from bem.dataio import EmbeddingTable, normalize_rows
 from bem.evalkit import hit_recall, similarity_histogram
 from bem.nets import DiffNet
@@ -67,10 +69,13 @@ def test_similarity_histogram_reads_only_the_sampled_rows():
         < t.matrix.nbytes
 
 
-def test_train_step_holds_no_batch_sized_hidden_stack():
+@pytest.mark.parametrize("block", [3, 32])
+def test_train_step_holds_no_batch_sized_hidden_stack(monkeypatch, block):
     # The engine takes trainer.PAIR_BLOCK pairs per call: one step's peak
     # (nets and Adam moments included) stays below the 2*n_batch hidden rows
-    # that stacking the batch's nodes would hold.
+    # that stacking the batch's nodes would hold. Block 3 is the trainer's;
+    # block 32, ROADMAP item 2a's next step, reads about 2.7 of these 4.0 MB.
+    monkeypatch.setattr(trainer, "PAIR_BLOCK", block)
     n, dim = 500, 8
     rng = np.random.default_rng(9)
     ids = tuple(f"e{i}" for i in range(n))
