@@ -13,12 +13,13 @@ indices, the KG and BG rows they gather, and the noise viewed as
 node layout. It sums its pairs' ELBO gradients with ``elbo.elbo_batch_grads``,
 ``PAIR_BLOCK`` pairs per call (the last block holds the rest). Each call has
 a fixed cost, so a larger block is faster, but its size moves the trained
-bits in the last place. The block is 3. On train-desk it took ``pipeline_s``
-from 3.54-4.11 s at block 2 to 2.83-3.09 s. Block 4 was faster still
-(2.45-2.60 s), but the benchmark keeps every finished pipeline's tables and
-nets, and the pipelines a faster step fits into a run took ``peak_rss_mb``
-to 70.0-73.6 MB, too close to its bound. Block 32 (ROADMAP M11) waits for
-the benchmark to free each finished pipeline (ROADMAP item 1).
+bits in the last place. The block is 3: it took train-desk's median
+``pipeline_s`` from 3.92 s at block 2 to 2.90 s (one BLAS thread on a 2-vCPU
+host). Block 4 was faster still (2.45-2.60 s), but the benchmark keeps every
+finished pipeline's tables and nets, and the pipelines a faster step fits
+into a run took ``peak_rss_mb`` to 70.0-73.6 MB, too close to its bound.
+Block 32 (ROADMAP M11) waits for the benchmark to free each finished
+pipeline (ROADMAP item 1).
 
 The state is four flat arrays made once per call: the nets' tensors are
 views of ``theta``, the two ``NetGrads`` sum into views of ``grad``
